@@ -335,39 +335,74 @@ def enumerate_solutions(n: int) -> SolutionCensus:
     """Every pair map on X^2 passing the three axioms, for n <= 4.
 
     Involutive maps satisfying axiom 3 are exactly those of the form
-        r(c, a) = (rho_b^-1(a), b)   with b = rho_a(c)
+        r(c, a) = (pi_b(a), b)   with b = rho_a(c), pi_b = rho_b^-1,
     for a family rho of n permutations (rho_a(c) is the second component
     of r(c, a), a bijection in c by axiom 3; involutivity then pins the
-    first component, and the diagonal condition follows).  So the search
-    walks the |Sym_n|^n families and keeps the braid-identity survivors.
+    first component, and the diagonal condition follows).  Such a map
+    satisfies the braid identity iff the operation x.y = pi_x(y) is a
+    cycle set (Rump, Adv. Math. 2005):
+
+        (x.y).(x.z) = (y.x).(y.z)   for all x, y, z.
+
+    The search assigns the rows pi_1, pi_2, ... in turn, trying every
+    permutation for each.  A pair x < y is tested on all z as soon as
+    the rows of x, y, x.y and y.x are assigned, and a violation cuts the
+    branch; at a leaf every pair has been tested.  Each survivor is also
+    passed through ``check_yb``.  Solutions are sorted by table, so the
+    first solution of each relabeling orbit is its canonical form.
     """
     if not 1 <= n <= 4:
         raise InputError(f"enumeration supports 1 <= n <= 4, got {n}")
-    perms = all_perms(n)
-    inv_of = {p: p.inverse() for p in perms}
-    triples = list(all_words(n, 3))
+    perms = list(itertools.permutations(range(n)))
+    pairs_upto = [[(x, y) for y in range(k + 1) for x in range(y)] for k in range(n)]
+    rows: list[tuple[int, ...]] = []
     solutions = []
-    for rho in itertools.product(perms, repeat=n):
-        entries = {}
-        for c in range(1, n + 1):
-            for a in range(1, n + 1):
-                b = rho[a - 1](c)
-                entries[(c, a)] = (inv_of[rho[b - 1]](a), b)
-        cand = PairMap.from_entries(n, entries)
-        if _yb_holds(cand, triples):
-            solutions.append(cand)
+
+    def law_holds(x: int, y: int) -> bool:
+        px, py = rows[x], rows[y]
+        pxy, pyx = rows[px[y]], rows[py[x]]
+        return all(pxy[px[z]] == pyx[py[z]] for z in range(n))
+
+    def extend(k: int) -> None:
+        if k == n:
+            solutions.append(_from_cycle_set(rows))
+            return
+        for p in perms:
+            rows.append(p)
+            # test each pair once: when the last of its rows is assigned
+            if all(
+                law_holds(x, y)
+                for x, y in pairs_upto[k]
+                if max(y, rows[x][y], rows[y][x]) == k
+            ):
+                extend(k + 1)
+            rows.pop()
+
+    extend(0)
+    for r in solutions:
+        res = check_yb(r)
+        if not res:
+            raise ConsistencyError(f"cycle-set survivor fails the braid identity: {res.witness}")
     solutions.sort(key=lambda r: r.table)
-    reps = sorted({canonical_form(r).table for r in solutions})
-    return SolutionCensus(n, tuple(solutions), tuple(PairMap(n, t) for t in reps))
+    reps = []
+    seen: set[tuple[Pair, ...]] = set()
+    for r in solutions:
+        if r.table not in seen:
+            reps.append(r)
+            seen.update(r.relabel(tau).table for tau in all_perms(n))
+    return SolutionCensus(n, tuple(solutions), tuple(reps))
 
 
-def _yb_holds(r: PairMap, triples) -> bool:
-    for w in triples:
-        if r.apply_at(r.apply_at(r.apply_at(w, 1), 2), 1) != r.apply_at(
-            r.apply_at(r.apply_at(w, 2), 1), 2
-        ):
-            return False
-    return True
+def _from_cycle_set(rows: list[tuple[int, ...]]) -> PairMap:
+    """The pair map r(c, a) = (pi_b(a), b), b = pi_a^-1(c), of the cycle
+    set with 0-based rows pi_x."""
+    n = len(rows)
+    table = []
+    for c in range(n):
+        for a in range(n):
+            b = rows[a].index(c)
+            table.append((rows[b][a] + 1, b + 1))
+    return PairMap(n, tuple(table))
 
 
 def parse_rtable(text: str) -> PairMap:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -164,6 +165,14 @@ def test_enumerate(capsys):
     code, out = run(capsys, "enumerate", "--n", "2", "--list")
     assert code == 0
     assert "solutions: 2" in out and "classes: 2" in out
+
+
+def test_enumerate_n4_list_golden(capsys):
+    code, out = run(capsys, "enumerate", "--n", "4", "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1a2ff5ad22e8f9ec21aef640b5b23f3773bb2b9bc1a7685d8009489ca8079a5e"
+    )
 
 
 def test_input_errors(tmp_path, capsys):

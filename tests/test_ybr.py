@@ -169,6 +169,43 @@ def test_enumerate_n3_census(census):
     assert sorted(sizes.values()) == [1, 2, 3, 3, 3]
 
 
+@pytest.fixture(scope="module")
+def census4():
+    return enumerate_solutions(4)
+
+
+def test_enumerate_n4_census(census4):
+    # 168 distinct solutions passing every axiom: with the published
+    # total of 168 this is the complete solution set
+    assert census4.raw_count == 168 and census4.class_count == 23
+    tables = [s.table for s in census4.solutions]
+    assert tables == sorted(set(tables))
+    assert all(check_axioms(s).ok for s in census4.solutions)
+    reps = sorted({canonical_form(s).table for s in census4.solutions})
+    assert [r.table for r in census4.class_reps] == reps
+
+
+def _single_entry_mutants(r):
+    values = list(itertools.product(range(1, r.n + 1), repeat=2))
+    for i, old in enumerate(r.table):
+        for new in values:
+            if new != old:
+                yield PairMap(r.n, r.table[:i] + (new,) + r.table[i + 1 :])
+
+
+def test_single_entry_mutants_fail_axioms(census, census4):
+    maps = [s for cen in census.values() for s in cen.solutions]
+    maps += census4.class_reps
+    mutants = 0
+    for r in maps:
+        for m in _single_entry_mutants(r):
+            res = check_axioms(m)
+            assert not res.ok and res.witness, m.table
+            mutants += 1
+    # n <= 3: 1*0 + 2*4*3 + 12*9*8; n = 4: 23 reps * 16 * 15
+    assert mutants == 24 + 864 + 5520
+
+
 def test_enumerate_all_pass_axioms(census):
     for cen in census.values():
         for s in cen.solutions:
