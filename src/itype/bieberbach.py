@@ -21,26 +21,44 @@ module certifies, exhaustively within bounds, that
 
 and classifies the n = 2 isometries into translations and glide
 reflections.  All arithmetic is exact (integers and rationals).
+
+Inside the checks an isometry is one flat tuple of 2n integers: the
+0-based images of the permutation part, then the shift.  Composing with
+a fixed generator is then a gather by a precomputed index plus a fixed
+add vector (`_gather`), with no object built per step.  The image of
+the origin is the shift itself, act(g, 0) = g.shift, so the tiling
+check keys the elements it has reached by that half of the tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .core import (
     CheckResult,
     ConsistencyError,
     DegreeBoundError,
+    ExpVec,
     InputError,
     Perm,
+    exp_add_gen,
+    exp_sub_gen,
     expvecs_up_to,
     format_expvec,
+    support,
 )
-from .istructure import v_inverse, v_of
+from .istructure import ITable
 from .structuremaps import PhiMap, phi_of
 
 Point = tuple  # integer (or rational) coordinates
+Flat = tuple[int, ...]  # 0-based permutation images, then the shift
+
+# Freeness enumerates every reduced word up to the requested length,
+# 2n-1 times more per letter; past this many it refuses to start.  The
+# longest runs allowed (about a million words) take about a second.
+MAX_FREENESS_WORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -74,14 +92,31 @@ def act(g: AffineIso, a: Point) -> Point:
     return tuple(a[g.perm(j) - 1] + g.shift[j - 1] for j in range(1, g.n + 1))
 
 
+def _flat(g: AffineIso) -> Flat:
+    return tuple(k - 1 for k in g.perm.images) + g.shift
+
+
+def _unflat(f: Flat) -> AffineIso:
+    n = len(f) // 2
+    return AffineIso(Perm(tuple(k + 1 for k in f[:n])), f[n:])
+
+
+def _gather(h: Flat) -> tuple[itemgetter, Flat]:
+    """'Then h' in flat form: compose(g, h) is tuple(map(add, get(g),
+    plus)) for (get, plus) = _gather(h), since its permutation part is
+    j -> g.perm(h.perm(j)) and its shift j -> g.shift[h.perm(j)] + h.shift[j]."""
+    n = len(h) // 2
+    p = h[:n]
+    return itemgetter(*p, *(n + k for k in p)), (0,) * n + h[n:]
+
+
 def compose(g: AffineIso, h: AffineIso) -> AffineIso:
     """The product 'g then h' of the right action:
     act(compose(g, h), a) = act(h, act(g, a))."""
     if g.n != h.n:
         raise InputError("dimension mismatch")
-    perm = Perm(tuple(g.perm(h.perm(j)) for j in range(1, g.n + 1)))
-    shift = tuple(g.shift[h.perm(j) - 1] + h.shift[j - 1] for j in range(1, g.n + 1))
-    return AffineIso(perm, shift)
+    get, plus = _gather(_flat(h))
+    return _unflat(tuple(map(add, get(_flat(g)), plus)))
 
 
 def invert(g: AffineIso) -> AffineIso:
@@ -158,21 +193,38 @@ def check_action_consistency(pm: PhiMap, bound: int, convention: str | None = No
     multiplication transported through v."""
     if bound + 1 > pm.D:
         raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
-    table = pm.table
     if convention is None:
         convention = resolve_convention(pm)
     gens = [generator_isometry(pm, i, convention) for i in range(1, pm.n + 1)]
-    for a in expvecs_up_to(pm.n, bound):
-        w = v_of(table, a)
-        for i in range(1, pm.n + 1):
-            geometric = act(gens[i - 1], a)
-            algebraic = v_inverse(table, w + (i,))
+    moves = [(f[: pm.n], f[pm.n :]) for f in map(_flat, gens)]
+    for a, products in _right_products(pm.table, bound).items():
+        for i, (perm, shift) in enumerate(moves, start=1):
+            geometric = tuple([a[k] + s for k, s in zip(perm, shift)])
+            algebraic = products[i - 1]
             if geometric != algebraic:
                 return CheckResult.failed(
                     f"at a={format_expvec(a)}, generator {i}: affine image "
                     f"{geometric} but right multiplication gives {algebraic}"
                 )
     return CheckResult.passed()
+
+
+def _right_products(t: ITable, bound: int) -> dict[ExpVec, tuple[ExpVec, ...]]:
+    """v_inverse(t, v_of(t, a) + (i,)) for every a of degree <= bound
+    (at most D-1) and every i, keyed by a in graded-lex order.  v_of
+    peels the least index j of a: v(a) = x[b, j] v(b) with b = a - u_j.
+    Decoding v(a) x_i right to left therefore continues the decoding of
+    v(b) x_i by the one letter x[b, j], and b comes before a."""
+    right: dict[ExpVec, tuple[ExpVec, ...]] = {}
+    for a in expvecs_up_to(t.n, bound):
+        if not any(a):  # v(0) x_i is the one letter x_i
+            right[a] = tuple(exp_add_gen(a, t.row(a).index(i) + 1) for i in range(1, t.n + 1))
+            continue
+        j = support(a)[0]
+        b = exp_sub_gen(a, j)
+        letter = t.row(b)[j - 1]
+        right[a] = tuple(exp_add_gen(c, t.row(c).index(letter) + 1) for c in right[b])
+    return right
 
 
 SignedWord = tuple[int, ...]  # i for a generator, -i for its inverse
@@ -188,16 +240,17 @@ def format_signed_word(w: SignedWord, names: tuple[str, ...] | None = None) -> s
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    word: SignedWord
-    iso: AffineIso
-
-
 def _signed_generators(gens: list[AffineIso]) -> list[tuple[int, AffineIso]]:
     out = [(i, g) for i, g in enumerate(gens, start=1)]
     out.extend((-i, invert(g)) for i, g in enumerate(gens, start=1))
     return out
+
+
+def _steps(n: int, gens: list[AffineIso]) -> list[tuple[int, itemgetter, Flat]]:
+    """(letter, get, plus) for each signed generator, in search order."""
+    if any(g.n != n for g in gens):
+        raise InputError("dimension mismatch")
+    return [(s, *_gather(_flat(g))) for s, g in _signed_generators(gens)]
 
 
 @dataclass(frozen=True)
@@ -212,42 +265,56 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
     """Enumerate every reduced word in the generators and inverses up to
     length L.  A non-identity isometry with a fixed point fails the
     check; identity isometries from non-empty words are relations of the
-    group, recorded, never failures."""
+    group, recorded, never failures.  Refuses (InputError) a length
+    with more than MAX_FREENESS_WORDS reduced words."""
+    n = pm.n
+    # sum over k = 1..L of 2n(2n-1)^(k-1); past `cap` letters it is over
+    # the limit anyway, and the exact figure would be too long to print
+    cap = 64 if n > 1 else MAX_FREENESS_WORDS
+    k = max(0, min(L, cap))
+    words = 2 * k if n == 1 else n * ((2 * n - 1) ** k - 1) // (n - 1)
+    if words > MAX_FREENESS_WORDS:
+        more = "more than " if L > cap else ""
+        raise InputError(
+            f"freeness to word length {L} would enumerate {more}{words} reduced "
+            f"words, over the limit of {MAX_FREENESS_WORDS}"
+        )
     gens = affine_generators(pm) if generators is None else generators
-    signed = _signed_generators(gens)
-    verdict: dict[AffineIso, FixedPointSet] = {}
+    steps = _steps(n, gens)
+    identity = _flat(AffineIso.identity(n))
+    # every non-identity isometry seen; isometries_seen adds the identity
+    verdict: dict[Flat, FixedPointSet] = {}
     relations: list[SignedWord] = []
-    frontier = [GroupElement((), AffineIso.identity(pm.n))]
-    seen_isos = {frontier[0].iso}
-    for _ in range(L):
+    frontier: list[tuple[Flat, SignedWord]] = [(identity, ())]
+    for depth in range(1, L + 1):
+        extend = depth < L  # the words of length L are never extended: keep none
         nxt = []
-        for el in frontier:
-            last = el.word[-1] if el.word else 0
-            for s, g in signed:
+        for flat, word in frontier:
+            last = word[-1] if word else 0
+            for s, get, plus in steps:
                 if s == -last:
                     continue  # cancellation: not a reduced word
-                word = el.word + (s,)
-                iso = compose(el.iso, g)
-                nxt.append(GroupElement(word, iso))
-                seen_isos.add(iso)
-                if iso.is_identity():
-                    relations.append(word)
+                new = tuple(map(add, get(flat), plus))
+                nw = word + (s,)
+                if extend:
+                    nxt.append((new, nw))
+                if new == identity:
+                    relations.append(nw)
                     continue
-                fp = verdict.get(iso)
+                fp = verdict.get(new)
                 if fp is None:
-                    fp = fixed_points(iso)
-                    verdict[iso] = fp
+                    fp = verdict[new] = fixed_points(_unflat(new))
                 if not fp.empty:
                     return FreenessReport(
                         False,
-                        f"word {format_signed_word(word)} is not the identity yet "
+                        f"word {format_signed_word(nw)} is not the identity yet "
                         f"fixes {fp.point}",
                         tuple(relations),
-                        len(seen_isos),
+                        len(verdict) + 1,
                     )
         frontier = nxt
     relations.sort(key=lambda w: (len(w), w))
-    return FreenessReport(True, "", tuple(relations), len(seen_isos))
+    return FreenessReport(True, "", tuple(relations), len(verdict) + 1)
 
 
 @dataclass(frozen=True)
@@ -268,46 +335,47 @@ def fundamental_domain_check(
     L is large enough.  Missing points with no injectivity violation is
     'inconclusive', not failure."""
     gens = affine_generators(pm) if generators is None else generators
-    signed = _signed_generators(gens)
-    origin = (0,) * pm.n
-    owner: dict[Point, SignedWord] = {origin: ()}
-    seen: dict[AffineIso, SignedWord] = {AffineIso.identity(pm.n): ()}
-    frontier = list(seen.items())
+    n = pm.n
+    steps = _steps(n, gens)
+    identity = _flat(AffineIso.identity(n))
+    # origin image (the shift half) -> (the element, its first word); a
+    # second element with the same image breaks injectivity
+    reached: dict[Point, tuple[Flat, SignedWord]] = {identity[n:]: (identity, ())}
+    frontier = [(identity, ())]
     for _ in range(L):
         nxt = []
-        for iso, word in frontier:
-            for s, g in signed:
-                new = compose(iso, g)
-                if new in seen:
-                    continue
-                nw = word + (s,)
-                seen[new] = nw
-                nxt.append((new, nw))
-                pt = act(new, origin)
-                if pt in owner:
+        for flat, word in frontier:
+            for s, get, plus in steps:
+                new = tuple(map(add, get(flat), plus))
+                pt = new[n:]
+                hit = reached.get(pt)
+                if hit is None:
+                    nw = word + (s,)
+                    reached[pt] = (new, nw)
+                    nxt.append((new, nw))
+                elif hit[0] != new:
                     return TilingReport(
                         "fail",
-                        f"distinct elements {format_signed_word(owner[pt])} and "
-                        f"{format_signed_word(nw)} both send the origin to {pt}",
-                        len(seen),
+                        f"distinct elements {format_signed_word(hit[1])} and "
+                        f"{format_signed_word(word + (s,))} both send the origin to {pt}",
+                        len(reached) + 1,
                         0,
                         (),
                     )
-                owner[pt] = nw
         frontier = nxt
-    box_points = list(_box_points(pm.n, box))
-    missed = tuple(pt for pt in box_points if pt not in owner)
+    box_points = list(_box_points(n, box))
+    missed = tuple(pt for pt in box_points if pt not in reached)
     covered = len(box_points) - len(missed)
     if missed:
         return TilingReport(
             "inconclusive",
             f"{len(missed)} of {len(box_points)} box points not reached at "
             f"word length {L}; raise L",
-            len(seen),
+            len(reached),
             covered,
             missed,
         )
-    return TilingReport("pass", "", len(seen), covered, ())
+    return TilingReport("pass", "", len(reached), covered, ())
 
 
 def _box_points(n: int, radius: int):

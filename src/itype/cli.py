@@ -24,6 +24,7 @@ import sys
 from .bieberbach import (
     check_action_consistency,
     classify_isometry_2d,
+    compose,
     export_affine_group,
     affine_generators,
     freeness_check,
@@ -188,15 +189,19 @@ def cmd_phi(args, rep: Reporter) -> int:
 
 
 def cmd_bieberbach(args, rep: Reporter) -> int:
+    if args.length < 1:
+        raise InputError(f"--length must be >= 1, got {args.length}")
+    if args.radius < 0:
+        raise InputError(f"--radius must be >= 0, got {args.radius}")
     p, r, names = load_input(args.file)
     t = build_itable(_pairmap(p, r), args.degree)
     pm = PhiMap(t)
     convention = resolve_convention(pm)
     gens = affine_generators(pm, convention)
-    rep.field("convention", convention)
     cons = check_action_consistency(pm, t.D - 1, convention)
     free = freeness_check(pm, args.length)
     tile = fundamental_domain_check(pm, args.radius, max(args.length, 2 * args.radius * t.n))
+    rep.field("convention", convention)
     sys.stdout.write(export_affine_group(gens, names, free.relations))
     rep.check("consistency", cons)
     rep.check("freeness", CheckResult(free.ok, free.witness))
@@ -209,8 +214,6 @@ def cmd_bieberbach(args, rep: Reporter) -> int:
         names2 = names or ("x1", "x2")
         for name, g in zip(names2, gens):
             rep.field(f"class {name}", _describe_2d(g))
-        from .bieberbach import compose
-
         rep.field(
             f"class {names2[0]} {names2[0]}",
             _describe_2d(compose(gens[0], gens[0])),

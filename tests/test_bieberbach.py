@@ -6,6 +6,7 @@ import pytest
 from itype import (
     AffineIso,
     InputError,
+    PairMap,
     PhiMap,
     act,
     affine_generators,
@@ -23,7 +24,10 @@ from itype import (
     v_inverse,
     v_of,
 )
-from itype.core import Perm
+from itype.bieberbach import _right_products
+from itype.core import Perm, expvecs_up_to
+
+from oracles import freeness_check_bf, fundamental_domain_check_bf
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +259,53 @@ def test_export_format(x2y2_pm):
         "gen y perm=2,1 shift=0,1\n"
         "rel x x y^-1 y^-1 = 1\n"
     )
+
+
+def _assert_searches_match(pm, gens, lengths, radii):
+    for L in lengths:
+        assert freeness_check(pm, L, generators=gens) == freeness_check_bf(pm, L, generators=gens)
+    for L in lengths + (2 * pm.n,):
+        for box in radii:
+            new = fundamental_domain_check(pm, box, L, generators=gens)
+            assert new == fundamental_domain_check_bf(pm, box, L, generators=gens)
+
+
+def test_flat_searches_match_oracles_census(census):
+    for n in (1, 2, 3):
+        for s in census[n].solutions:
+            pm = PhiMap(build_itable(s, D=6))
+            _assert_searches_match(pm, affine_generators(pm), (2, 4), (0, 1))
+
+
+def test_flat_searches_match_oracles_x2y2(x2y2_pm):
+    _assert_searches_match(x2y2_pm, affine_generators(x2y2_pm), (1, 4, 7), (1, 2))
+
+
+def test_flat_searches_match_oracles_corrupted(x2y2_pm):
+    gx, gy = affine_generators(x2y2_pm)
+    outcomes = set()
+    for perm in (Perm((1, 2)), Perm((2, 1))):
+        for shift in itertools.product((-1, 0, 1), repeat=2):
+            gens = [AffineIso(perm, shift), gy]
+            _assert_searches_match(x2y2_pm, gens, (2, 4), (1,))
+            outcomes.add(freeness_check(x2y2_pm, 4, generators=gens).ok)
+            outcomes.add(fundamental_domain_check(x2y2_pm, 1, 4, generators=gens).status)
+    assert outcomes == {True, False, "pass", "fail", "inconclusive"}
+
+
+def test_consistency_decode_matches_v_inverse(x2y2_table, flip_tables):
+    for t in (x2y2_table, flip_tables[3]):
+        right = _right_products(t, t.D - 1)
+        assert list(right) == expvecs_up_to(t.n, t.D - 1)
+        for a, products in right.items():
+            w = v_of(t, a)
+            assert products == tuple(v_inverse(t, w + (i,)) for i in range(1, t.n + 1))
+
+
+def test_freeness_refuses_long_lengths(x2y2_pm):
+    # sum over k <= 20 of 4 * 3^(k-1) reduced words
+    with pytest.raises(InputError, match=f"enumerate {2 * (3**20 - 1)} reduced words"):
+        freeness_check(x2y2_pm, 20)
+    flip1 = PhiMap(build_itable(PairMap.flip(1), D=4))
+    with pytest.raises(InputError, match="more than"):
+        freeness_check(flip1, 10**9)

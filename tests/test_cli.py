@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,46 @@ def test_bieberbach_report(x2y2_file, capsys):
     assert "class x: glide-reflection axis a1-a2=1/2 glide=(1/2,1/2)" in out
     assert "class y: glide-reflection axis a1-a2=-1/2 glide=(1/2,1/2)" in out
     assert "class x x: translation (1,1)" in out
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+@pytest.mark.parametrize(
+    "name, length, radius, digest",
+    [
+        ("x2y2.pres", 9, 1, "352264dcea2288577a429de41e12faa4ed37ff1e0ae3eeb99c7f85ebef4aa885"),
+        ("c4_19.rtable", 3, 1, "d130970f67812bc12f31311388382d0768cab433ed03a27b3f29671239302946"),
+        ("flip5.rtable", 3, 1, "1971719afb26a59cc9806e0707eca341a4751528a3f85a66b3c44d2587321660"),
+        ("c3_02.rtable", 6, 2, "77874e295de2fda862293a7521b4b2e8c610b67c34b3a6cfea045faff70a1093"),
+    ],
+)
+def test_bieberbach_golden(capsys, name, length, radius, digest):
+    code, out = run(
+        capsys, "bieberbach", str(CORPUS / name), "--length", str(length), "--radius", str(radius)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--length", "0"), ("--length", "-2"), ("--radius", "-1"), ("--radius", "-1", "--length", "-2")],
+)
+def test_bieberbach_rejects_vacuous_bounds(x2y2_file, capsys, flags):
+    code = main(["bieberbach", x2y2_file, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be >=" in captured.err
+
+
+def test_bieberbach_refuses_long_freeness(x2y2_file, capsys):
+    code = main(["bieberbach", x2y2_file, "--length", "20", "--radius", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{2 * (3**20 - 1)} reduced words" in captured.err
 
 
 def test_orbits_commutative(comm2_file, capsys):
