@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add, itemgetter
 
 from .core import (
@@ -59,6 +60,11 @@ Flat = tuple[int, ...]  # 0-based permutation images, then the shift
 # 2n-1 times more per letter; past this many it refuses to start.  The
 # longest runs allowed (about a million words) take about a second.
 MAX_FREENESS_WORDS = 2_000_000
+
+# Tiling keeps one element per lattice point it reaches; past this many
+# reachable points it refuses to start.  flip5 at the default flags
+# (982,729 points) takes about 20 s and half a GiB.
+MAX_TILING_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -261,13 +267,9 @@ class FreenessReport:
     isometries_seen: int
 
 
-def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None) -> FreenessReport:
-    """Enumerate every reduced word in the generators and inverses up to
-    length L.  A non-identity isometry with a fixed point fails the
-    check; identity isometries from non-empty words are relations of the
-    group, recorded, never failures.  Refuses (InputError) a length
-    with more than MAX_FREENESS_WORDS reduced words."""
-    n = pm.n
+def refuse_long_freeness(n: int, L: int) -> None:
+    """Raise InputError if freeness to length L would enumerate more
+    than MAX_FREENESS_WORDS reduced words."""
     # sum over k = 1..L of 2n(2n-1)^(k-1); past `cap` letters it is over
     # the limit anyway, and the exact figure would be too long to print
     cap = 64 if n > 1 else MAX_FREENESS_WORDS
@@ -279,6 +281,32 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
             f"freeness to word length {L} would enumerate {more}{words} reduced "
             f"words, over the limit of {MAX_FREENESS_WORDS}"
         )
+
+
+def refuse_large_tiling(n: int, L: int) -> None:
+    """Raise InputError if tiling to length L could reach more than
+    MAX_TILING_POINTS lattice points."""
+    # every step is a signed unit shift, so the elements reached have
+    # distinct origin images of l1 norm <= L: sum_j 2^j C(n,j) C(L,j)
+    # points; a length past the limit is over it whatever n is
+    k = max(0, min(L, MAX_TILING_POINTS))
+    points = sum(2**j * comb(n, j) * comb(k, j) for j in range(n + 1))
+    if points > MAX_TILING_POINTS:
+        more = "more than " if L > k else ""
+        raise InputError(
+            f"tiling to word length {L} may reach {more}{points} lattice points, "
+            f"over the limit of {MAX_TILING_POINTS}"
+        )
+
+
+def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None) -> FreenessReport:
+    """Enumerate every reduced word in the generators and inverses up to
+    length L.  A non-identity isometry with a fixed point fails the
+    check; identity isometries from non-empty words are relations of the
+    group, recorded, never failures.  Refuses (InputError) a length
+    with more than MAX_FREENESS_WORDS reduced words."""
+    n = pm.n
+    refuse_long_freeness(n, L)
     gens = affine_generators(pm) if generators is None else generators
     steps = _steps(n, gens)
     identity = _flat(AffineIso.identity(n))
@@ -333,9 +361,11 @@ def fundamental_domain_check(
     distinct isometries must reach distinct points (simple transitivity),
     and every lattice point of the radius-`box` cube must be reached once
     L is large enough.  Missing points with no injectivity violation is
-    'inconclusive', not failure."""
-    gens = affine_generators(pm) if generators is None else generators
+    'inconclusive', not failure.  Refuses (InputError) a length whose
+    reachable points number more than MAX_TILING_POINTS."""
     n = pm.n
+    refuse_large_tiling(n, L)
+    gens = affine_generators(pm) if generators is None else generators
     steps = _steps(n, gens)
     identity = _flat(AffineIso.identity(n))
     # origin image (the shift half) -> (the element, its first word); a

@@ -19,6 +19,7 @@ Exit codes: 0 all checks passed, 1 a check failed (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bieberbach import (
@@ -29,6 +30,8 @@ from .bieberbach import (
     affine_generators,
     freeness_check,
     fundamental_domain_check,
+    refuse_large_tiling,
+    refuse_long_freeness,
     resolve_convention,
 )
 from .core import (
@@ -171,16 +174,17 @@ def cmd_phi(args, rep: Reporter) -> int:
     p, r, names = load_input(args.file)
     t = build_itable(_pairmap(p, r), args.degree)
     pm = PhiMap(t)
+    # every stage that can refuse runs before the first line is printed
+    kd = kernel_exponents(pm)
+    cosets = coset_decomposition(pm, min(t.D, 6))
+    cc = cocycle_exhaustive(pm, min(5, t.D - 1))
     names = names or tuple(f"x{i}" for i in range(1, t.n + 1))
     for i in range(1, t.n + 1):
         u = tuple(1 if j == i else 0 for j in range(1, t.n + 1))
         rep.field(f"phi {names[i - 1]}", ",".join(str(k) for k in phi_of(pm, u).images))
-    kd = kernel_exponents(pm)
     rep.field("kernel t", "(" + ",".join(str(k) for k in kd.t) + ")")
     rep.field("G order", kd.group_order)
-    cosets = coset_decomposition(pm, min(t.D, 6))
     rep.field("cosets", " ".join(format_expvec(a) for a in cosets.reps))
-    cc = cocycle_exhaustive(pm, min(5, t.D - 1))
     rep.check("cocycle", cc)
     rep.check("coset-factorization", cosets.factorization)
     rep.check("coset-product-rule", cosets.product_rule)
@@ -195,12 +199,15 @@ def cmd_bieberbach(args, rep: Reporter) -> int:
         raise InputError(f"--radius must be >= 0, got {args.radius}")
     p, r, names = load_input(args.file)
     t = build_itable(_pairmap(p, r), args.degree)
+    tiling_length = max(args.length, 2 * args.radius * t.n)
+    refuse_long_freeness(t.n, args.length)
+    refuse_large_tiling(t.n, tiling_length)
     pm = PhiMap(t)
     convention = resolve_convention(pm)
     gens = affine_generators(pm, convention)
     cons = check_action_consistency(pm, t.D - 1, convention)
     free = freeness_check(pm, args.length)
-    tile = fundamental_domain_check(pm, args.radius, max(args.length, 2 * args.radius * t.n))
+    tile = fundamental_domain_check(pm, args.radius, tiling_length)
     rep.field("convention", convention)
     sys.stdout.write(export_affine_group(gens, names, free.relations))
     rep.check("consistency", cons)
@@ -278,7 +285,10 @@ def _sigma(args) -> Perm | None:
         raise InputError(f"bad --sigma value {args.sigma!r}: {exc}") from None
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so in-process callers share it."""
     ap = argparse.ArgumentParser(prog="itype", description=__doc__.split("\n")[0])
     ap.add_argument("--format", choices=("plain", "machine"), default="plain")
     sub = ap.add_subparsers(dest="command", required=True)

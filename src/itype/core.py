@@ -190,12 +190,16 @@ def relabel_expvec(e: ExpVec, p: Perm) -> ExpVec:
 
 def expvecs_of_degree(n: int, d: int) -> list[ExpVec]:
     """All exponent vectors of the given degree, lexicographically
-    ascending; concatenating over d gives the graded-lex order."""
-    if n == 1:
-        return [(d,)]
+    ascending; concatenating over d gives the graded-lex order.
+
+    Stars and bars: n-1 bars among d+n-1 slots, the exponents being the
+    gaps between them.  Bar positions in lex order give the exponent
+    vectors in lex order, since each gap grows with its bar."""
+    end = d + n - 1
     out = []
-    for first in range(d + 1):
-        out.extend((first,) + rest for rest in expvecs_of_degree(n - 1, d - first))
+    for bars in itertools.combinations(range(end), n - 1):
+        cuts = (-1, *bars, end)
+        out.append(tuple(cuts[k + 1] - cuts[k] - 1 for k in range(n)))
     return out
 
 

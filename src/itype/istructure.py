@@ -31,6 +31,15 @@ last letter sits in the degree-0 row, the next in the row of the
 already-decoded tail, and so on; every row being a permutation, this
 never fails.  Two words are equal in the semigroup iff they decode to
 the same exponent vector, which decides the word problem.
+
+Rows are plain tuples of letters in a dict keyed by exponent vector, and
+every path reads them by direct key arithmetic: the build forms the
+peeled and raised keys a[:j] + (a[j] - 1,) + a[j+1:] (and + 1) inline,
+and v_of and v_inverse step a list of exponents and look up its tuple.
+The phi calculus in structuremaps reads the same rows as image tuples:
+cocycle_exhaustive compares those tuples and builds no permutation per
+pair.  A table of more than MAX_TABLE_ROWS rows is refused before any
+work, with its row count.
 """
 
 from __future__ import annotations
@@ -50,14 +59,17 @@ from .core import (
     check_word,
     degree,
     exp_add_gen,
-    exp_sub_gen,
     exp_unit,
     expvecs_of_degree,
     expvecs_up_to,
     format_expvec,
-    support,
 )
 from .ybr import PairMap, check_axioms
+
+# A table has C(n+D-1, n) rows, one per exponent vector of degree <= D-1;
+# past this many the build refuses to start.  The largest tables the
+# benchmark builds have a few thousand rows.
+MAX_TABLE_ROWS = 1_000_000
 
 
 class ITable:
@@ -91,46 +103,60 @@ class ITable:
 
 
 def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
-    """Run the inductive construction up to degree bound D >= 2."""
+    """Run the inductive construction up to degree bound D >= 2.  Refuses
+    (InputError) a table of more than MAX_TABLE_ROWS rows."""
     if D < 2:
         raise InputError(f"degree bound must be >= 2, got {D}")
+    n = r.n
+    rows_needed = comb(n + D - 1, n)
+    if rows_needed > MAX_TABLE_ROWS:
+        raise InputError(
+            f"table to degree bound D = {D} on {n} generators would build "
+            f"{rows_needed} rows, over the limit of {MAX_TABLE_ROWS}"
+        )
     axioms = check_axioms(r)
     if not axioms:
         raise AxiomError(f"pair map fails an axiom: {axioms.witness}")
-    n = r.n
     if sigma is None:
         sigma = Perm.identity(n)
     if sigma.n != n:
         raise InputError(f"sigma acts on {sigma.n} letters, alphabet has {n}")
 
-    # solve[(s, t)] = the unique c with r(c, s) = (*, t); axiom 3.
-    solve: dict[tuple[int, int], int] = {}
+    # Generators are 0-based below; letters stay 1-based.  r(c, s) is
+    # table[(c-1)*n + s-1], and solve[(s-1)*n + t-1] is the unique c with
+    # r(c, s) = (*, t) (axiom 3).
+    table = r.table
+    solve = [0] * (n * n)
     for c in range(1, n + 1):
         for s in range(1, n + 1):
-            _, t = r(c, s)
-            solve[(s, t)] = c
+            solve[(s - 1) * n + table[(c - 1) * n + s - 1][1] - 1] = c
+    letters = list(range(1, n + 1))
+    total = n * (n + 1) // 2
 
-    rows: dict[ExpVec, tuple[int, ...]] = {exp_unit(n): sigma.images}
+    below = [(0,) * n]
+    rows: dict[ExpVec, tuple[int, ...]] = {below[0]: sigma.images}
     for m in range(2, D + 1):
-        for a in expvecs_of_degree(n, m - 1):
-            supp = support(a)
-            power_index = supp[0] if len(supp) == 1 else None
-            row: list[int] = [0] * n
-            for i in range(1, n + 1):
+        level = expvecs_of_degree(n, m - 1)
+        for a in level:
+            # (j, row of a - u_j, offset into solve) per generator j present
+            peeled = []
+            for j in range(n):
+                k = a[j]
+                if k:
+                    brow = rows[a[:j] + (k - 1,) + a[j + 1 :]]
+                    peeled.append((j, brow, (brow[j] - 1) * n - 1))
+            power_index = peeled[0][0] if len(peeled) == 1 else None
+            row = [0] * n
+            for i in range(n):
                 if i == power_index:
                     continue
-                values = set()
-                for j in supp:
-                    if j == i:
-                        continue
-                    brow = rows[exp_sub_gen(a, j)]
-                    values.add(solve[(brow[j - 1], brow[i - 1])])
+                values = {solve[off + brow[i]] for j, brow, off in peeled if j != i}
                 if len(values) != 1:
                     raise ConsistencyError(
-                        f"entry ({format_expvec(a)}, {i}) depends on the peeled "
+                        f"entry ({format_expvec(a)}, {i + 1}) depends on the peeled "
                         f"generator: candidates {sorted(values)}"
                     )
-                row[i - 1] = values.pop()
+                row[i] = values.pop()
             if power_index is not None:
                 others = [c for c in row if c != 0]
                 if len(set(others)) != n - 1:
@@ -138,25 +164,28 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
                         f"row {format_expvec(a)}: peeling-case entries {others} "
                         "are not pairwise distinct"
                     )
-                row[power_index - 1] = (set(range(1, n + 1)) - set(others)).pop()
-            if sorted(row) != list(range(1, n + 1)):
+                row[power_index] = total - sum(others)
+            if sorted(row) != letters:
                 raise ConsistencyError(
                     f"row {format_expvec(a)} = {tuple(row)} is not a permutation of X"
                 )
             rows[a] = tuple(row)
         # cross-row compatibility for every b one degree further down,
         # all i, j (i = j included: those pairs must be fixed by r)
-        for b in expvecs_of_degree(n, m - 2):
+        for b in below:
             brow = rows[b]
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    lhs = r(rows[exp_add_gen(b, j)][i - 1], brow[j - 1])
-                    rhs = (rows[exp_add_gen(b, i)][j - 1], brow[i - 1])
-                    if lhs != rhs:
+            raised = [rows[b[:j] + (b[j] + 1,) + b[j + 1 :]] for j in range(n)]
+            for i in range(n):
+                bi = brow[i]
+                ri = raised[i]
+                for j in range(n):
+                    lhs = table[(raised[j][i] - 1) * n + brow[j] - 1]
+                    if lhs[0] != ri[j] or lhs[1] != bi:
                         raise ConsistencyError(
-                            f"compatibility fails at b={format_expvec(b)}, i={i}, j={j}: "
-                            f"r{lhs} != {rhs}"
+                            f"compatibility fails at b={format_expvec(b)}, i={i + 1}, "
+                            f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
                         )
+        below = level
     return ITable(r, D, sigma, rows)
 
 
@@ -167,13 +196,14 @@ def v_of(t: ITable, a: ExpVec) -> Word:
     word in the commutative case)."""
     if len(a) != t.n or any(k < 0 for k in a):
         raise InputError(f"not an exponent vector over 1..{t.n}: {a}")
-    t._need(degree(a))
+    t._need(sum(a))
+    rows = t._rows
+    b = list(a)
     letters = []
-    while degree(a) > 0:
-        i = support(a)[0]
-        b = exp_sub_gen(a, i)
-        letters.append(t.entry(b, i))
-        a = b
+    for i, k in enumerate(a):
+        for _ in range(k):
+            b[i] -= 1
+            letters.append(rows[tuple(b)][i])
     return tuple(letters)
 
 
@@ -182,11 +212,11 @@ def v_inverse(t: ITable, w: Word) -> ExpVec:
     semigroup; decodes right to left through the table rows."""
     check_word(w, t.n)
     t._need(len(w))
-    b = exp_unit(t.n)
+    rows = t._rows
+    b = [0] * t.n
     for letter in reversed(w):
-        i = t.row(b).index(letter) + 1
-        b = exp_add_gen(b, i)
-    return b
+        b[rows[tuple(b)].index(letter)] += 1
+    return tuple(b)
 
 
 def words_equal(t: ITable, w1: Word, w2: Word) -> bool:

@@ -17,12 +17,18 @@ The kernel P = {b : phi(b) = id} contains a power of every generator;
 the minimal exponents t_i (each dividing n!) generate a free abelian
 subsemigroup P0 whose translates by the box {0 <= p_i <= t_i - 1} tile
 the whole semigroup.
+
+cocycle_exhaustive takes the image tuple of phi(b) once per vector and
+tests every pair on tuples (relabel b, gather one image by the other);
+check_cocycle, with its Perm objects, only formats the first failure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .core import (
     CheckResult,
@@ -81,17 +87,26 @@ def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
 
 
 def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
-    """The cocycle identity over every pair with deg b + deg c <= dmax."""
+    """The cocycle identity over every pair with deg b + deg c <= dmax.
+    Each pair is tested on the image tuples of phi; check_cocycle only
+    formats the witness of the first failing pair."""
     if dmax > pm.D - 1:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
-    vecs = expvecs_up_to(pm.n, dmax)
+    n = pm.n
+    vecs = expvecs_up_to(n, dmax)
+    images = {b: phi_of(pm, b).images for b in vecs}
     for b in vecs:
+        room = dmax - sum(b)
         for c in vecs:
-            if degree(b) + degree(c) > dmax:
-                continue
-            res = check_cocycle(pm, b, c)
-            if not res:
-                return res
+            if sum(c) > room:
+                break  # vecs is graded: every later c is too
+            pc = images[c]
+            relabeled = [0] * n
+            for i in range(n):
+                relabeled[pc[i] - 1] = b[i]
+            p = images[tuple(relabeled)]
+            if images[tuple(map(add, b, c))] != tuple([p[k - 1] for k in pc]):
+                return check_cocycle(pm, b, c)
     return CheckResult.passed()
 
 
@@ -155,23 +170,28 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     """Certify, for every exponent vector of degree <= m, the unique
     factorization into a box representative times an element of P0, and
     that the factorization is compatible with v (concatenating the two
-    canonical words lands in the right class)."""
+    canonical words lands in the right class).  Refuses
+    (DegreeBoundError) up front a table too short for the commuting
+    check, which decodes words of degree t_i + t_j."""
     if m > pm.D:
         raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
     table = pm.table
     n = pm.n
     kd = kernel_exponents(pm)
     t = kd.t
-    reps = sorted(
-        (vec for vec in expvecs_up_to(n, sum(t) - n) if all(v < ti for v, ti in zip(vec, t))),
-        key=lambda v: (degree(v), v),
-    )
+    need = max((t[i] + t[j] for i in range(n) for j in range(i + 1, n)), default=0)
+    if need > pm.D:
+        raise DegreeBoundError(
+            f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
+        )
+    reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
+    box = set(reps)
     factorization = CheckResult.passed()
     product_rule = CheckResult.passed()
     for e in expvecs_up_to(n, m):
         rep = tuple(v % ti for v, ti in zip(e, t))
         p = tuple(v - r for v, r in zip(e, rep))
-        if rep not in reps or any(v % ti for v, ti in zip(p, t)):
+        if rep not in box or any(v % ti for v, ti in zip(p, t)):
             factorization = CheckResult.failed(
                 f"{format_expvec(e)} does not split as box * P0"
             )

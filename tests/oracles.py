@@ -4,6 +4,12 @@ Nothing here goes through the I-structure table: equality of words is
 decided by closing under the degree-2 relations directly, which is the
 ground truth the table-based decision procedure must reproduce.
 
+The I-structure build, the recursive exponent-vector enumeration and the
+cocycle sweep below are the straightforward versions of `build_itable`,
+`expvecs_of_degree` and `cocycle_exhaustive`: keys built through the
+exponent-vector helpers, one `Perm` composition per pair.  The flat code
+in `itype` must produce the same rows, vectors and results.
+
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
 word or element, composed with the public `compose` and deduplicated by
@@ -16,7 +22,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from itype import AffineIso, act, affine_generators, compose, fixed_points
+from itype import AffineIso, ITable, act, affine_generators, compose, fixed_points
+from itype.core import (
+    AxiomError,
+    CheckResult,
+    ConsistencyError,
+    InputError,
+    Perm,
+    exp_add_gen,
+    exp_sub_gen,
+    exp_unit,
+    format_expvec,
+    support,
+)
+from itype.structuremaps import check_cocycle
+from itype.ybr import check_axioms
 from itype.bieberbach import (
     FixedPointSet,
     FreenessReport,
@@ -26,6 +46,101 @@ from itype.bieberbach import (
     _signed_generators,
     format_signed_word,
 )
+
+
+def expvecs_of_degree_ref(n: int, d: int) -> list:
+    """All exponent vectors of the given degree, lexicographically
+    ascending; concatenating over d gives the graded-lex order."""
+    if n == 1:
+        return [(d,)]
+    out = []
+    for first in range(d + 1):
+        out.extend((first,) + rest for rest in expvecs_of_degree_ref(n - 1, d - first))
+    return out
+
+
+def build_itable_ref(r, D: int = 8, sigma: Perm | None = None) -> ITable:
+    """Run the inductive construction up to degree bound D >= 2."""
+    if D < 2:
+        raise InputError(f"degree bound must be >= 2, got {D}")
+    axioms = check_axioms(r)
+    if not axioms:
+        raise AxiomError(f"pair map fails an axiom: {axioms.witness}")
+    n = r.n
+    if sigma is None:
+        sigma = Perm.identity(n)
+    if sigma.n != n:
+        raise InputError(f"sigma acts on {sigma.n} letters, alphabet has {n}")
+
+    # solve[(s, t)] = the unique c with r(c, s) = (*, t); axiom 3.
+    solve: dict[tuple[int, int], int] = {}
+    for c in range(1, n + 1):
+        for s in range(1, n + 1):
+            _, t = r(c, s)
+            solve[(s, t)] = c
+
+    rows: dict = {exp_unit(n): sigma.images}
+    for m in range(2, D + 1):
+        for a in expvecs_of_degree_ref(n, m - 1):
+            supp = support(a)
+            power_index = supp[0] if len(supp) == 1 else None
+            row: list[int] = [0] * n
+            for i in range(1, n + 1):
+                if i == power_index:
+                    continue
+                values = set()
+                for j in supp:
+                    if j == i:
+                        continue
+                    brow = rows[exp_sub_gen(a, j)]
+                    values.add(solve[(brow[j - 1], brow[i - 1])])
+                if len(values) != 1:
+                    raise ConsistencyError(
+                        f"entry ({format_expvec(a)}, {i}) depends on the peeled "
+                        f"generator: candidates {sorted(values)}"
+                    )
+                row[i - 1] = values.pop()
+            if power_index is not None:
+                others = [c for c in row if c != 0]
+                if len(set(others)) != n - 1:
+                    raise ConsistencyError(
+                        f"row {format_expvec(a)}: peeling-case entries {others} "
+                        "are not pairwise distinct"
+                    )
+                row[power_index - 1] = (set(range(1, n + 1)) - set(others)).pop()
+            if sorted(row) != list(range(1, n + 1)):
+                raise ConsistencyError(
+                    f"row {format_expvec(a)} = {tuple(row)} is not a permutation of X"
+                )
+            rows[a] = tuple(row)
+        # cross-row compatibility for every b one degree further down,
+        # all i, j (i = j included: those pairs must be fixed by r)
+        for b in expvecs_of_degree_ref(n, m - 2):
+            brow = rows[b]
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    lhs = r(rows[exp_add_gen(b, j)][i - 1], brow[j - 1])
+                    rhs = (rows[exp_add_gen(b, i)][j - 1], brow[i - 1])
+                    if lhs != rhs:
+                        raise ConsistencyError(
+                            f"compatibility fails at b={format_expvec(b)}, i={i}, j={j}: "
+                            f"r{lhs} != {rhs}"
+                        )
+    return ITable(r, D, sigma, rows)
+
+
+def cocycle_exhaustive_ref(pm, dmax: int) -> CheckResult:
+    """The cocycle identity over every pair with deg b + deg c <= dmax,
+    one `check_cocycle` per pair."""
+    vecs = [e for d in range(dmax + 1) for e in expvecs_of_degree_ref(pm.n, d)]
+    for b in vecs:
+        for c in vecs:
+            if sum(b) + sum(c) > dmax:
+                continue
+            res = check_cocycle(pm, b, c)
+            if not res:
+                return res
+    return CheckResult.passed()
 
 
 def relations_of_pairmap(r) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

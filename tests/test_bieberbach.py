@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from itype import (
     v_inverse,
     v_of,
 )
-from itype.bieberbach import _right_products
+from itype import bieberbach
+from itype.bieberbach import _right_products, refuse_large_tiling
 from itype.core import Perm, expvecs_up_to
 
 from oracles import freeness_check_bf, fundamental_domain_check_bf
@@ -309,3 +311,21 @@ def test_freeness_refuses_long_lengths(x2y2_pm):
     flip1 = PhiMap(build_itable(PairMap.flip(1), D=4))
     with pytest.raises(InputError, match="more than"):
         freeness_check(flip1, 10**9)
+
+
+def test_tiling_refuses_large_orbits(x2y2_pm, monkeypatch):
+    # lattice points of l1 norm <= L in Z^n: sum_j 2^j C(n,j) C(L,j)
+    assert [
+        sum(2**j * math.comb(2, j) * math.comb(L, j) for j in range(3)) for L in range(4)
+    ] == [1, 5, 13, 25]
+    refuse_large_tiling(5, 20)  # 982,729 points: allowed
+    with pytest.raises(InputError, match="7095093 lattice points"):
+        refuse_large_tiling(5, 30)
+    with pytest.raises(InputError, match="7095093 lattice points"):
+        fundamental_domain_check(PhiMap(build_itable(PairMap.flip(5), D=3)), 0, 30)
+    with pytest.raises(InputError, match="more than"):
+        fundamental_domain_check(x2y2_pm, 1, 10**9)
+    monkeypatch.setattr(bieberbach, "MAX_TILING_POINTS", 25)
+    assert fundamental_domain_check(x2y2_pm, 1, 3).status == "pass"  # 25 points
+    with pytest.raises(InputError, match="41 lattice points"):
+        fundamental_domain_check(x2y2_pm, 1, 4)

@@ -185,6 +185,66 @@ def test_bieberbach_refuses_long_freeness(x2y2_file, capsys):
     assert f"{2 * (3**20 - 1)} reduced words" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("build", "c4_20.rtable"), "6b4c96bd2a472b7446d976b24a21dd14ae1742a417ffcb9c26701de20ed202b1"),
+        (("build", "flip5.rtable"), "ded62962e81c475e468151be89081552ab71987451ff31dfcc5351e4d6eef235"),
+        (
+            ("build", "x2y2.pres", "--degree", "24"),
+            "fa011cf60ebd0b10bf7dfd2c4c7d50b7d8d889f18745b16c7efdfc07095671f8",
+        ),
+        (
+            ("build", "c3_02.rtable", "--degree", "10", "--sigma", "3,1,2"),
+            "14146bd2d97119c144207fafc2ec629b508e33a22e3467fb1023e053de639e6d",
+        ),
+        (("phi", "c4_20.rtable"), "f1bc50f3e83b3450b8b7838824b914d3517dcefa795430eca3b399a0e58ed364"),
+        (
+            ("phi", "c4_22.rtable", "--degree", "12"),
+            "193d3795dbae0b1486af8282504b1a3d9a0412186f4fa2e2374c9deddcb11b6a",
+        ),
+        (("phi", "flip5.rtable"), "18a6cabe76051581c58024f230efc293471ee83933b1ec9e00d7f5b1ac4b4324"),
+        (("phi", "comm3.pres"), "f414bc8ceaf533f15e61c63f31a2365736b02d61a617b023edaad4b6228418d1"),
+    ],
+)
+def test_build_phi_golden(capsys, argv, digest):
+    command, name, *flags = argv
+    code, out = run(capsys, command, str(CORPUS / name), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def refused(capsys, *argv) -> str:
+    """Run a command that must be refused up front; returns its stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("name, degree, need", [("x2y2.pres", 3, 4), ("c4_20.rtable", 6, 8)])
+def test_phi_short_table_prints_nothing(capsys, name, degree, need):
+    err = refused(capsys, "phi", str(CORPUS / name), "--degree", str(degree))
+    assert f"needs degree {need}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("build",), ("equal", "x1", "x1"), ("phi",)],
+)
+def test_degree_guard(capsys, argv):
+    command, *words = argv
+    path = str(CORPUS / "flip5.rtable")
+    err = refused(capsys, command, path, *words, "--degree", "60")
+    assert "7624512 rows" in err
+
+
+def test_radius_guard(capsys):
+    err = refused(capsys, "bieberbach", str(CORPUS / "flip5.rtable"), "--radius", "3")
+    assert "7095093 lattice points" in err
+
+
 def test_orbits_commutative(comm2_file, capsys):
     code, out = run(capsys, "orbits", comm2_file)
     assert code == 0

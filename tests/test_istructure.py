@@ -5,11 +5,16 @@ import pytest
 
 from itype import (
     AxiomError,
+    CheckResult,
+    ConsistencyError,
     DegreeBoundError,
+    InputError,
     PairMap,
     build_itable,
+    check_nondegenerate,
     degree2_relations,
     dump_itable,
+    enumerate_solutions,
     expected_hilbert,
     hilbert_count,
     normalize_word,
@@ -17,9 +22,27 @@ from itype import (
     v_of,
     words_equal,
 )
-from itype.core import Perm, abelianize, all_words, degree, exp_add_gen, expvecs_up_to, sort_word
+from itype import istructure as ist
+from itype.core import (
+    Perm,
+    abelianize,
+    all_perms,
+    all_words,
+    degree,
+    exp_add_gen,
+    expvecs_of_degree,
+    expvecs_up_to,
+    sort_word,
+)
 
-from oracles import class_index, relations_of_pairmap, words_equal_bf
+import oracles
+from oracles import (
+    build_itable_ref,
+    class_index,
+    expvecs_of_degree_ref,
+    relations_of_pairmap,
+    words_equal_bf,
+)
 
 X2Y2_ROWS = {
     (0, 0): (1, 2),
@@ -261,3 +284,82 @@ def test_build_assertions_catch_invalid_map(monkeypatch):
     monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
     with pytest.raises(ConsistencyError):
         build_itable(bad, D=5)
+
+
+def _involutions(items):
+    """Every involution of a finite list of items, as a dict."""
+    if not items:
+        yield {}
+        return
+    a, rest = items[0], items[1:]
+    for m in _involutions(rest):
+        yield {a: a, **m}
+    for k, b in enumerate(rest):
+        for m in _involutions(rest[:k] + rest[k + 1 :]):
+            yield {a: b, b: a, **m}
+
+
+def _outcome(build, r, D):
+    """Rows and bound of the built table, or the exception's type and text."""
+    try:
+        t = build(r, D)
+    except Exception as exc:  # the outcome under comparison
+        return type(exc), str(exc)
+    return t.D, t.sigma, t._rows
+
+
+def test_expvecs_match_recursion():
+    for n in range(1, 7):
+        for d in range(12):
+            assert expvecs_of_degree(n, d) == expvecs_of_degree_ref(n, d)
+
+
+def test_rows_match_reference_census(census):
+    maps = [s for cen in census.values() for s in cen.solutions]
+    maps += [*enumerate_solutions(4).solutions, PairMap.flip(5)]
+    for s in maps:
+        t, ref = build_itable(s, D=8), build_itable_ref(s, D=8)
+        assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
+
+
+def test_rows_match_reference_every_sigma(x2y2_r):
+    for r in (x2y2_r, PairMap.flip(3)):
+        for sigma in all_perms(r.n):
+            t, ref = build_itable(r, 8, sigma), build_itable_ref(r, 8, sigma)
+            assert t._rows == ref._rows and t.sigma == ref.sigma == sigma
+
+
+def test_build_errors_match_reference(monkeypatch):
+    # every nondegenerate map on 2 letters and every involutive,
+    # nondegenerate map on 3, smuggled past the axiom gate: the maps that
+    # are not solutions must fail the build's own checks first at the same
+    # place, with the same message; the non-involutive ones on 2 letters
+    # get as far as the compatibility sweep
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    monkeypatch.setattr(oracles, "check_axioms", lambda r: CheckResult.passed())
+    pairs2 = [(a, b) for a in (1, 2) for b in (1, 2)]
+    pairs3 = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    maps = [PairMap(2, images) for images in itertools.product(pairs2, repeat=4)]
+    maps += [PairMap.from_entries(3, inv) for inv in _involutions(pairs3)]
+    seen = 0
+    failures = set()
+    for r in maps:
+        if not check_nondegenerate(r).ok:
+            continue
+        seen += 1
+        got = _outcome(build_itable, r, 6)
+        assert got == _outcome(build_itable_ref, r, 6)
+        if got[0] is ConsistencyError:
+            failures.add(got[1].split()[0])
+    assert seen == 16 + 216
+    assert failures == {"entry", "row", "compatibility"}
+
+
+def test_build_refuses_oversized_table(monkeypatch):
+    # C(5+60-1, 5) = 7,624,512 rows; refused before any work
+    with pytest.raises(InputError, match="7624512 rows"):
+        build_itable(PairMap.flip(5), D=60)
+    monkeypatch.setattr(ist, "MAX_TABLE_ROWS", 330)
+    build_itable(PairMap.flip(4), D=8)  # exactly 330 rows
+    with pytest.raises(InputError, match="495 rows"):
+        build_itable(PairMap.flip(4), D=9)

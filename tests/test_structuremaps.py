@@ -5,17 +5,22 @@ import pytest
 
 from itype import (
     DegreeBoundError,
+    ITable,
+    PairMap,
     PhiMap,
     build_itable,
     check_cocycle,
     cocycle_exhaustive,
     coset_decomposition,
+    enumerate_solutions,
     kernel_exponents,
     phi_of,
     v_of,
     words_equal,
 )
-from itype.core import Perm, degree, exp_add, expvecs_up_to, relabel_expvec
+from itype.core import Perm, all_perms, degree, exp_add, expvecs_up_to, relabel_expvec
+
+from oracles import cocycle_exhaustive_ref
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +163,50 @@ def test_cosets_flip_single(flip_pms):
 def test_coset_degree_bound(x2y2_pm):
     with pytest.raises(DegreeBoundError):
         coset_decomposition(x2y2_pm, x2y2_pm.D + 1)
+
+
+def _cocycle_tables(x2y2_r, census):
+    tables = [build_itable(x2y2_r, D=6), build_itable(x2y2_r, D=6, sigma=Perm((2, 1)))]
+    tables += [build_itable(s, D=6) for cen in census.values() for s in cen.solutions]
+    tables += [build_itable(s, D=6) for s in enumerate_solutions(4).class_reps]
+    return tables + [build_itable(PairMap.flip(3), D=6, sigma=Perm((2, 3, 1)))]
+
+
+def test_cocycle_matches_reference(x2y2_r, census):
+    for t in _cocycle_tables(x2y2_r, census):
+        for dmax in (0, 1, 3, 5):
+            assert cocycle_exhaustive(PhiMap(t), dmax) == cocycle_exhaustive_ref(PhiMap(t), dmax)
+
+
+def test_cocycle_negative_control_matches_reference(x2y2_r, census):
+    # one row of degree 2 or 3 replaced by another permutation: phi(b) for
+    # that b breaks the pair (b - u_j, u_j), so the sweep must fail, with
+    # the reference's first failing pair and witness.  Classes 12 and 19
+    # of n = 4 have non-abelian image groups (order 8), where composing
+    # phi in the wrong order also fails.
+    reps4 = enumerate_solutions(4).class_reps
+    tables = _cocycle_tables(x2y2_r, census)[:8]
+    tables += [build_itable(reps4[12], D=6), build_itable(reps4[19], D=6)]
+    for t in tables:
+        if t.n == 1:
+            continue
+        for b in expvecs_up_to(t.n, 3):
+            if degree(b) < 2:
+                continue
+            others = [p for p in all_perms(t.n) if p.images != t.row(b)]
+            for other in others[:3]:
+                rows = dict(t._rows)
+                rows[b] = other.images
+                bad = ITable(t.r, t.D, t.sigma, rows)
+                got = cocycle_exhaustive(PhiMap(bad), 5)
+                assert not got.ok
+                assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
+
+
+def test_cosets_refuse_short_table_up_front(x2y2_r):
+    # t = (2, 2): the commuting check decodes words of degree 4
+    pm = PhiMap(build_itable(x2y2_r, D=3))
+    assert kernel_exponents(pm).t == (2, 2)
+    with pytest.raises(DegreeBoundError, match="needs degree 4"):
+        coset_decomposition(pm, 3)
+    assert coset_decomposition(PhiMap(build_itable(x2y2_r, D=4)), 4).ok
