@@ -21,7 +21,6 @@ from .bieberbach import (
     fundamental_domain_check,
     generator_isometry,
     invert,
-    resolve_convention,
 )
 from .core import (
     AxiomError,
@@ -69,6 +68,7 @@ from .structuremaps import (
 )
 from .ybr import (
     PairMap,
+    axiom_checks,
     build_r,
     canonical_form,
     check_axioms,

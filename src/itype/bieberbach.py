@@ -1,18 +1,21 @@
 """The right action of the quotient group on the integer lattice.
 
 Identifying exponent vectors with points of Z^n, right multiplication
-by a generator becomes the affine map
+by a generator becomes an affine map.  phi is defined by
+v(a b) = v(phi(b)(a)) v(b), phi(b) moving the exponent of generator k
+to generator phi(b)(k).  With sigma = id, b = u_i gives
+v(c u_i) = v(phi(u_i)(c)) x_i.  So the point a = phi(u_i)(c) times x_i
+is c + u_i, and c_j = a[phi(u_i)(j)]:
 
-    (a . x_i)_j = a[p_i(j)] + delta_ij,
+    (a . x_i)_j = a[phi(u_i)(j)] + delta_ij,
 
 a coordinate permutation followed by a unit shift: a Euclidean isometry
-of Z^n that extends verbatim to R^n.  Products of the generator
+of Z^n that extends verbatim to R^n.  Its permutation part is phi(u_i),
+the table row of u_i, by definition.  Products of the generator
 isometries and their inverses realize the whole quotient group; this
 module certifies, exhaustively within bounds, that
 
-  * the lattice action matches right multiplication in the semigroup
-    (the decisive oracle for the permutation part p_i, which is taken
-    as phi(u_i) or its inverse, whichever the oracle confirms),
+  * the lattice action matches right multiplication in the semigroup,
   * no non-identity element reachable at a given word length has a
     fixed point (freeness), fixed-point sets being solved exactly by
     cycle analysis of the permutation part,
@@ -39,7 +42,6 @@ from operator import add, itemgetter
 
 from .core import (
     CheckResult,
-    ConsistencyError,
     DegreeBoundError,
     ExpVec,
     InputError,
@@ -157,51 +159,39 @@ def fixed_points(g: AffineIso) -> FixedPointSet:
     return FixedPointSet(False, len(cycles), tuple(sample))
 
 
-def generator_isometry(pm: PhiMap, i: int, convention: str | None = None) -> AffineIso:
-    """The affine map of generator i: permutation part phi(u_i) (or its
-    inverse, per the resolved convention), unit shift in coordinate i."""
+def generator_isometry(pm: PhiMap, i: int) -> AffineIso:
+    """The affine map of generator i: permutation part phi(u_i), unit
+    shift in coordinate i."""
     if not pm.table.sigma.is_identity():
         raise InputError("the lattice action requires a table built with sigma = id")
-    if convention is None:
-        convention = resolve_convention(pm)
-    p = phi_of(pm, tuple(1 if j == i else 0 for j in range(1, pm.n + 1)))
-    if convention == "phi-inverse":
-        p = p.inverse()
-    shift = tuple(1 if j == i else 0 for j in range(1, pm.n + 1))
-    return AffineIso(p, shift)
+    u = tuple(1 if j == i else 0 for j in range(1, pm.n + 1))
+    return AffineIso(phi_of(pm, u), u)
 
 
-def affine_generators(pm: PhiMap, convention: str | None = None) -> list[AffineIso]:
-    if convention is None:
-        convention = resolve_convention(pm)
-    return [generator_isometry(pm, i, convention) for i in range(1, pm.n + 1)]
+def affine_generators(pm: PhiMap) -> list[AffineIso]:
+    return [generator_isometry(pm, i) for i in range(1, pm.n + 1)]
 
 
-def resolve_convention(pm: PhiMap) -> str:
-    """Decide whether the permutation part of the generator isometries is
-    phi(u_i) or its inverse, by running the action-consistency oracle at
-    a small bound.  The choice is fixed once per phi map and cached."""
-    cached = getattr(pm, "_iso_convention", None)
-    if cached is not None:
-        return cached
-    bound = min(2, pm.D - 1)
-    for convention in ("phi", "phi-inverse"):
-        if check_action_consistency(pm, bound, convention):
-            pm._iso_convention = convention
-            return convention
-    raise ConsistencyError("neither phi nor its inverse matches right multiplication")
+def resolve_convention() -> str:
+    """The permutation part of every generator isometry is phi(u_i), by
+    the definition of phi (see the module docstring); nothing is decided
+    at run time.  The name stays while bench/tracer.py spans it."""
+    return "phi"
 
 
-def check_action_consistency(pm: PhiMap, bound: int, convention: str | None = None) -> CheckResult:
+def check_action_consistency(
+    pm: PhiMap, bound: int, generators: list[AffineIso] | None = None
+) -> CheckResult:
     """The decisive oracle: for every lattice point of degree <= bound and
     every generator, the affine image equals the decoding of 'canonical
     word times one more letter', i.e. the action really is right
-    multiplication transported through v."""
+    multiplication transported through v.  `generators` replaces the
+    generator isometries (one per generator, in order)."""
     if bound + 1 > pm.D:
         raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
-    if convention is None:
-        convention = resolve_convention(pm)
-    gens = [generator_isometry(pm, i, convention) for i in range(1, pm.n + 1)]
+    gens = affine_generators(pm) if generators is None else generators
+    if len(gens) != pm.n or any(g.n != pm.n for g in gens):
+        raise InputError("dimension mismatch")
     moves = [(f[: pm.n], f[pm.n :]) for f in map(_flat, gens)]
     for a, products in _right_products(pm.table, bound).items():
         for i, (perm, shift) in enumerate(moves, start=1):

@@ -56,15 +56,12 @@ from .structuremaps import (
     PhiMap,
     cocycle_exhaustive,
     coset_decomposition,
-    kernel_exponents,
     phi_of,
 )
 from .ybr import (
     PairMap,
+    axiom_checks,
     build_r,
-    check_involutive,
-    check_nondegenerate,
-    check_yb,
     classify_orbits3,
     enumerate_solutions,
     parse_rtable,
@@ -128,12 +125,11 @@ def cmd_check(args, rep: Reporter) -> int:
     else:
         rep.field("kind", "rtable")
         rep.field("n", r.n)
-    inv, yb, nd = check_involutive(r), check_yb(r), check_nondegenerate(r)
-    rep.check("involutive", inv)
-    rep.check("yang-baxter", yb)
-    rep.check("nondegenerate", nd)
+    axioms = list(axiom_checks(r))
+    for name, res in axioms:
+        rep.check(name, res)
     rep.check("cyclic", check_cyclic(r, names))
-    ok = inv.ok and yb.ok and nd.ok
+    ok = all(res.ok for _, res in axioms)
     rep.field("verdict", "valid" if ok else "invalid")
     return 0 if ok else 1
 
@@ -175,15 +171,14 @@ def cmd_phi(args, rep: Reporter) -> int:
     t = build_itable(_pairmap(p, r), args.degree)
     pm = PhiMap(t)
     # every stage that can refuse runs before the first line is printed
-    kd = kernel_exponents(pm)
     cosets = coset_decomposition(pm, min(t.D, 6))
     cc = cocycle_exhaustive(pm, min(5, t.D - 1))
     names = names or tuple(f"x{i}" for i in range(1, t.n + 1))
     for i in range(1, t.n + 1):
         u = tuple(1 if j == i else 0 for j in range(1, t.n + 1))
         rep.field(f"phi {names[i - 1]}", ",".join(str(k) for k in phi_of(pm, u).images))
-    rep.field("kernel t", "(" + ",".join(str(k) for k in kd.t) + ")")
-    rep.field("G order", kd.group_order)
+    rep.field("kernel t", "(" + ",".join(str(k) for k in cosets.t) + ")")
+    rep.field("G order", cosets.kernel.group_order)
     rep.field("cosets", " ".join(format_expvec(a) for a in cosets.reps))
     rep.check("cocycle", cc)
     rep.check("coset-factorization", cosets.factorization)
@@ -203,12 +198,11 @@ def cmd_bieberbach(args, rep: Reporter) -> int:
     refuse_long_freeness(t.n, args.length)
     refuse_large_tiling(t.n, tiling_length)
     pm = PhiMap(t)
-    convention = resolve_convention(pm)
-    gens = affine_generators(pm, convention)
-    cons = check_action_consistency(pm, t.D - 1, convention)
-    free = freeness_check(pm, args.length)
-    tile = fundamental_domain_check(pm, args.radius, tiling_length)
-    rep.field("convention", convention)
+    gens = affine_generators(pm)
+    cons = check_action_consistency(pm, t.D - 1, gens)
+    free = freeness_check(pm, args.length, gens)
+    tile = fundamental_domain_check(pm, args.radius, tiling_length, gens)
+    rep.field("convention", resolve_convention())
     sys.stdout.write(export_affine_group(gens, names, free.relations))
     rep.check("consistency", cons)
     rep.check("freeness", CheckResult(free.ok, free.witness))

@@ -159,12 +159,6 @@ def exp_unit(n: int) -> ExpVec:
     return (0,) * n
 
 
-def exp_gen(n: int, i: int) -> ExpVec:
-    e = [0] * n
-    e[i - 1] = 1
-    return tuple(e)
-
-
 def exp_add(a: ExpVec, b: ExpVec) -> ExpVec:
     return tuple(x + y for x, y in zip(a, b))
 

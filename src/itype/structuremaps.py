@@ -154,12 +154,16 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
 
 @dataclass(frozen=True)
 class CosetReport:
-    t: tuple[int, ...]
+    kernel: KernelData  # the kernel exponents the box is built from
     reps: tuple[ExpVec, ...]  # the box 0 <= p_i <= t_i - 1, graded-lex
     degree_checked: int
     factorization: CheckResult  # unique rep * P0 splitting of every vector
     product_rule: CheckResult  # v(rep * p) = v(rep) v(p) in the semigroup
     commuting: CheckResult  # the v(u_i^{t_i}) pairwise commute
+
+    @property
+    def t(self) -> tuple[int, ...]:
+        return self.kernel.t
 
     @property
     def ok(self) -> bool:
@@ -216,4 +220,4 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
                 commuting = CheckResult.failed(
                     f"v(u_{i + 1}^{t[i]}) and v(u_{j + 1}^{t[j]}) do not commute"
                 )
-    return CosetReport(t, tuple(reps), m, factorization, product_rule, commuting)
+    return CosetReport(kd, tuple(reps), m, factorization, product_rule, commuting)

@@ -25,6 +25,7 @@ r-table file format (``#`` starts a comment):
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import (
@@ -172,14 +173,17 @@ def check_nondegenerate(r: PairMap) -> CheckResult:
     return CheckResult.passed()
 
 
+def axiom_checks(r: PairMap) -> Iterator[tuple[str, CheckResult]]:
+    """The three axioms, each by name, in order; lazily, so that a
+    caller may stop at the first failure."""
+    yield "involutive", check_involutive(r)
+    yield "yang-baxter", check_yb(r)
+    yield "nondegenerate", check_nondegenerate(r)
+
+
 def check_axioms(r: PairMap) -> CheckResult:
     """All three axioms; the first failure wins."""
-    for name, chk in (
-        ("involutive", check_involutive),
-        ("yang-baxter", check_yb),
-        ("nondegenerate", check_nondegenerate),
-    ):
-        res = chk(r)
+    for name, res in axiom_checks(r):
         if not res:
             return CheckResult.failed(f"{name}: {res.witness}")
     return CheckResult.passed()

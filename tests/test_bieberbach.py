@@ -15,13 +15,13 @@ from itype import (
     check_action_consistency,
     classify_isometry_2d,
     compose,
+    enumerate_solutions,
     export_affine_group,
     fixed_points,
     freeness_check,
     fundamental_domain_check,
     generator_isometry,
     invert,
-    resolve_convention,
     v_inverse,
     v_of,
 )
@@ -92,18 +92,26 @@ def test_isometry_preserves_distance(x2y2_pm):
             assert d1 == d2
 
 
-def test_convention_resolution(x2y2_pm, flip_pms, census):
-    assert resolve_convention(x2y2_pm) == "phi"
-    assert resolve_convention(flip_pms[3]) == "phi"
-    for s in census[3].solutions:
-        pm = PhiMap(build_itable(s, D=6))
-        assert resolve_convention(pm) == "phi"
+def test_generator_permutation_is_phi_row(x2y2_pm, flip_pms, census):
+    # v(c u_i) = v(phi(u_i)(c)) x_i: the permutation part of generator i
+    # is the table row of u_i, and right multiplication confirms it
+    pms = [x2y2_pm, flip_pms[3]]
+    solutions = [s for n in (1, 2, 3) for s in census[n].solutions]
+    solutions += enumerate_solutions(4).class_reps
+    assert len(solutions) == 1 + 2 + 12 + 23  # every solution for n <= 3, n = 4 classes
+    pms += [PhiMap(build_itable(s, D=6)) for s in solutions]
+    for pm in pms:
+        t = pm.table
+        for i in range(1, pm.n + 1):
+            u = tuple(1 if j == i else 0 for j in range(1, pm.n + 1))
+            assert generator_isometry(pm, i).perm == Perm(t.row(u))
+        assert check_action_consistency(pm, pm.D - 1).ok
 
 
 def test_sigma_must_be_identity(x2y2_r):
     t = build_itable(x2y2_r, D=4, sigma=Perm((2, 1)))
     with pytest.raises(InputError, match="sigma"):
-        generator_isometry(PhiMap(t), 1, "phi")
+        generator_isometry(PhiMap(t), 1)
 
 
 def test_action_consistency(x2y2_pm, flip_pms):
@@ -125,10 +133,14 @@ def test_wrong_convention_fails_at_n3(census):
     found = False
     for s in census[3].solutions:
         pm = PhiMap(build_itable(s, D=6))
-        gens = affine_generators(pm, "phi-inverse")
-        if any(not g.perm.is_identity() and g.perm * g.perm != Perm.identity(3) for g in gens):
-            assert not check_action_consistency(pm, 2, "phi-inverse").ok
+        inverted = [AffineIso(g.perm.inverse(), g.shift) for g in affine_generators(pm)]
+        if any(g.perm * g.perm != Perm.identity(3) for g in inverted):
+            res = check_action_consistency(pm, 2, generators=inverted)
+            assert not res.ok
+            assert "affine image" in res.witness and "right multiplication" in res.witness
             found = True
+            with pytest.raises(InputError, match="dimension"):
+                check_action_consistency(pm, 2, generators=inverted[:-1])
     assert found
 
 

@@ -214,6 +214,66 @@ def test_build_phi_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+CHECK_ORBITS_DIGESTS = {
+    ("check", "x2y2.pres"): (
+        "ab78cde6849e9b709daf640ecaae08d35fe732bf18df7a925e67170f5d079f57",
+        "2ef575c753317d15a6b9129aaa040c27ed64a579e416d7099af9fb12f456ab74",
+    ),
+    ("check", "comm3.pres"): (
+        "c89d8b3e89139b01fd616b602dca8c9a880b585a0524f2909ca630060c3c5b17",
+        "fa2e6e5066784087839dab79c18a8ccf80f24a79c26406890d74e1ccf9cb5dab",
+    ),
+    ("check", "c3_02.rtable"): (
+        "d38548185359920cf797afb0cd9f0c788a56424262d2307b725b60ad3377f53f",
+        "fda9b8f956221d8a3d747279d5c5798606c342b867cc03abd5db1f68d2456521",
+    ),
+    ("check", "c4_12.rtable"): (
+        "20088f8217ef157a02d0b46bb5c6b28bdc098790758d4a833df3ab88ceb5d23c",
+        "677894aa16097fb97f7123e8f35359cb9a5aa31350038f2354b592de47f36a6f",
+    ),
+    ("check", "c4_19.rtable"): (
+        "20088f8217ef157a02d0b46bb5c6b28bdc098790758d4a833df3ab88ceb5d23c",
+        "677894aa16097fb97f7123e8f35359cb9a5aa31350038f2354b592de47f36a6f",
+    ),
+    ("check", "flip5.rtable"): (
+        "9972fe86354b9fcafa4722ad27fee551d96b2041f7fe43f6bb87e5ecc2412930",
+        "2d6925b21f0cd45fc32bdde459431aa4e38ca03bcbe764fa44901e253036e721",
+    ),
+    ("orbits", "x2y2.pres"): (
+        "f58327e21d3aadf4996d6d9129a58de515f3121a847cc56f005318110a1dea3b",
+        "05a7b0845c71230d7432930ada24570d75f8a3d00e162ec1ef7c47d19af21938",
+    ),
+    ("orbits", "comm3.pres"): (
+        "083196225cbca185eb6348b7523e2aefb07e0491b420e007c6ab166f02fb5c22",
+        "30ff9c522dfef9d20d7ae8ff84992ff32555922aad4831f9c1f97d218952f60d",
+    ),
+    ("orbits", "c3_02.rtable"): (
+        "bff709de88461c3f37aaadcdb7b23839f9561d5f86ad2ef22e052e958fd63cc3",
+        "f0081be029931c15faa6eee051ab5b58c2e468d4e6bc70bcc33941e472d47b72",
+    ),
+    ("orbits", "c4_12.rtable"): (
+        "bdc923741b2cd94c75bcb7c8e9ecefc0cb06d813f022306159cff415f4434c0e",
+        "052f4ce17339742543062edd727eb31ec31e437d637579fba9ed84b63d240a06",
+    ),
+    ("orbits", "c4_19.rtable"): (
+        "b516638d0df8f60856c64a396cf94f22b76a30fcc13cae21e939944f9283df35",
+        "c1031d0f91a226f56ccf6975f821981959907dd3ccf78e3fa8d03d6c36d1fcde",
+    ),
+    ("orbits", "flip5.rtable"): (
+        "c30b722d232df350ea7d82b0fd7f20b42d05f788a4efc9d5901400f2b08da9c3",
+        "d02e191e56c3e302bf00f2c0c976c8f7298038e67667154a6ed6c56674aed901",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(CHECK_ORBITS_DIGESTS))
+def test_check_orbits_golden(capsys, command, name):
+    for fmt, digest in zip(("plain", "machine"), CHECK_ORBITS_DIGESTS[command, name]):
+        code, out = run(capsys, "--format", fmt, command, str(CORPUS / name))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def refused(capsys, *argv) -> str:
     """Run a command that must be refused up front; returns its stderr."""
     code = main(list(argv))
