@@ -48,6 +48,7 @@ from .istructure import build_itable, dump_itable, normalize_word, v_inverse
 from .presentation import (
     Presentation,
     check_cyclic,
+    lex_lines,
     parse_presentation,
     parse_word,
     star_report,
@@ -88,12 +89,7 @@ def load_input(path: str):
     """Returns (presentation or None, pair map, names)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    directives = [
-        line.split("#", 1)[0].split()[0]
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    ]
-    if "rtable" in directives:
+    if any(tokens[0] == "rtable" for _, tokens in lex_lines(text)):
         r = parse_rtable(text)
         return None, r, r.names
     p = parse_presentation(text)
@@ -109,19 +105,15 @@ def cmd_check(args, rep: Reporter) -> int:
     if p is not None:
         rep.field("kind", "presentation")
         rep.field("n", p.n)
-        try:
-            r = build_r(p)
-        except InputError as exc:
-            sr = star_report(p)
-            rep.check("star1", sr.star1)
-            rep.check("star2", sr.star2)
-            rep.check("star3", sr.star3)
-            rep.check("pair-map", CheckResult.failed(str(exc)))
-            return 1
-        sr = star_report(p, r)
+        sr = star_report(p)
         rep.check("star1", sr.star1)
         rep.check("star2", sr.star2)
         rep.check("star3", sr.star3)
+        try:
+            r = build_r(p)
+        except InputError as exc:
+            rep.check("pair-map", CheckResult.failed(str(exc)))
+            return 1
     else:
         rep.field("kind", "rtable")
         rep.field("n", r.n)

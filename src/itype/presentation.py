@@ -1,4 +1,5 @@
-"""Quadratic semigroup presentations <X; R> and their shape checks.
+"""Quadratic semigroup presentations <X; R>, the input file format and
+the shape checks.
 
 Presentation file format (UTF-8, line oriented, ``#`` starts a comment):
 
@@ -6,6 +7,10 @@ Presentation file format (UTF-8, line oriented, ``#`` starts a comment):
     rel y x = x y       # one quadratic relation per line, letters
     rel z x = x z       # separated by spaces
     rel z y = y z
+
+The r-table parser ``ybr.parse_rtable`` also reads its lines through
+``lex_lines`` and its alphabet through ``parse_gens``.  The name ``1``
+is reserved for the empty word and cannot name a generator.
 
 The four checks below classify a presentation: ``star1``/``star2`` are
 per-relation index-pattern conditions, ``star3`` asks that degree-3
@@ -16,6 +21,7 @@ witness, never an exception; only malformed input raises.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (
@@ -63,10 +69,32 @@ class StarReport:
     star1: CheckResult
     star2: CheckResult
     star3: CheckResult
-    cyclic: CheckResult | None  # None when no valid pair map was available
 
     def all_star_ok(self) -> bool:
         return self.star1.ok and self.star2.ok and self.star3.ok
+
+
+def lex_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that is not blank once its
+    ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def parse_gens(lineno: int, tokens: list[str], names: tuple[str, ...] | None) -> tuple[str, ...]:
+    """The alphabet declared by a ``gens`` line; ``names`` is the one
+    declared so far, if any."""
+    if names is not None:
+        raise InputError(f"line {lineno}: repeated gens directive")
+    if len(tokens) < 2:
+        raise InputError(f"line {lineno}: gens needs at least one name")
+    if len(set(tokens[1:])) != len(tokens[1:]):
+        raise InputError(f"line {lineno}: duplicate generator name")
+    if "1" in tokens[1:]:
+        raise InputError(f"line {lineno}: generator name '1' is reserved for the empty word")
+    return tuple(tokens[1:])
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -74,19 +102,9 @@ def parse_presentation(text: str) -> Presentation:
     number on any syntax problem."""
     names: tuple[str, ...] | None = None
     relations: list[tuple[Word, Word]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in lex_lines(text):
         if tokens[0] == "gens":
-            if names is not None:
-                raise InputError(f"line {lineno}: repeated gens directive")
-            if len(tokens) < 2:
-                raise InputError(f"line {lineno}: gens needs at least one name")
-            if len(set(tokens[1:])) != len(tokens[1:]):
-                raise InputError(f"line {lineno}: duplicate generator name")
-            names = tuple(tokens[1:])
+            names = parse_gens(lineno, tokens, names)
         elif tokens[0] == "rel":
             if names is None:
                 raise InputError(f"line {lineno}: rel before gens")
@@ -94,8 +112,8 @@ def parse_presentation(text: str) -> Presentation:
                 eq = tokens.index("=")
             except ValueError:
                 raise InputError(f"line {lineno}: relation needs '='") from None
-            lhs = _to_word(tokens[1:eq], names, lineno)
-            rhs = _to_word(tokens[eq + 1 :], names, lineno)
+            lhs = _to_word(tokens[1:eq], names, f"line {lineno}")
+            rhs = _to_word(tokens[eq + 1 :], names, f"line {lineno}")
             if len(lhs) != 2 or len(rhs) != 2:
                 raise InputError(f"line {lineno}: relation sides must have degree 2")
             relations.append((lhs, rhs))
@@ -103,28 +121,26 @@ def parse_presentation(text: str) -> Presentation:
             raise InputError(f"line {lineno}: unknown directive {tokens[0]!r}")
     if names is None:
         raise InputError("missing gens directive")
-    try:
-        return Presentation(names, tuple(relations))
-    except InputError as exc:
-        raise InputError(str(exc)) from None
+    return Presentation(names, tuple(relations))
 
 
-def _to_word(tokens: list[str], names: tuple[str, ...], lineno: int) -> Word:
+def _to_word(tokens: list[str], names: tuple[str, ...], where: str) -> Word:
     word = []
     for tok in tokens:
         try:
             word.append(names.index(tok) + 1)
         except ValueError:
-            raise InputError(f"line {lineno}: unknown generator {tok!r}") from None
+            raise InputError(f"{where}: unknown generator {tok!r}") from None
     return tuple(word)
 
 
 def parse_word(text: str, names: tuple[str, ...]) -> Word:
-    """Parse a space-separated word over declared generator names."""
+    """Parse a space-separated word over declared generator names; ``1``
+    alone is the empty word."""
     tokens = text.split()
     if tokens == ["1"]:
         return ()
-    return _to_word(tokens, names, 0) if tokens else ()
+    return _to_word(tokens, names, f"word {text!r}")
 
 
 def format_presentation(p: Presentation) -> str:
@@ -255,12 +271,6 @@ def check_cyclic(r, names: tuple[str, ...] | None = None) -> CheckResult:
     return CheckResult.passed()
 
 
-def star_report(p: Presentation, r=None) -> StarReport:
-    """All shape checks at once; the cyclic check needs a pair map and is
-    skipped (None) when r is not supplied."""
-    return StarReport(
-        star1=check_star1(p),
-        star2=check_star2(p),
-        star3=check_star3(p),
-        cyclic=None if r is None else check_cyclic(r, p.gen_names),
-    )
+def star_report(p: Presentation) -> StarReport:
+    """The three shape checks of a presentation at once."""
+    return StarReport(star1=check_star1(p), star2=check_star2(p), star3=check_star3(p))

@@ -12,7 +12,8 @@ every relation, fix everything else), verifies the three axioms
 derives the four companion bijections of X^2, classifies the orbits of
 the rewriting action on X^3, and enumerates every solution for small n.
 
-r-table file format (``#`` starts a comment):
+r-table file format (``#`` comments, blank lines and the ``gens`` line
+as in the presentation format):
 
     gens x y
     rtable
@@ -38,7 +39,7 @@ from .core import (
     all_words,
     format_word,
 )
-from .presentation import Presentation
+from .presentation import Presentation, lex_lines, parse_gens
 
 Pair = tuple[int, int]
 
@@ -415,17 +416,9 @@ def parse_rtable(text: str) -> PairMap:
     names: tuple[str, ...] | None = None
     in_table = False
     entries: dict[Pair, Pair] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in lex_lines(text):
         if tokens[0] == "gens":
-            if names is not None:
-                raise InputError(f"line {lineno}: repeated gens directive")
-            if len(set(tokens[1:])) != len(tokens[1:]) or len(tokens) < 2:
-                raise InputError(f"line {lineno}: bad gens directive")
-            names = tuple(tokens[1:])
+            names = parse_gens(lineno, tokens, names)
         elif tokens[0] == "rtable":
             if names is None:
                 raise InputError(f"line {lineno}: rtable before gens")

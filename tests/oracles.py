@@ -35,7 +35,7 @@ from itype.core import (
     format_expvec,
     support,
 )
-from itype.structuremaps import check_cocycle
+from itype.structuremaps import check_cocycle, phi_of
 from itype.ybr import check_axioms
 from itype.bieberbach import (
     FixedPointSet,
@@ -141,6 +141,18 @@ def cocycle_exhaustive_ref(pm, dmax: int) -> CheckResult:
             if not res:
                 return res
     return CheckResult.passed()
+
+
+def image_group_ref(pm) -> frozenset:
+    """The image of phi as the closure of every row up to degree D-1
+    under composition."""
+    vecs = [e for d in range(pm.D) for e in expvecs_of_degree_ref(pm.n, d)]
+    group = {phi_of(pm, b) for b in vecs}
+    while True:
+        extra = {p * q for p in group for q in group} - group
+        if not extra:
+            return frozenset(group)
+        group |= extra
 
 
 def relations_of_pairmap(r) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -349,6 +349,29 @@ def test_input_errors(tmp_path, capsys):
     assert main(["enumerate", "--n", "9"]) == 2
 
 
+GENS_FAULTS = [
+    ("gens x 1\n", "line 1: generator name '1' is reserved for the empty word"),
+    ("gens x y\ngens x y\n", "line 2: repeated gens directive"),
+    ("gens\n", "line 1: gens needs at least one name"),
+    ("gens x y x\n", "line 1: duplicate generator name"),
+]
+
+
+@pytest.mark.parametrize("gens, message", GENS_FAULTS)
+def test_gens_faults_read_the_same_in_both_formats(tmp_path, capsys, gens, message):
+    pres = tmp_path / "bad.pres"
+    pres.write_text(gens + "rel y y = x x\n")
+    rtable = tmp_path / "bad.rtable"
+    rtable.write_text(gens + X2Y2_RTABLE.split("\n", 1)[1])
+    for path in (pres, rtable):
+        assert refused(capsys, "check", str(path)) == f"error: {message}\n"
+
+
+def test_unknown_generator_in_a_word_names_the_word(x2y2_file, capsys):
+    err = refused(capsys, "equal", x2y2_file, "x q", "x x")
+    assert err == "error: word 'x q': unknown generator 'q'\n"
+
+
 def test_deterministic_output(x2y2_file, capsys):
     _, out1 = run(capsys, "phi", x2y2_file)
     _, out2 = run(capsys, "phi", x2y2_file)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,18 +10,21 @@ from itype import (
     PairMap,
     PhiMap,
     build_itable,
+    build_r,
     check_cocycle,
     cocycle_exhaustive,
     coset_decomposition,
     enumerate_solutions,
     kernel_exponents,
+    parse_presentation,
+    parse_rtable,
     phi_of,
     v_of,
     words_equal,
 )
 from itype.core import Perm, all_perms, degree, exp_add, expvecs_up_to, relabel_expvec
 
-from oracles import cocycle_exhaustive_ref
+from oracles import cocycle_exhaustive_ref, image_group_ref
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +111,30 @@ def test_group_closed(x2y2_pm, census):
             assert p * q in g
         for p in g:
             assert p.inverse() in g
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+def corpus_pairmaps():
+    for path in sorted(CORPUS.iterdir()):
+        if path.suffix == ".pres":
+            yield build_r(parse_presentation(path.read_text()))
+        elif path.suffix == ".rtable":
+            yield parse_rtable(path.read_text())
+
+
+def test_group_is_generated_by_the_generator_images():
+    # every sigma for n <= 3, at table bounds 2, 3 and 8: 201 cases
+    cases = 0
+    for r in corpus_pairmaps():
+        sigmas = all_perms(r.n) if r.n <= 3 else [Perm.identity(r.n)]
+        for sigma in sigmas:
+            group = kernel_exponents(PhiMap(build_itable(r, D=8, sigma=sigma))).group
+            for D in (2, 3, 8):
+                assert group == image_group_ref(PhiMap(build_itable(r, D=D, sigma=sigma)))
+                cases += 1
+    assert cases == 201
 
 
 def test_kernel_stable_under_group_relabeling(x2y2_pm):

@@ -2,13 +2,36 @@
 here makes a rename or deletion they depend on fail the test suite."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-MAKE_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "make_corpus.py"
+from itype import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MAKE_CORPUS = BENCH / "make_corpus.py"
+
+
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_make_corpus_imports_and_computes_kernel_facts(x2y2_r):
-    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # main() is guarded: nothing is written
+    module = load_script(MAKE_CORPUS)  # main() is guarded: nothing is written
     assert module.kernel_facts(x2y2_r) == ((2, 2), 2)
+
+
+def test_tracer_hooks_bind_their_arguments(capsys):
+    # the hooks read parameters and report fields by name; a rename
+    # lands in hook_failures and the counter silently reads 0
+    tracer = load_script(BENCH / "tracer.py")
+    x2y2 = str(BENCH / "corpus" / "x2y2.pres")
+    with tracer.Tracer() as tr:
+        assert cli.main(["enumerate", "--n", "2"]) == 0
+        assert cli.main(["bieberbach", x2y2, "--length", "2", "--radius", "0"]) == 0
+        assert cli.main(["normalize", x2y2, "y y x"]) == 0
+    capsys.readouterr()
+    assert tr.hook_failures == {}
