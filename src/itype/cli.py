@@ -44,7 +44,7 @@ from .core import (
     format_expvec,
     format_word,
 )
-from .istructure import build_itable, dump_itable, normalize_word, v_inverse
+from .istructure import ITable, build_itable, dump_itable, normalize_word, v_inverse
 from .presentation import (
     Presentation,
     check_cyclic,
@@ -53,12 +53,7 @@ from .presentation import (
     parse_word,
     star_report,
 )
-from .structuremaps import (
-    PhiMap,
-    cocycle_exhaustive,
-    coset_decomposition,
-    phi_of,
-)
+from .structuremaps import PhiMap, cocycle_exhaustive, coset_decomposition
 from .ybr import (
     PairMap,
     axiom_checks,
@@ -81,61 +76,64 @@ class Reporter:
         if not res.ok:
             self.field(f"{key}.witness", res.witness)
 
-    def raw(self, line: str) -> None:
-        print(line)
 
-
-def load_input(path: str):
-    """Returns (presentation or None, pair map, names)."""
+def load_input(path: str) -> Presentation | PairMap:
+    """The presentation or the pair map a file holds; an ``rtable`` line
+    marks the r-table format."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if any(tokens[0] == "rtable" for _, tokens in lex_lines(text)):
-        r = parse_rtable(text)
-        return None, r, r.names
-    p = parse_presentation(text)
-    return p, None, p.gen_names
+        return parse_rtable(text)
+    return parse_presentation(text)
 
 
-def _pairmap(p: Presentation | None, r: PairMap | None) -> PairMap:
-    return r if r is not None else build_r(p)
+def load_pairmap(path: str) -> PairMap:
+    """The pair map of a file: read as such, or built from its relations."""
+    x = load_input(path)
+    return build_r(x) if isinstance(x, Presentation) else x
+
+
+def load_table(args) -> ITable:
+    """The table of ``args.file`` to ``args.degree``, with the command's
+    ``--sigma`` if it has one; the file is read before ``--sigma``."""
+    return build_itable(load_pairmap(args.file), args.degree, _sigma(args))
 
 
 def cmd_check(args, rep: Reporter) -> int:
-    p, r, names = load_input(args.file)
-    if p is not None:
+    x = load_input(args.file)
+    if isinstance(x, Presentation):
         rep.field("kind", "presentation")
-        rep.field("n", p.n)
-        sr = star_report(p)
+        rep.field("n", x.n)
+        sr = star_report(x)
         rep.check("star1", sr.star1)
         rep.check("star2", sr.star2)
         rep.check("star3", sr.star3)
         try:
-            r = build_r(p)
+            r = build_r(x)
         except InputError as exc:
             rep.check("pair-map", CheckResult.failed(str(exc)))
             return 1
     else:
+        r = x
         rep.field("kind", "rtable")
         rep.field("n", r.n)
     axioms = list(axiom_checks(r))
     for name, res in axioms:
         rep.check(name, res)
-    rep.check("cyclic", check_cyclic(r, names))
+    rep.check("cyclic", check_cyclic(r))
     ok = all(res.ok for _, res in axioms)
     rep.field("verdict", "valid" if ok else "invalid")
     return 0 if ok else 1
 
 
 def cmd_build(args, rep: Reporter) -> int:
-    p, r, _ = load_input(args.file)
-    t = build_itable(_pairmap(p, r), args.degree, _sigma(args))
-    sys.stdout.write(dump_itable(t))
+    sys.stdout.write(dump_itable(load_table(args)))
     return 0
 
 
 def cmd_normalize(args, rep: Reporter) -> int:
-    p, r, names = load_input(args.file)
-    t = build_itable(_pairmap(p, r), args.degree)
+    t = load_table(args)
+    names = t.r.names
     w = parse_word(args.word, names)
     nf = normalize_word(t, w)
     rep.field("word", format_word(w, names))
@@ -145,10 +143,9 @@ def cmd_normalize(args, rep: Reporter) -> int:
 
 
 def cmd_equal(args, rep: Reporter) -> int:
-    p, r, names = load_input(args.file)
-    t = build_itable(_pairmap(p, r), args.degree)
-    w1 = parse_word(args.word1, names)
-    w2 = parse_word(args.word2, names)
+    t = load_table(args)
+    w1 = parse_word(args.word1, t.r.names)
+    w2 = parse_word(args.word2, t.r.names)
     a1, a2 = v_inverse(t, w1), v_inverse(t, w2)
     rep.field("equal", "true" if a1 == a2 else "false")
     if a1 != a2:
@@ -159,16 +156,13 @@ def cmd_equal(args, rep: Reporter) -> int:
 
 
 def cmd_phi(args, rep: Reporter) -> int:
-    p, r, names = load_input(args.file)
-    t = build_itable(_pairmap(p, r), args.degree)
+    t = load_table(args)
     pm = PhiMap(t)
     # every stage that can refuse runs before the first line is printed
     cosets = coset_decomposition(pm, min(t.D, 6))
     cc = cocycle_exhaustive(pm, min(5, t.D - 1))
-    names = names or tuple(f"x{i}" for i in range(1, t.n + 1))
-    for i in range(1, t.n + 1):
-        u = tuple(1 if j == i else 0 for j in range(1, t.n + 1))
-        rep.field(f"phi {names[i - 1]}", ",".join(str(k) for k in phi_of(pm, u).images))
+    for name, g in zip(t.r.names, cosets.kernel.generators):
+        rep.field(f"phi {name}", ",".join(str(k) for k in g.images))
     rep.field("kernel t", "(" + ",".join(str(k) for k in cosets.t) + ")")
     rep.field("G order", cosets.kernel.group_order)
     rep.field("cosets", " ".join(format_expvec(a) for a in cosets.reps))
@@ -184,8 +178,8 @@ def cmd_bieberbach(args, rep: Reporter) -> int:
         raise InputError(f"--length must be >= 1, got {args.length}")
     if args.radius < 0:
         raise InputError(f"--radius must be >= 0, got {args.radius}")
-    p, r, names = load_input(args.file)
-    t = build_itable(_pairmap(p, r), args.degree)
+    t = load_table(args)
+    names = t.r.names
     tiling_length = max(args.length, 2 * args.radius * t.n)
     refuse_long_freeness(t.n, args.length)
     refuse_large_tiling(t.n, tiling_length)
@@ -204,11 +198,10 @@ def cmd_bieberbach(args, rep: Reporter) -> int:
         rep.field("tiling.witness", tile.witness)
     rep.field("orbit", f"{tile.covered} box points covered, {tile.orbit_size} elements")
     if t.n == 2:
-        names2 = names or ("x1", "x2")
-        for name, g in zip(names2, gens):
+        for name, g in zip(names, gens):
             rep.field(f"class {name}", _describe_2d(g))
         rep.field(
-            f"class {names2[0]} {names2[0]}",
+            f"class {names[0]} {names[0]}",
             _describe_2d(compose(gens[0], gens[0])),
         )
     ok = cons.ok and free.ok and tile.status != "fail"
@@ -229,11 +222,11 @@ def _describe_2d(g) -> str:
 
 
 def cmd_orbits(args, rep: Reporter) -> int:
-    p, r, names = load_input(args.file)
-    r = _pairmap(p, r)
+    x = load_input(args.file)
+    r = build_r(x) if isinstance(x, Presentation) else x
     report = classify_orbits3(r)
     for o in report.orbits:
-        members = ", ".join(format_word(w, names) for w in o.elements)
+        members = ", ".join(format_word(w, r.names) for w in o.elements)
         rep.field(f"orbit {o.kind} size {o.size}", members)
     rep.field(
         "counts",
@@ -241,8 +234,8 @@ def cmd_orbits(args, rep: Reporter) -> int:
     )
     rep.field("identity", report.identity)
     rep.check("star-census", report.star_census)
-    if p is not None:
-        sr = star_report(p)
+    if isinstance(x, Presentation):
+        sr = star_report(x)
         if sr.all_star_ok() and not report.star_census.ok:
             return 1
     return 0
@@ -279,44 +272,27 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("plain", "machine"), default="plain")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn):
+    def add(name, fn, *positionals, degree=True):
+        """A command on an input file; the table commands take --degree."""
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
+        for pos in ("file", *positionals):
+            sp.add_argument(pos)
+        if degree:
+            sp.add_argument("--degree", type=int, default=8)
         return sp
 
-    sp = add("check", cmd_check)
-    sp.add_argument("file")
-
-    sp = add("build", cmd_build)
-    sp.add_argument("file")
-    sp.add_argument("--degree", type=int, default=8)
-    sp.add_argument("--sigma", default="")
-
-    sp = add("normalize", cmd_normalize)
-    sp.add_argument("file")
-    sp.add_argument("word")
-    sp.add_argument("--degree", type=int, default=8)
-
-    sp = add("equal", cmd_equal)
-    sp.add_argument("file")
-    sp.add_argument("word1")
-    sp.add_argument("word2")
-    sp.add_argument("--degree", type=int, default=8)
-
-    sp = add("phi", cmd_phi)
-    sp.add_argument("file")
-    sp.add_argument("--degree", type=int, default=8)
-
+    add("check", cmd_check, degree=False)
+    add("build", cmd_build).add_argument("--sigma", default="")
+    add("normalize", cmd_normalize, "word")
+    add("equal", cmd_equal, "word1", "word2")
+    add("phi", cmd_phi)
     sp = add("bieberbach", cmd_bieberbach)
-    sp.add_argument("file")
-    sp.add_argument("--degree", type=int, default=8)
     sp.add_argument("--radius", type=int, default=2)
     sp.add_argument("--length", type=int, default=6)
-
-    sp = add("orbits", cmd_orbits)
-    sp.add_argument("file")
-
-    sp = add("enumerate", cmd_enumerate)
+    add("orbits", cmd_orbits, degree=False)
+    sp = sub.add_parser("enumerate")
+    sp.set_defaults(fn=cmd_enumerate)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--list", action="store_true")
     return ap

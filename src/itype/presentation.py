@@ -9,8 +9,9 @@ Presentation file format (UTF-8, line oriented, ``#`` starts a comment):
     rel z y = y z
 
 The r-table parser ``ybr.parse_rtable`` also reads its lines through
-``lex_lines`` and its alphabet through ``parse_gens``.  The name ``1``
-is reserved for the empty word and cannot name a generator.
+``lex_lines``, its alphabet through ``parse_gens`` and its table lines
+through ``to_word``.  The name ``1`` is reserved for the empty word and
+cannot name a generator.
 
 The four checks below classify a presentation: ``star1``/``star2`` are
 per-relation index-pattern conditions, ``star3`` asks that degree-3
@@ -112,8 +113,8 @@ def parse_presentation(text: str) -> Presentation:
                 eq = tokens.index("=")
             except ValueError:
                 raise InputError(f"line {lineno}: relation needs '='") from None
-            lhs = _to_word(tokens[1:eq], names, f"line {lineno}")
-            rhs = _to_word(tokens[eq + 1 :], names, f"line {lineno}")
+            lhs = to_word(tokens[1:eq], names, f"line {lineno}")
+            rhs = to_word(tokens[eq + 1 :], names, f"line {lineno}")
             if len(lhs) != 2 or len(rhs) != 2:
                 raise InputError(f"line {lineno}: relation sides must have degree 2")
             relations.append((lhs, rhs))
@@ -124,7 +125,9 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(names, tuple(relations))
 
 
-def _to_word(tokens: list[str], names: tuple[str, ...], where: str) -> Word:
+def to_word(tokens: list[str], names: tuple[str, ...], where: str) -> Word:
+    """The word spelled by generator names; ``where`` opens the error
+    message for an unknown name."""
     word = []
     for tok in tokens:
         try:
@@ -140,7 +143,7 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
     tokens = text.split()
     if tokens == ["1"]:
         return ()
-    return _to_word(tokens, names, f"word {text!r}")
+    return to_word(tokens, names, f"word {text!r}")
 
 
 def format_presentation(p: Presentation) -> str:
@@ -249,7 +252,7 @@ def check_star3(p: Presentation) -> CheckResult:
     return CheckResult.passed()
 
 
-def check_cyclic(r, names: tuple[str, ...] | None = None) -> CheckResult:
+def check_cyclic(r) -> CheckResult:
     """Applying r at position 2 then position 1 maps every word x_a x_a x_b
     to a word x_c x_d x_d, bijectively onto those."""
     n = r.n
@@ -260,7 +263,7 @@ def check_cyclic(r, names: tuple[str, ...] | None = None) -> CheckResult:
             u = r.apply_at(r.apply_at(w, 2), 1)
             if u[1] != u[2]:
                 return CheckResult.failed(
-                    f"{format_word(w, names)} maps to {format_word(u, names)}, "
+                    f"{r._fmt(w)} maps to {r._fmt(u)}, "
                     "not of the form x_c x_d x_d"
                 )
             images.add(u)

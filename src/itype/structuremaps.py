@@ -56,9 +56,6 @@ class PhiMap:
         self._sigma_inv = table.sigma.inverse()
         self._memo: dict[ExpVec, Perm] = {}
 
-    def __call__(self, b: ExpVec) -> Perm:
-        return phi_of(self, b)
-
 
 def phi_of(pm: PhiMap, b: ExpVec) -> Perm:
     """The permutation i -> sigma^-1(x[b, i]); bijective by the row
@@ -113,6 +110,7 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
 @dataclass(frozen=True)
 class KernelData:
     t: tuple[int, ...]  # minimal positive exponents with phi(u_i^t_i) = id
+    generators: tuple[Perm, ...]  # the phi(u_i), in generator order
     group: frozenset[Perm]  # the image of phi, generated by the phi(u_i)
     p0_generators: tuple[ExpVec, ...]  # the vectors t_i * e_i
 
@@ -142,7 +140,7 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
     for i, ti in enumerate(t, start=1):
         if math.factorial(n) % ti != 0:
             raise ConsistencyError(f"t_{i} = {ti} does not divide n! = {math.factorial(n)}")
-    gens = [phi_of(pm, tuple(int(j == i) for j in range(n))) for i in range(n)]
+    gens = tuple(phi_of(pm, tuple(int(j == i) for j in range(n))) for i in range(n))
     group, frontier = set(gens), list(gens)
     while frontier:
         p = frontier.pop()
@@ -150,7 +148,7 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
         group |= extra
         frontier.extend(extra)
     p0 = tuple(tuple(t[i - 1] if j == i else 0 for j in range(1, n + 1)) for i in range(1, n + 1))
-    return KernelData(tuple(t), frozenset(group), p0)
+    return KernelData(tuple(t), gens, frozenset(group), p0)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .core import (
     all_words,
     format_word,
 )
-from .presentation import Presentation, lex_lines, parse_gens
+from .presentation import Presentation, lex_lines, parse_gens, to_word
 
 Pair = tuple[int, int]
 
@@ -412,27 +412,25 @@ def _from_cycle_set(rows: list[tuple[int, ...]]) -> PairMap:
 
 def parse_rtable(text: str) -> PairMap:
     """Parse the r-table file format (gens line, rtable directive, one
-    ``a b -> c d`` line per pair)."""
+    ``a b -> c d`` line per pair).  Every line after the ``rtable`` line
+    is a table line, so ``gens`` and ``rtable`` can name generators."""
     names: tuple[str, ...] | None = None
     in_table = False
     entries: dict[Pair, Pair] = {}
     for lineno, tokens in lex_lines(text):
-        if tokens[0] == "gens":
+        if in_table:
+            if len(tokens) != 5 or tokens[2] != "->":
+                raise InputError(f"line {lineno}: expected 'a b -> c d'")
+            a, b, c, d = to_word(tokens[:2] + tokens[3:], names, f"line {lineno}")
+            if (a, b) in entries:
+                raise InputError(f"line {lineno}: pair {tokens[0]} {tokens[1]} listed twice")
+            entries[(a, b)] = (c, d)
+        elif tokens[0] == "gens":
             names = parse_gens(lineno, tokens, names)
         elif tokens[0] == "rtable":
             if names is None:
                 raise InputError(f"line {lineno}: rtable before gens")
             in_table = True
-        elif in_table:
-            if len(tokens) != 5 or tokens[2] != "->":
-                raise InputError(f"line {lineno}: expected 'a b -> c d'")
-            try:
-                a, b, c, d = (names.index(t) + 1 for t in (tokens[0], tokens[1], tokens[3], tokens[4]))
-            except ValueError:
-                raise InputError(f"line {lineno}: unknown generator name") from None
-            if (a, b) in entries:
-                raise InputError(f"line {lineno}: pair {tokens[0]} {tokens[1]} listed twice")
-            entries[(a, b)] = (c, d)
         else:
             raise InputError(f"line {lineno}: unknown directive {tokens[0]!r}")
     if names is None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from itype import build_r, format_rtable, parse_presentation
 from itype.cli import main
 
 from conftest import COMM2_TEXT, X2Y2_TEXT
@@ -370,6 +371,63 @@ def test_gens_faults_read_the_same_in_both_formats(tmp_path, capsys, gens, messa
 def test_unknown_generator_in_a_word_names_the_word(x2y2_file, capsys):
     err = refused(capsys, "equal", x2y2_file, "x q", "x x")
     assert err == "error: word 'x q': unknown generator 'q'\n"
+
+
+def test_generators_may_be_named_rtable_and_gens(tmp_path, capsys):
+    # every line after the rtable line is a table line, directive words included
+    f = tmp_path / "named.rtable"
+    f.write_text(
+        "gens rtable gens\n"
+        "rtable\n"
+        "rtable rtable -> gens gens\n"
+        "rtable gens -> rtable gens\n"
+        "gens rtable -> gens rtable\n"
+        "gens gens -> rtable rtable\n"
+    )
+    code, out = run(capsys, "check", str(f))
+    assert code == 0
+    assert "verdict: valid" in out
+
+
+@pytest.mark.parametrize(
+    "extra, lineno",
+    [("rtable\n", 4), ("gens z\n", 7)],
+    ids=["repeated-rtable", "gens-after-table"],
+)
+def test_directive_inside_the_table_is_refused(tmp_path, capsys, extra, lineno):
+    lines = X2Y2_RTABLE.splitlines(keepends=True)
+    lines.insert(lineno - 1, extra)
+    f = tmp_path / "bad.rtable"
+    f.write_text("".join(lines))
+    assert refused(capsys, "check", str(f)) == f"error: line {lineno}: expected 'a b -> c d'\n"
+
+
+def test_unknown_table_name_is_named_in_both_formats(tmp_path, capsys):
+    pres = tmp_path / "bad.pres"
+    pres.write_text("gens x y\nrel y y = x q\n")
+    rtable = tmp_path / "bad.rtable"
+    rtable.write_text(X2Y2_RTABLE.replace("y y -> x x", "y y -> x q"))
+    assert refused(capsys, "check", str(pres)) == "error: line 2: unknown generator 'q'\n"
+    assert refused(capsys, "check", str(rtable)) == "error: line 6: unknown generator 'q'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build",),
+        ("normalize", "y y x"),
+        ("equal", "x y y", "y y x"),
+        ("phi",),
+        ("bieberbach", "--length", "3", "--radius", "1"),
+    ],
+)
+def test_rtable_path_prints_the_presentation_names(tmp_path, capsys, argv):
+    command, *rest = argv
+    pres = CORPUS / "x2y2.pres"
+    rtable = tmp_path / "x2y2.rtable"
+    rtable.write_text(format_rtable(build_r(parse_presentation(pres.read_text()))))
+    want = run(capsys, command, str(pres), *rest)
+    assert run(capsys, command, str(rtable), *rest) == want
 
 
 def test_deterministic_output(x2y2_file, capsys):

@@ -102,7 +102,7 @@ def test_rewrite_class_sizes_divide_six(star_corpus):
 def test_cyclic_commutative():
     p = parse_presentation(COMM2_TEXT)
     r = build_r(p)
-    res = check_cyclic(r, p.gen_names)
+    res = check_cyclic(r)
     assert res.ok
     # the flip sends x x y to y x x at positions 2 then 1
     assert r.apply_at(r.apply_at((1, 1, 2), 2), 1) == (2, 1, 1)
@@ -113,7 +113,7 @@ def test_cyclic_rank_one():
 
 
 def test_cyclic_x2y2(x2y2, x2y2_r):
-    assert check_cyclic(x2y2_r, x2y2.gen_names).ok
+    assert check_cyclic(x2y2_r).ok
 
 
 def test_star_report(x2y2, x2y2_r):

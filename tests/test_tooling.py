@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from itype import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -34,4 +36,29 @@ def test_tracer_hooks_bind_their_arguments(capsys):
         assert cli.main(["bieberbach", x2y2, "--length", "2", "--radius", "0"]) == 0
         assert cli.main(["normalize", x2y2, "y y x"]) == 0
     capsys.readouterr()
+    assert tr.hook_failures == {}
+
+
+@pytest.mark.parametrize(
+    "name, words", [("x2y2.pres", ("y y x", "x x x")), ("c3_02.rtable", ("x1 x2", "x2 x1"))]
+)
+@pytest.mark.parametrize(
+    "command, n_words, flags",
+    [
+        ("build", 0, ()),
+        ("normalize", 1, ()),
+        ("equal", 2, ()),
+        ("phi", 0, ()),
+        ("bieberbach", 0, ("--length", "3", "--radius", "1")),
+    ],
+)
+def test_table_commands_parse_once_and_build_once(capsys, name, words, command, n_words, flags):
+    # one parse of the file plus one per word on the command line, and one table
+    tracer = load_script(BENCH / "tracer.py")
+    argv = [command, str(BENCH / "corpus" / name), *words[:n_words], *flags]
+    with tracer.Tracer() as tr:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tr.group("istructure.build").calls == 1
+    assert tr.group("presentation.parse").calls == 1 + n_words
     assert tr.hook_failures == {}
