@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     rep = Reporter(args.format)
     try:
         return args.fn(args, rep)
-    except (InputError, DegreeBoundError, OSError) as exc:
+    except (InputError, DegreeBoundError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AxiomError, ConsistencyError) as exc:

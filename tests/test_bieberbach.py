@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from itype import bieberbach
 from itype.bieberbach import _right_products, refuse_large_tiling
 from itype.core import Perm, expvecs_up_to
 
-from oracles import freeness_check_bf, fundamental_domain_check_bf
+from oracles import freeness_check_bf, fundamental_domain_check_bf, image_group_ref
 
 
 @pytest.fixture(scope="module")
@@ -275,13 +276,21 @@ def test_export_format(x2y2_pm):
     )
 
 
-def _assert_searches_match(pm, gens, lengths, radii):
+def _assert_searches_match(pm, gens, lengths, radii, tile_lengths=None):
+    """Freeness at each of `lengths`, tiling at each of `tile_lengths`
+    (default: `lengths` and 2n) and `radii`, equal to the oracles; returns
+    the outcomes seen (freeness ok values and tiling statuses)."""
+    outcomes = set()
     for L in lengths:
-        assert freeness_check(pm, L, generators=gens) == freeness_check_bf(pm, L, generators=gens)
-    for L in lengths + (2 * pm.n,):
+        new = freeness_check(pm, L, generators=gens)
+        assert new == freeness_check_bf(pm, L, generators=gens)
+        outcomes.add(new.ok)
+    for L in lengths + (2 * pm.n,) if tile_lengths is None else tile_lengths:
         for box in radii:
             new = fundamental_domain_check(pm, box, L, generators=gens)
             assert new == fundamental_domain_check_bf(pm, box, L, generators=gens)
+            outcomes.add(new.status)
+    return outcomes
 
 
 def test_flat_searches_match_oracles_census(census):
@@ -295,15 +304,46 @@ def test_flat_searches_match_oracles_x2y2(x2y2_pm):
     _assert_searches_match(x2y2_pm, affine_generators(x2y2_pm), (1, 4, 7), (1, 2))
 
 
+@pytest.fixture(scope="module")
+def n4_pms():
+    reps = enumerate_solutions(4).class_reps
+    assert len(reps) == 23
+    return [PhiMap(build_itable(r, D=4)) for r in reps]
+
+
+def test_flat_searches_match_oracles_order_4_and_8(n4_pms):
+    # the 23 n = 4 classes and flip5, image groups of order up to 8
+    pms = n4_pms + [PhiMap(build_itable(PairMap.flip(5), D=4))]
+    assert {4, 8} <= {len(image_group_ref(pm)) for pm in pms}
+    for pm in pms:
+        _assert_searches_match(pm, affine_generators(pm), (2, 3), (0, 1), (2, 4))
+
+
 def test_flat_searches_match_oracles_corrupted(x2y2_pm):
-    gx, gy = affine_generators(x2y2_pm)
+    # either generator replaced, shifts up to 2: a search key that
+    # ignored the size of the shifts would merge distinct elements
     outcomes = set()
-    for perm in (Perm((1, 2)), Perm((2, 1))):
-        for shift in itertools.product((-1, 0, 1), repeat=2):
-            gens = [AffineIso(perm, shift), gy]
-            _assert_searches_match(x2y2_pm, gens, (2, 4), (1,))
-            outcomes.add(freeness_check(x2y2_pm, 4, generators=gens).ok)
-            outcomes.add(fundamental_domain_check(x2y2_pm, 1, 4, generators=gens).status)
+    for i in (0, 1):
+        for perm in (Perm((1, 2)), Perm((2, 1))):
+            for shift in itertools.product(range(-2, 3), repeat=2):
+                gens = affine_generators(x2y2_pm)
+                gens[i] = AffineIso(perm, shift)
+                outcomes |= _assert_searches_match(x2y2_pm, gens, (2, 4), (0, 1), (2, 3, 4))
+    assert outcomes == {True, False, "pass", "fail", "inconclusive"}
+
+
+def test_flat_searches_match_oracles_random_corruptions(census, n4_pms):
+    pms = [PhiMap(build_itable(s, D=4)) for s in census[3].solutions] + n4_pms
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(60):
+        pm = rng.choice(pms)
+        gens = affine_generators(pm)
+        perm = list(range(1, pm.n + 1))
+        rng.shuffle(perm)
+        shift = tuple(rng.randint(-2, 2) for _ in range(pm.n))
+        gens[rng.randrange(pm.n)] = AffineIso(Perm(tuple(perm)), shift)
+        outcomes |= _assert_searches_match(pm, gens, (2, 3), (0, 1), (2, 3))
     assert outcomes == {True, False, "pass", "fail", "inconclusive"}
 
 

@@ -156,6 +156,9 @@ CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
         ("c4_19.rtable", 3, 1, "d130970f67812bc12f31311388382d0768cab433ed03a27b3f29671239302946"),
         ("flip5.rtable", 3, 1, "1971719afb26a59cc9806e0707eca341a4751528a3f85a66b3c44d2587321660"),
         ("c3_02.rtable", 6, 2, "77874e295de2fda862293a7521b4b2e8c610b67c34b3a6cfea045faff70a1093"),
+        # order-8 image groups, t = (2,2,2,2) and (4,4,4,4)
+        ("c4_13.rtable", 4, 2, "a71b19813f9c0e46192633ea2583d925c6315731e30ed4fc524008b47101d4f1"),
+        ("c4_20.rtable", 4, 2, "6336dff03dcebb882c30791bbdac44151ab8b42278ac5722398dc45c1cdfeba1"),
     ],
 )
 def test_bieberbach_golden(capsys, name, length, radius, digest):
