@@ -71,9 +71,10 @@ Point = tuple  # integer (or rational) coordinates
 # 0.55 s and 87 MiB in all.
 MAX_FREENESS_WORDS = 2_000_000
 
-# Tiling keeps one element per lattice point it reaches; past this many
-# reachable points it refuses to start.  flip5 at the default flags
-# (982,729 points) takes about 7 s and 420 MiB in all on the same core.
+# Tiling keeps one element key and one letter per lattice point it
+# reaches; past this many reachable points it refuses to start.  flip5 at
+# the default flags (982,729 points) takes about 5.5 s and 240 MiB in all
+# on the same core.
 MAX_TILING_POINTS = 1_000_000
 
 
@@ -393,31 +394,42 @@ def fundamental_domain_check(
     gens = affine_generators(pm) if generators is None else generators
     steps, _ = _frame(n, gens, L)
     seen = {0}  # element keys
-    # origin image -> the first word reaching it; a second element with
-    # the same image breaks injectivity
-    reached: dict[Point, SignedWord] = {(0,) * n: ()}
-    frontier = [(0, 0, (0,) * n, ())]
+    # origin image -> the last letter of the first word reaching it (0 at
+    # the origin); a second element with the same image breaks
+    # injectivity.  Undoing that letter's step gives the parent point, so
+    # a witness word is rebuilt only when it is printed.
+    reached: dict[Point, int] = {(0,) * n: 0}
+    undo = {s: ([pi.index(k) for k in range(n)], sh) for s, _, _, pi, sh in steps[0]}
+
+    def word_to(pt: Point) -> SignedWord:
+        word = []
+        while s := reached[pt]:
+            inv, sh = undo[s]  # s moved the parent p to pt: pt[j] = p[pi[j]] + sh[j]
+            pt = tuple([pt[j] - sh[j] for j in inv])
+            word.append(s)
+        return tuple(word[::-1])
+
+    frontier = [(0, 0, (0,) * n)]
     for _ in range(L):
         nxt = []
-        for key, label, pt, word in frontier:
+        for key, label, pt in frontier:
             for s, nl, delta, pi, sh in steps[label]:
                 new = key + delta
                 if new in seen:
                     continue
                 seen.add(new)
                 npt = tuple([pt[k] + c for k, c in zip(pi, sh)])  # act(new, 0)
-                nw = word + (s,)
                 if npt in reached:
                     return TilingReport(
                         "fail",
-                        f"distinct elements {format_signed_word(reached[npt])} and "
-                        f"{format_signed_word(nw)} both send the origin to {npt}",
+                        f"distinct elements {format_signed_word(word_to(npt))} and "
+                        f"{format_signed_word(word_to(pt) + (s,))} both send the origin to {npt}",
                         len(seen),
                         0,
                         (),
                     )
-                reached[npt] = nw
-                nxt.append((new, nl, npt, nw))
+                reached[npt] = s
+                nxt.append((new, nl, npt))
         frontier = nxt
     box_points = list(_box_points(n, box))
     missed = tuple(pt for pt in box_points if pt not in reached)

@@ -26,6 +26,12 @@ the cross-row compatibility
 which also makes v independent of the peeling order.  Violations raise
 ConsistencyError: they mean a bug or an invalid pair map.
 
+A row depends only on the rows it is peeled from (None where a_j = 0),
+and the sweep at b only on the row of b and its n raised rows.  The
+build memoizes both on exactly those inputs, so a hit is the same check
+on the same values; a failure is never stored, so the first one raises
+as it would unmemoized.  Rows forced by equal inputs share one tuple.
+
 Decoding a word back to its exponent vector walks it right to left: the
 last letter sits in the degree-0 row, the next in the row of the
 already-decoded tail, and so on; every row being a permutation, this
@@ -133,18 +139,23 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     letters = list(range(1, n + 1))
     total = n * (n + 1) // 2
 
+    made: dict[tuple, tuple[int, ...]] = {}  # peeled rows -> the row they force
+    swept: set[tuple] = set()  # (row b, raised rows) whose sweep passed
     below = [(0,) * n]
     rows: dict[ExpVec, tuple[int, ...]] = {below[0]: sigma.images}
     for m in range(2, D + 1):
         level = expvecs_of_degree(n, m - 1)
         for a in level:
+            # the row of a - u_j per generator j, None where a_j = 0
+            key = tuple(
+                [rows[a[:j] + (k - 1,) + a[j + 1 :]] if k else None for j, k in enumerate(a)]
+            )
+            row = made.get(key)
+            if row is not None:
+                rows[a] = row
+                continue
             # (j, row of a - u_j, offset into solve) per generator j present
-            peeled = []
-            for j in range(n):
-                k = a[j]
-                if k:
-                    brow = rows[a[:j] + (k - 1,) + a[j + 1 :]]
-                    peeled.append((j, brow, (brow[j] - 1) * n - 1))
+            peeled = [(j, brow, (brow[j] - 1) * n - 1) for j, brow in enumerate(key) if brow]
             power_index = peeled[0][0] if len(peeled) == 1 else None
             row = [0] * n
             for i in range(n):
@@ -169,12 +180,15 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
                 raise ConsistencyError(
                     f"row {format_expvec(a)} = {tuple(row)} is not a permutation of X"
                 )
-            rows[a] = tuple(row)
+            rows[a] = made[key] = tuple(row)
         # cross-row compatibility for every b one degree further down,
         # all i, j (i = j included: those pairs must be fixed by r)
         for b in below:
             brow = rows[b]
             raised = [rows[b[:j] + (b[j] + 1,) + b[j + 1 :]] for j in range(n)]
+            key = (brow, *raised)
+            if key in swept:
+                continue
             for i in range(n):
                 bi = brow[i]
                 ri = raised[i]
@@ -185,6 +199,7 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
                             f"compatibility fails at b={format_expvec(b)}, i={i + 1}, "
                             f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
                         )
+            swept.add(key)
         below = level
     return ITable(r, D, sigma, rows)
 
@@ -269,6 +284,6 @@ def dump_itable(t: ITable) -> str:
     sigma = ",".join(str(k) for k in t.sigma.images)
     lines = [f"itable n={t.n} D={t.D} sigma={sigma}"]
     for b in expvecs_up_to(t.n, t.D - 1):
-        for i in range(1, t.n + 1):
-            lines.append(f"{format_expvec(b)} {i} -> {t.entry(b, i)}")
+        name = format_expvec(b)
+        lines.extend(f"{name} {i} -> {c}" for i, c in enumerate(t._rows[b], start=1))
     return "\n".join(lines) + "\n"

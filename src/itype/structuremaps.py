@@ -21,6 +21,11 @@ the whole semigroup.
 cocycle_exhaustive takes the image tuple of phi(b) once per vector and
 tests every pair on tuples (relabel b, gather one image by the other);
 check_cocycle, with its Perm objects, only formats the first failure.
+
+coset_decomposition walks the vectors in graded-lex order.  v peels the
+least index j present, v(e) = x[e - u_j, j] v(e - u_j), and decoding
+reads right to left, so v(e) and its decoding each take one letter from
+those of e - u_j; v(rep) v(p) decodes from v(p)'s decoding on.
 """
 
 from __future__ import annotations
@@ -187,6 +192,11 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
             f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
         )
     reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
+    row = table.row
+    # per vector walked so far: v(e) and the decoding of v(e)
+    origin = (0,) * n
+    word: dict[ExpVec, tuple[int, ...]] = {origin: ()}
+    dec: dict[ExpVec, ExpVec] = {origin: origin}
     factorization = CheckResult.passed()
     product_rule = CheckResult.passed()
     for e in expvecs_up_to(n, m):
@@ -197,7 +207,18 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
                 f"P0 part {format_expvec(p)} of {format_expvec(e)} has nontrivial phi"
             )
             break
-        if not words_equal(table, v_of(table, e), v_of(table, rep) + v_of(table, p)):
+        if e != origin:
+            j = next(i for i, k in enumerate(e) if k)
+            prev = e[:j] + (e[j] - 1,) + e[j + 1 :]
+            x = row(prev)[j]
+            word[e] = (x,) + word[prev]
+            d = list(dec[prev])
+            d[row(dec[prev]).index(x)] += 1
+            dec[e] = tuple(d)
+        d = list(dec[p])  # decode v(rep) v(p): v(p) is decoded, go on along v(rep)
+        for x in reversed(word[rep]):
+            d[row(tuple(d)).index(x)] += 1
+        if tuple(d) != dec[e]:
             product_rule = CheckResult.failed(
                 f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
                 f"v({format_expvec(p)}) in the semigroup"

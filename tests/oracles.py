@@ -10,6 +10,11 @@ cocycle sweep below are the straightforward versions of `build_itable`,
 exponent-vector helpers, one `Perm` composition per pair.  The flat code
 in `itype` must produce the same rows, vectors and results.
 
+`coset_decomposition_ref` is the coset certificate vector by vector:
+three canonical words and one `words_equal` per exponent vector, where
+`coset_decomposition` carries each word and its decoding over from a
+vector one letter shorter.  The two must return the same report.
+
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
 word or element, composed with the public `compose` and deduplicated by
@@ -27,15 +32,19 @@ from itype.core import (
     AxiomError,
     CheckResult,
     ConsistencyError,
+    DegreeBoundError,
     InputError,
     Perm,
+    degree,
     exp_add_gen,
     exp_sub_gen,
     exp_unit,
+    expvecs_up_to,
     format_expvec,
     support,
 )
-from itype.structuremaps import check_cocycle, phi_of
+from itype.istructure import v_of, words_equal
+from itype.structuremaps import CosetReport, check_cocycle, kernel_exponents, phi_of
 from itype.ybr import check_axioms
 from itype.bieberbach import (
     FixedPointSet,
@@ -153,6 +162,53 @@ def image_group_ref(pm) -> frozenset:
         if not extra:
             return frozenset(group)
         group |= extra
+
+
+def coset_decomposition_ref(pm, m: int) -> CosetReport:
+    """Certify, for every exponent vector e of degree <= m, that its
+    split e = rep + p with rep = e mod t in the box and p in P0 has
+    phi(p) = id, and that the split is compatible with v (concatenating
+    the two canonical words lands in the right class).  Refuses
+    (DegreeBoundError) up front a table too short for the commuting
+    check, which decodes words of degree t_i + t_j."""
+    if m > pm.D:
+        raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
+    table = pm.table
+    n = pm.n
+    kd = kernel_exponents(pm)
+    t = kd.t
+    need = max((t[i] + t[j] for i in range(n) for j in range(i + 1, n)), default=0)
+    if need > pm.D:
+        raise DegreeBoundError(
+            f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
+        )
+    reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
+    factorization = CheckResult.passed()
+    product_rule = CheckResult.passed()
+    for e in expvecs_up_to(n, m):
+        rep = tuple(v % ti for v, ti in zip(e, t))
+        p = tuple(v - r for v, r in zip(e, rep))
+        if degree(p) <= pm.D - 1 and not phi_of(pm, p).is_identity():
+            factorization = CheckResult.failed(
+                f"P0 part {format_expvec(p)} of {format_expvec(e)} has nontrivial phi"
+            )
+            break
+        if not words_equal(table, v_of(table, e), v_of(table, rep) + v_of(table, p)):
+            product_rule = CheckResult.failed(
+                f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
+                f"v({format_expvec(p)}) in the semigroup"
+            )
+            break
+    commuting = CheckResult.passed()
+    gens = [v_of(table, g) for g in kd.p0_generators]
+    for i in range(n):
+        for j in range(i + 1, n):
+            wi, wj = gens[i], gens[j]
+            if not words_equal(table, wi + wj, wj + wi):
+                commuting = CheckResult.failed(
+                    f"v(u_{i + 1}^{t[i]}) and v(u_{j + 1}^{t[j]}) do not commute"
+                )
+    return CosetReport(kd, tuple(reps), factorization, product_rule, commuting)
 
 
 def relations_of_pairmap(r) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from itype import (
     words_equal,
 )
 from itype import istructure as ist
+from itype.cli import load_pairmap
 from itype.core import (
     Perm,
     abelianize,
@@ -353,6 +355,59 @@ def test_build_errors_match_reference(monkeypatch):
             failures.add(got[1].split()[0])
     assert seen == 16 + 216
     assert failures == {"entry", "row", "compatibility"}
+
+
+def _mutants4(rng, count):
+    """Nondegenerate maps on 4 letters near the solutions: two r-orbits
+    of a solution re-paired (still involutive), or one of its row maps
+    c -> r(a, c)_1 or column maps c -> r(c, b)_2 replaced by a random
+    permutation."""
+    sols = enumerate_solutions(4).solutions
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    perms = list(itertools.permutations(range(1, 5)))
+    out = []
+    while len(out) < count:
+        m = {p: img for p, img in rng.choice(sols).pairs()}
+        if len(out) % 2:
+            p, q = rng.sample(pairs, 2)
+            rp, rq = m[p], m[q]
+            if len({p, q, rp, rq}) < 4:
+                continue
+            m.update({p: rq, rq: p, q: rp, rp: q})
+        else:
+            k, new = rng.randrange(1, 5), rng.choice(perms)
+            for c in range(1, 5):
+                if len(out) % 4:
+                    m[k, c] = (new[c - 1], m[k, c][1])
+                else:
+                    m[c, k] = (m[c, k][0], new[c - 1])
+        r = PairMap.from_entries(4, m)
+        if check_nondegenerate(r).ok:
+            out.append(r)
+    return out
+
+
+def test_build_errors_match_reference_on_four_letters(monkeypatch):
+    # a few hundred seeded mutants of the n = 4 solutions, smuggled past
+    # the axiom gate: each memo hit reuses a row or a sweep on the same
+    # values, so the first failure and its message are the reference's
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    monkeypatch.setattr(oracles, "check_axioms", lambda r: CheckResult.passed())
+    kinds = []
+    for r in _mutants4(random.Random(4), 300):
+        got = _outcome(build_itable, r, 6)
+        assert got == _outcome(build_itable_ref, r, 6)
+        kinds.append(got[1].split()[0] if got[0] is ConsistencyError else "built")
+    assert {"entry", "compatibility", "built"} <= set(kinds)
+
+
+def test_rows_match_reference_decode_sized_tables(x2y2_r):
+    # the tables the decode benchmark reads: 300 to 3,876 rows
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    c4_20 = load_pairmap(str(corpus / "c4_20.rtable"))
+    for r, D in ((x2y2_r, 24), (PairMap.flip(5), 10), (c4_20, 16)):
+        t, ref = build_itable(r, D), build_itable_ref(r, D)
+        assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
 
 
 def test_build_refuses_oversized_table(monkeypatch):

@@ -24,7 +24,11 @@ from itype import (
 )
 from itype.core import Perm, all_perms, degree, exp_add, expvecs_up_to, relabel_expvec
 
-from oracles import cocycle_exhaustive_ref, image_group_ref
+from itype.cli import load_pairmap
+from itype.structuremaps import CosetReport
+from oracles import cocycle_exhaustive_ref, coset_decomposition_ref, image_group_ref
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +242,70 @@ def test_cosets_refuse_short_table_up_front(x2y2_r):
     with pytest.raises(DegreeBoundError, match="needs degree 4"):
         coset_decomposition(pm, 3)
     assert coset_decomposition(PhiMap(build_itable(x2y2_r, D=4)), 4).ok
+
+
+def _coset_outcome(coset, t, m):
+    """The coset report of a table, or the exception's type and text."""
+    try:
+        return coset(PhiMap(t), m)
+    except Exception as exc:  # the outcome under comparison
+        return type(exc), str(exc)
+
+
+def _with_row(t, b, images):
+    rows = dict(t._rows)
+    rows[b] = images
+    return ITable(t.r, t.D, t.sigma, rows)
+
+
+def test_cosets_match_reference_corpus():
+    # the arguments `phi` passes at the default --degree
+    paths = sorted(CORPUS.glob("*.rtable")) + sorted(CORPUS.glob("*.pres"))
+    assert len(paths) == 34
+    for path in paths:
+        t = build_itable(load_pairmap(str(path)), D=8)
+        got = coset_decomposition(PhiMap(t), 6)
+        assert got.ok
+        assert got == coset_decomposition_ref(PhiMap(t), 6)
+
+
+def test_coset_negative_controls(x2y2_table):
+    # x2y2 has t = (2, 2).  Swapping the entries of one row: (2,1) is read
+    # by v((3,1)); (2,2) is in P0; (1,2) is read only by the decoding of
+    # v(u_1^2) v(u_2^2), so the product rule holds and the commuting fails
+    t = x2y2_table
+    bad = {b: _with_row(t, b, t.row(b)[::-1]) for b in ((2, 1), (2, 2), (1, 2))}
+    reports = {b: coset_decomposition(PhiMap(tb), 6) for b, tb in bad.items()}
+    for b, rep in reports.items():
+        assert rep == coset_decomposition_ref(PhiMap(bad[b]), 6)
+        assert rep.t == (2, 2) and not rep.ok
+    assert reports[(2, 1)].product_rule.witness == (
+        "v((3,1)) differs from v((1,1))v((2,0)) in the semigroup"
+    )
+    assert reports[(2, 2)].factorization.witness == "P0 part (2,2) of (2,2) has nontrivial phi"
+    assert reports[(2, 2)].product_rule and reports[(2, 2)].commuting
+    assert reports[(1, 2)].factorization and reports[(1, 2)].product_rule
+    assert reports[(1, 2)].commuting.witness == "v(u_1^2) and v(u_2^2) do not commute"
+
+
+def test_coset_corruptions_match_reference(x2y2_table):
+    # every row of degree at most 4 replaced by two other permutations and
+    # by (1, ..., 1), which is none, on inputs with t up to (4, 4, 4, 4):
+    # the reports, or the exceptions, agree witness for witness with the
+    # vector-by-vector check
+    tables = [x2y2_table] + [
+        build_itable(load_pairmap(str(CORPUS / name)), D=8)
+        for name in ("c3_02.rtable", "c3_05.rtable", "c4_13.rtable", "c4_20.rtable")
+    ]
+    failed = set()
+    for t in tables:
+        for b in expvecs_up_to(t.n, 4):
+            others = [p.images for p in all_perms(t.n) if p.images != t.row(b)]
+            for images in [*others[:2], (1,) * t.n]:
+                bad = _with_row(t, b, images)
+                got = _coset_outcome(coset_decomposition, bad, 6)
+                assert got == _coset_outcome(coset_decomposition_ref, bad, 6)
+                if isinstance(got, CosetReport):
+                    checks = ("factorization", "product_rule", "commuting")
+                    failed |= {k for k in checks if not getattr(got, k)}
+    assert failed == {"factorization", "product_rule", "commuting"}

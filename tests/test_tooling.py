@@ -50,15 +50,18 @@ def test_tracer_hooks_bind_their_arguments(capsys):
         ("equal", 2, ()),
         ("phi", 0, ()),
         ("bieberbach", 0, ("--length", "3", "--radius", "1")),
+        ("check", 0, ()),
+        ("orbits", 0, ()),
     ],
 )
 def test_table_commands_parse_once_and_build_once(capsys, name, words, command, n_words, flags):
-    # one parse of the file plus one per word on the command line, and one table
+    # one parse of the file plus one per word on the command line, and one
+    # table; check and orbits read the pair map alone and build none
     tracer = load_script(BENCH / "tracer.py")
     argv = [command, str(BENCH / "corpus" / name), *words[:n_words], *flags]
     with tracer.Tracer() as tr:
         assert cli.main(argv) == 0
     capsys.readouterr()
-    assert tr.group("istructure.build").calls == 1
+    assert tr.group("istructure.build").calls == (0 if command in ("check", "orbits") else 1)
     assert tr.group("presentation.parse").calls == 1 + n_words
     assert tr.hook_failures == {}
