@@ -264,7 +264,7 @@ def _sigma(args) -> Perm | None:
         raise InputError(f"bad --sigma value {args.sigma!r}: {exc}") from None
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args leaves
     it unchanged, so in-process callers share it."""

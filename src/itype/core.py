@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 # A word is a finite sequence of generator indices; () is the empty word.
 Word = tuple[int, ...]
@@ -182,9 +183,14 @@ def relabel_expvec(e: ExpVec, p: Perm) -> ExpVec:
     return tuple(out)
 
 
-def expvecs_of_degree(n: int, d: int) -> list[ExpVec]:
+LEVEL_CACHE_SIZE = 64  # (n, d) pairs: decode set-up uses 50, lattice <= 40, a session 16
+
+
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def expvec_level(n: int, d: int) -> tuple[ExpVec, ...]:
     """All exponent vectors of the given degree, lexicographically
-    ascending; concatenating over d gives the graded-lex order.
+    ascending; concatenating over d gives the graded-lex order.  Cached:
+    tables built over the same alphabet share these key tuples.
 
     Stars and bars: n-1 bars among d+n-1 slots, the exponents being the
     gaps between them.  Bar positions in lex order give the exponent
@@ -194,15 +200,17 @@ def expvecs_of_degree(n: int, d: int) -> list[ExpVec]:
     for bars in itertools.combinations(range(end), n - 1):
         cuts = (-1, *bars, end)
         out.append(tuple(cuts[k + 1] - cuts[k] - 1 for k in range(n)))
-    return out
+    return tuple(out)
+
+
+def expvecs_of_degree(n: int, d: int) -> list[ExpVec]:
+    """expvec_level as a fresh list, the caller's to change."""
+    return list(expvec_level(n, d))
 
 
 def expvecs_up_to(n: int, dmax: int) -> list[ExpVec]:
     """Graded-lex enumeration of all exponent vectors of degree <= dmax."""
-    out = []
-    for d in range(dmax + 1):
-        out.extend(expvecs_of_degree(n, d))
-    return out
+    return [e for d in range(dmax + 1) for e in expvec_level(n, d)]
 
 
 def all_words(n: int, m: int):

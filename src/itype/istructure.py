@@ -43,20 +43,22 @@ walk, v(e), its decoding and that of v(e) x_i each take one letter from
 those of b.  Two words are equal in the semigroup iff they decode to the
 same exponent vector, which decides the word problem.
 
-Rows are plain tuples of letters in a dict keyed by exponent vector, and
-every path reads them by direct key arithmetic: the build forms the
-peeled and raised keys a[:j] + (a[j] - 1,) + a[j+1:] (and + 1) inline,
-and v_of and decode_from step a list of exponents and look up its tuple.
-The phi calculus in structuremaps reads the same rows as image tuples:
-cocycle_exhaustive compares those tuples and builds no permutation per
-pair.  A table of more than MAX_TABLE_ROWS rows is refused before any
-work, with its row count.
+Rows are plain tuples of letters in a dict keyed by exponent vector.  The
+build holds each level's rows in a list in graded-lex order and reads
+neighbours by index: level_indices(n, d) gives, flat, the index of each
+a - u_j one level down and of each b + u_j one level up.  Those tables
+and the levels (core.expvec_level) depend only on (n, d) and are cached,
+so a build does no key arithmetic.  v_of and decode_from step a list of
+exponents and look up its tuple.  A table of more than MAX_TABLE_ROWS
+rows is refused before any work, with its row count.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .core import (
@@ -65,6 +67,7 @@ from .core import (
     DegreeBoundError,
     ExpVec,
     InputError,
+    LEVEL_CACHE_SIZE,
     Perm,
     Word,
     all_words,
@@ -72,7 +75,7 @@ from .core import (
     degree,
     exp_add_gen,
     exp_unit,
-    expvecs_of_degree,
+    expvec_level,
     expvecs_up_to,
     format_expvec,
 )
@@ -114,6 +117,22 @@ class ITable:
             raise DegreeBoundError(f"degree {d} exceeds table bound D = {self.D}")
 
 
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def level_indices(n: int, d: int) -> tuple[memoryview, memoryview]:
+    """Flat, read-only neighbour indices between levels d-1 and d >= 1:
+    peel[k*n + j] is the index in level d-1 of a - u_j for the k-th a of
+    level d (-1 if a_j = 0), up[k*n + j] that in d of b + u_j for the k-th b of d-1."""
+    index = {a: k for k, a in enumerate(expvec_level(n, d))}
+    peel = array("i", [-1]) * (len(index) * n)
+    up = array("i")
+    for k, b in enumerate(expvec_level(n, d - 1)):
+        for j in range(n):
+            q = index[b[:j] + (b[j] + 1,) + b[j + 1 :]]
+            up.append(q)
+            peel[q * n + j] = k
+    return memoryview(peel).toreadonly(), memoryview(up).toreadonly()
+
+
 def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     """Run the inductive construction up to degree bound D >= 2.  Refuses
     (InputError) a table of more than MAX_TABLE_ROWS rows."""
@@ -147,18 +166,18 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
 
     made: dict[tuple, tuple[int, ...]] = {}  # peeled rows -> the row they force
     swept: set[tuple] = set()  # (row b, raised rows) whose sweep passed
-    below = [(0,) * n]
-    rows: dict[ExpVec, tuple[int, ...]] = {below[0]: sigma.images}
-    for m in range(2, D + 1):
-        level = expvecs_of_degree(n, m - 1)
-        for a in level:
+    rows: dict[ExpVec, tuple[int, ...]] = {expvec_level(n, 0)[0]: sigma.images}
+    below = [sigma.images]  # the rows one degree down, in level order
+    for d in range(1, D):
+        level = expvec_level(n, d)
+        peel, up = level_indices(n, d)
+        here = []
+        for k, a in enumerate(level):
             # the row of a - u_j per generator j, None where a_j = 0
-            key = tuple(
-                [rows[a[:j] + (k - 1,) + a[j + 1 :]] if k else None for j, k in enumerate(a)]
-            )
+            key = tuple([below[p] if p >= 0 else None for p in peel[k * n : k * n + n]])
             row = made.get(key)
             if row is not None:
-                rows[a] = row
+                here.append(row)
                 continue
             # (j, row of a - u_j, offset into solve) per generator j present
             peeled = [(j, brow, (brow[j] - 1) * n - 1) for j, brow in enumerate(key) if brow]
@@ -186,12 +205,12 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
                 raise ConsistencyError(
                     f"row {format_expvec(a)} = {tuple(row)} is not a permutation of X"
                 )
-            rows[a] = made[key] = tuple(row)
+            made[key] = row = tuple(row)
+            here.append(row)
         # cross-row compatibility for every b one degree further down,
         # all i, j (i = j included: those pairs must be fixed by r)
-        for b in below:
-            brow = rows[b]
-            raised = [rows[b[:j] + (b[j] + 1,) + b[j + 1 :]] for j in range(n)]
+        for k, brow in enumerate(below):
+            raised = [here[q] for q in up[k * n : k * n + n]]
             key = (brow, *raised)
             if key in swept:
                 continue
@@ -201,12 +220,14 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
                 for j in range(n):
                     lhs = table[(raised[j][i] - 1) * n + brow[j] - 1]
                     if lhs[0] != ri[j] or lhs[1] != bi:
+                        b = format_expvec(expvec_level(n, d - 1)[k])
                         raise ConsistencyError(
-                            f"compatibility fails at b={format_expvec(b)}, i={i + 1}, "
+                            f"compatibility fails at b={b}, i={i + 1}, "
                             f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
                         )
             swept.add(key)
-        below = level
+        rows.update(zip(level, here))
+        below = here
     return ITable(r, D, sigma, rows)
 
 

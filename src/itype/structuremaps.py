@@ -18,9 +18,13 @@ the minimal exponents t_i (each dividing n!) generate a free abelian
 subsemigroup P0 whose translates by the box {0 <= p_i <= t_i - 1} tile
 the whole semigroup.
 
-cocycle_exhaustive takes the image tuple of phi(b) once per vector and
-tests every pair on tuples (relabel b, gather one image by the other);
-check_cocycle, with its Perm objects, only formats the first failure.
+cocycle_exhaustive tests phi(0) = id and the pairs (b, u_i): with pi =
+phi(u_i), phi(b + c + u_i) = phi(pi(b) + pi(c)) * pi, which the pair
+(pi(b), pi(c)) and the pair (c, u_i) turn into phi(phi(c + u_i)(b)) *
+phi(c + u_i), relabeling being a left action.  By induction on deg c
+that gives every pair, and the sweep's pair (0, 0) forces phi(0) = id,
+so both checks agree.  Only a failure runs the sweep, to name its first
+failing pair; check_cocycle, with its Perm objects, formats it.
 
 coset_decomposition follows istructure's peel walk, carrying v(e) and
 its decoding; v(rep) v(p) decodes from v(p)'s decoding on.
@@ -38,6 +42,7 @@ from .core import (
     ConsistencyError,
     DegreeBoundError,
     ExpVec,
+    InputError,
     Perm,
     compose_perm,
     degree,
@@ -47,6 +52,9 @@ from .core import (
     relabel_expvec,
 )
 from .istructure import ITable, decode_from, peel_walk, v_of, words_equal
+
+# phi prints all prod(t_i) vectors of the coset box; past this many it refuses.
+MAX_COSET_BOX = 1_000_000
 
 
 class PhiMap:
@@ -87,25 +95,33 @@ def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
 
 
 def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
-    """The cocycle identity over every pair with deg b + deg c <= dmax.
-    Each pair is tested on the image tuples of phi; check_cocycle only
-    formats the witness of the first failing pair."""
+    """The cocycle identity over every pair with deg b + deg c <= dmax,
+    decided on phi(0) and the pairs (b, u_i) (see the module notes); only
+    a failure sweeps all pairs in order, to format the first failing one."""
     if dmax > pm.D - 1:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
     n = pm.n
     vecs = expvecs_up_to(n, dmax)
     images = {b: phi_of(pm, b).images for b in vecs}
+
+    def holds(b: ExpVec, c: ExpVec) -> bool:
+        pc = images[c]
+        relabeled = [0] * n
+        for i in range(n):
+            relabeled[pc[i] - 1] = b[i]
+        p = images[tuple(relabeled)]
+        return images[tuple(map(add, b, c))] == tuple([p[k - 1] for k in pc])
+
+    if images[vecs[0]] == tuple(range(1, n + 1)) and all(
+        holds(b, u) for b in expvecs_up_to(n, dmax - 1) for u in vecs[1 : n + 1]  # u: degree 1
+    ):
+        return CheckResult.passed()
     for b in vecs:
         room = dmax - sum(b)
         for c in vecs:
             if sum(c) > room:
                 break  # vecs is graded: every later c is too
-            pc = images[c]
-            relabeled = [0] * n
-            for i in range(n):
-                relabeled[pc[i] - 1] = b[i]
-            p = images[tuple(relabeled)]
-            if images[tuple(map(add, b, c))] != tuple([p[k - 1] for k in pc]):
+            if not holds(b, c):
                 return check_cocycle(pm, b, c)
     return CheckResult.passed()
 
@@ -177,13 +193,20 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     phi(p) = id, and that the split is compatible with v (concatenating
     the two canonical words lands in the right class).  Refuses
     (DegreeBoundError) up front a table too short for the commuting
-    check, which decodes words of degree t_i + t_j."""
+    check, which decodes words of degree t_i + t_j, and (InputError) a box
+    of more than MAX_COSET_BOX vectors."""
     if m > pm.D:
         raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
     table = pm.table
     n = pm.n
     kd = kernel_exponents(pm)
     t = kd.t
+    box = math.prod(t)
+    if box > MAX_COSET_BOX:
+        raise InputError(
+            f"coset box for t = {format_expvec(t)} holds {box} vectors, "
+            f"over the limit of {MAX_COSET_BOX}"
+        )
     need = max((t[i] + t[j] for i in range(n) for j in range(i + 1, n)), default=0)
     if need > pm.D:
         raise DegreeBoundError(

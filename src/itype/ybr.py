@@ -139,13 +139,20 @@ def check_involutive(r: PairMap) -> CheckResult:
 
 
 def check_yb(r: PairMap) -> CheckResult:
-    """The braid identity r1 r2 r1 = r2 r1 r2, exhaustively on X^3."""
-    for w in all_words(r.n, 3):
-        lhs = r.apply_at(r.apply_at(r.apply_at(w, 1), 2), 1)
-        rhs = r.apply_at(r.apply_at(r.apply_at(w, 2), 1), 2)
-        if lhs != rhs:
+    """The braid identity r1 r2 r1 = r2 r1 r2, exhaustively on X^3, each
+    side read off the flat table one pair at a time."""
+    n, tbl = r.n, r.table
+    for a, b, c in all_words(n, 3):
+        x, y = tbl[(a - 1) * n + b - 1]  # r1 r2 r1 takes (a, b, c) to (x, y, z)
+        y, z = tbl[(y - 1) * n + c - 1]
+        x, y = tbl[(x - 1) * n + y - 1]
+        b1, c1 = tbl[(b - 1) * n + c - 1]  # r2 r1 r2 takes it to (a1, b1, c1)
+        a1, b1 = tbl[(a - 1) * n + b1 - 1]
+        b1, c1 = tbl[(b1 - 1) * n + c1 - 1]
+        if x != a1 or y != b1 or z != c1:
             return CheckResult.failed(
-                f"on {r._fmt(w)}: r1 r2 r1 gives {r._fmt(lhs)}, r2 r1 r2 gives {r._fmt(rhs)}"
+                f"on {r._fmt((a, b, c))}: r1 r2 r1 gives {r._fmt((x, y, z))}, "
+                f"r2 r1 r2 gives {r._fmt((a1, b1, c1))}"
             )
     return CheckResult.passed()
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from itype import (
     InputError,
     PairMap,
+    Perm,
     Presentation,
     build_itable,
     build_r,
@@ -27,6 +28,14 @@ def commutative_presentation(n: int) -> Presentation:
     names = tuple("xyzw"[:n])
     rels = tuple(((j, i), (i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     return Presentation(names, rels)
+
+
+def permutation_solution(sigma: Perm) -> PairMap:
+    """r(a, b) = (sigma(b), sigma^-1(a)), a solution for every sigma
+    (Etingof-Schedler-Soloviev 1999); phi(u_i) is sigma for every i."""
+    inv = sigma.inverse()
+    table = tuple((sigma(b), inv(a)) for a in range(1, sigma.n + 1) for b in range(1, sigma.n + 1))
+    return PairMap(sigma.n, table, tuple(f"x{i}" for i in range(1, sigma.n + 1)))
 
 
 def find_star_presentations(n: int) -> list[Presentation]:

@@ -4,11 +4,12 @@ Nothing here goes through the I-structure table: equality of words is
 decided by closing under the degree-2 relations directly, which is the
 ground truth the table-based decision procedure must reproduce.
 
-The I-structure build, the recursive exponent-vector enumeration and the
-cocycle sweep below are the straightforward versions of `build_itable`,
-`expvecs_of_degree` and `cocycle_exhaustive`: keys built through the
-exponent-vector helpers, one `Perm` composition per pair.  The flat code
-in `itype` must produce the same rows, vectors and results.
+The I-structure build, the recursive exponent-vector enumeration, the
+cocycle sweep and the braid check below are the straightforward versions
+of `build_itable`, `expvecs_of_degree`, `cocycle_exhaustive` and
+`check_yb`: keys built through the exponent-vector helpers, one `Perm`
+composition per pair, words rewritten by slicing.  The flat code in
+`itype` must produce the same rows, vectors and results.
 
 `coset_decomposition_ref` is the coset certificate vector by vector:
 three canonical words and one `words_equal` per exponent vector, where
@@ -35,6 +36,7 @@ from itype.core import (
     DegreeBoundError,
     InputError,
     Perm,
+    all_words,
     degree,
     exp_add_gen,
     exp_sub_gen,
@@ -149,6 +151,18 @@ def cocycle_exhaustive_ref(pm, dmax: int) -> CheckResult:
             res = check_cocycle(pm, b, c)
             if not res:
                 return res
+    return CheckResult.passed()
+
+
+def check_yb_ref(r) -> CheckResult:
+    """The braid identity r1 r2 r1 = r2 r1 r2, exhaustively on X^3."""
+    for w in all_words(r.n, 3):
+        lhs = r.apply_at(r.apply_at(r.apply_at(w, 1), 2), 1)
+        rhs = r.apply_at(r.apply_at(r.apply_at(w, 2), 1), 2)
+        if lhs != rhs:
+            return CheckResult.failed(
+                f"on {r._fmt(w)}: r1 r2 r1 gives {r._fmt(lhs)}, r2 r1 r2 gives {r._fmt(rhs)}"
+            )
     return CheckResult.passed()
 
 

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from itype import build_r, format_rtable, parse_presentation
+from itype import Perm, build_r, check_axioms, format_rtable, parse_presentation
+from itype import structuremaps
 from itype.cli import main
 
-from conftest import COMM2_TEXT, X2Y2_TEXT
+from conftest import COMM2_TEXT, X2Y2_TEXT, permutation_solution
 
 X2Y2_RTABLE = (
     "gens x y\n"
@@ -291,6 +292,25 @@ def refused(capsys, *argv) -> str:
 def test_phi_short_table_prints_nothing(capsys, name, degree, need):
     err = refused(capsys, "phi", str(CORPUS / name), "--degree", str(degree))
     assert f"needs degree {need}" in err
+
+
+def test_phi_refuses_a_large_coset_box(tmp_path, capsys):
+    # sigma the 8-cycle: t = (8,...,8), a box of 8^8 vectors; refused
+    # before the commuting-degree check and before anything is printed
+    r = permutation_solution(Perm((2, 3, 4, 5, 6, 7, 8, 1)))
+    assert check_axioms(r).ok
+    f = tmp_path / "perm8.rtable"
+    f.write_text(format_rtable(r))
+    err = refused(capsys, "phi", str(f), "--degree", "9")
+    assert "t = (8,8,8,8,8,8,8,8) holds 16777216 vectors" in err
+
+
+def test_phi_box_guard_limit(x2y2_file, capsys, monkeypatch):
+    monkeypatch.setattr(structuremaps, "MAX_COSET_BOX", 3)
+    err = refused(capsys, "phi", x2y2_file)
+    assert "holds 4 vectors, over the limit of 3" in err
+    monkeypatch.setattr(structuremaps, "MAX_COSET_BOX", 4)
+    assert run(capsys, "phi", x2y2_file)[0] == 0
 
 
 @pytest.mark.parametrize(

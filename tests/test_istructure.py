@@ -32,6 +32,8 @@ from itype.core import (
     all_words,
     degree,
     exp_add_gen,
+    exp_sub_gen,
+    expvec_level,
     expvecs_of_degree,
     expvecs_up_to,
     sort_word,
@@ -314,6 +316,46 @@ def test_expvecs_match_recursion():
     for n in range(1, 7):
         for d in range(12):
             assert expvecs_of_degree(n, d) == expvecs_of_degree_ref(n, d)
+
+
+def test_level_indices_match_slicing():
+    for n in range(1, 6):
+        for d in range(1, 9):
+            peel, up = ist.level_indices(n, d)
+            lower, level = expvec_level(n, d - 1), expvec_level(n, d)
+            assert list(peel) == [
+                lower.index(exp_sub_gen(a, j)) if a[j - 1] else -1
+                for a in level
+                for j in range(1, n + 1)
+            ]
+            assert list(up) == [
+                level.index(exp_add_gen(b, j)) for b in lower for j in range(1, n + 1)
+            ]
+
+
+def test_build_error_is_the_same_with_cold_and_warm_caches(monkeypatch):
+    # the braid-violating map of test_build_assertions_catch_invalid_map,
+    # smuggled past the axiom gate and built twice in one process
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    monkeypatch.setattr(oracles, "check_axioms", lambda r: CheckResult.passed())
+    bad = PairMap.from_entries(2, {(1, 1): (1, 1), (2, 1): (2, 2), (1, 2): (1, 2), (2, 2): (2, 1)})
+    expvec_level.cache_clear()
+    ist.level_indices.cache_clear()
+    cold = _outcome(build_itable, bad, 5)
+    assert ist.level_indices.cache_info().currsize > 0
+    assert cold[0] is ConsistencyError
+    assert _outcome(build_itable, bad, 5) == cold == _outcome(oracles.build_itable_ref, bad, 5)
+
+
+def test_expvecs_of_degree_list_is_the_callers(x2y2_r):
+    # the level behind the list is cached and keys every table's rows
+    for d in range(6):
+        vecs = expvecs_of_degree(2, d)
+        vecs.reverse()
+        vecs.append((9, 9))
+    assert expvecs_of_degree(2, 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    t, ref = build_itable(x2y2_r, D=6), oracles.build_itable_ref(x2y2_r, D=6)
+    assert t._rows == ref._rows and list(t._rows) == expvecs_up_to(2, 5)
 
 
 def test_rows_match_reference_census(census):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,15 @@ from itype import (
     v_of,
     words_equal,
 )
-from itype.core import Perm, all_perms, degree, exp_add, expvecs_up_to, relabel_expvec
+from itype.core import (
+    Perm,
+    all_perms,
+    degree,
+    exp_add,
+    expvecs_of_degree,
+    expvecs_up_to,
+    relabel_expvec,
+)
 
 from itype.cli import load_pairmap
 from itype.structuremaps import CosetReport
@@ -233,6 +242,44 @@ def test_cocycle_negative_control_matches_reference(x2y2_r, census):
                 got = cocycle_exhaustive(PhiMap(bad), 5)
                 assert not got.ok
                 assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
+
+
+def test_cocycle_matches_reference_on_shuffled_tables():
+    # 306 corrupted tables: each corpus table at D = 7 with the rows of
+    # one degree from 1 to 5 shuffled.  A failing generator instance
+    # falls back to the full sweep, which must name the reference's
+    # first failing pair; a passing one must mean the sweep passes.
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    rng = random.Random(7)
+    verdicts = set()
+    for path in paths:
+        t = build_itable(load_pairmap(str(path)), D=7)
+        for _ in range(9):
+            level = expvecs_of_degree(t.n, rng.randint(1, 5))
+            shuffled = [t.row(b) for b in level]
+            rng.shuffle(shuffled)
+            bad = ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))})
+            got = cocycle_exhaustive(PhiMap(bad), 5)
+            assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_cocycle_reads_the_origin_and_every_top_row(x2y2_r, census):
+    # the rows the middle degrees leave out: a wrong phi(0), seen at
+    # dmax = 0 only through the pair (0, 0), and each row of degree dmax,
+    # which only the generator instance (b, u_j) with b + u_j there reads
+    reps4 = enumerate_solutions(4).class_reps
+    tables = [build_itable(x2y2_r, D=6), *(build_itable(s, D=6) for s in census[3].solutions[:6])]
+    tables += [build_itable(reps4[12], D=6), build_itable(reps4[19], D=6)]
+    for t in tables:
+        for b in [(0,) * t.n, *expvecs_of_degree(t.n, 5)]:
+            other = next(p for p in all_perms(t.n) if p.images != t.row(b))
+            bad = ITable(t.r, t.D, t.sigma, {**t._rows, b: other.images})
+            for dmax in (0, 5) if degree(b) == 0 else (5,):
+                got = cocycle_exhaustive(PhiMap(bad), dmax)
+                assert not got.ok
+                assert got == cocycle_exhaustive_ref(PhiMap(bad), dmax)
 
 
 def test_cosets_refuse_short_table_up_front(x2y2_r):

@@ -87,3 +87,22 @@ def test_package_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_package_caches_are_bounded():
+    # every functools cache in the package is an lru_cache given its
+    # maxsize, and that size is finite: no cache grows without bound in a
+    # long-lived process
+    unbounded = []
+    for path in sorted((ROOT / "src" / "itype").glob("*.py")):
+        module = importlib.import_module(f"itype.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            for dec in getattr(node, "decorator_list", []):
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(func, "attr", getattr(func, "id", None)) not in ("cache", "lru_cache"):
+                    continue
+                given = isinstance(dec, ast.Call) and (dec.args or dec.keywords)
+                size = getattr(module, node.name).cache_parameters()["maxsize"]
+                if not given or size is None:
+                    unbounded.append(f"{path.name}: {node.name}")
+    assert unbounded == []

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from itype import (
 from itype.core import all_perms, all_words
 
 from conftest import COMM2_TEXT
+from oracles import check_yb_ref
 
 X2Y2_TABLE = ((2, 2), (1, 2), (2, 1), (1, 1))  # row-major over (a,b)
 
@@ -204,6 +206,27 @@ def test_single_entry_mutants_fail_axioms(census, census4):
             mutants += 1
     # n <= 3: 1*0 + 2*4*3 + 12*9*8; n = 4: 23 reps * 16 * 15
     assert mutants == 24 + 864 + 5520
+
+
+def test_check_yb_matches_reference(census, census4):
+    # the flat braid check against the word-slicing one, witness text
+    # included: every solution for n <= 4, then seeded mutants with two
+    # table entries swapped, named maps among them
+    sols = [s for cen in census.values() for s in cen.solutions] + list(census4.solutions)
+    for s in sols:
+        assert check_yb(s) == check_yb_ref(s) and check_yb(s).ok
+    rng = random.Random(11)
+    named = [PairMap(s.n, s.table, tuple(f"g{i}" for i in range(s.n))) for s in sols]
+    verdicts = []
+    for r in rng.choices([r for r in named if r.n > 1], k=600):
+        i, j = rng.sample(range(r.n * r.n), 2)
+        table = list(r.table)
+        table[i], table[j] = table[j], table[i]
+        m = PairMap(r.n, tuple(table), r.names)
+        got = check_yb(m)
+        assert got == check_yb_ref(m)
+        verdicts.append(got.ok)
+    assert 0 < sum(verdicts) < 100
 
 
 def test_enumerate_all_pass_axioms(census):
