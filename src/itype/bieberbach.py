@@ -38,6 +38,16 @@ K is additive, so a step adds a precomputed delta to the key: one
 integer add, and the searches probe sets of keys.  After at most L steps
 every |q_j| <= L m, m the largest shift entry, so B = 2 L m + 1 keeps
 the keys of distinct elements distinct; the identity's key is 0.
+
+Tiling compares origin images g(0) = a = q o sigma, a tuple per step
+here.  But g^-1 = (sigma^-1, -q): g -> g h grows the word of g^-1 on the
+left, h^-1 g^-1, where the origin moves by a translation, and q is minus
+its origin image.  The ball of word length <= L is closed under inverses,
+so the search meets the same elements and origin images up to sign with
+one add and one dict probe per step, K(q) -> label: equal labels are one
+element, others two with one origin image.  Only such a collision
+reruns the search on points, for the first pair in freeness's word
+order.  B = 2 max(R, L m) + 1 keeps the radius-R cube's points distinct.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .core import CheckResult, DegreeBoundError, InputError, Perm, format_expvec
 from .istructure import decode_from, peel_walk
@@ -61,10 +72,10 @@ Point = tuple  # integer (or rational) coordinates
 # 0.55 s and 87 MiB in all.
 MAX_FREENESS_WORDS = 2_000_000
 
-# Tiling keeps one element key and one letter per lattice point it
-# reaches; past this many reachable points it refuses to start.  flip5 at
-# the default flags (982,729 points) takes about 5.5 s and 240 MiB in all
-# on the same core.
+# Tiling keeps one key and one label per lattice point it reaches; past
+# this many reachable points it refuses to start.  flip5 at the default
+# flags (982,729 points) takes about 2.6 s and 102 MiB in all on the same
+# core.
 MAX_TILING_POINTS = 1_000_000
 
 
@@ -226,15 +237,16 @@ Step = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]
 
 
 def _frame(
-    n: int, gens: list[AffineIso], L: int
-) -> tuple[list[list[Step]], Callable[[int], AffineIso]]:
+    n: int, gens: list[AffineIso], L: int, box: int = 0
+) -> tuple[list[list[Step]], Callable[[int], AffineIso], int]:
     """The translation frame of the module docstring for searches of at
     most L steps: steps[label] lists one Step per signed generator, in
-    search order, and decode(key) is the element itself."""
+    search order, decode(key) is the element itself, and the base B also
+    keeps the points of the radius-`box` cube distinct."""
     if any(g.n != n for g in gens):
         raise InputError("dimension mismatch")
     signed = [(s, *_parts(g)) for s, g in _signed_generators(gens)]
-    base = 2 * L * max([1] + [abs(c) for _, _, sh in signed for c in sh]) + 1
+    base = 2 * max(box, L * max([1] + [abs(c) for _, _, sh in signed for c in sh])) + 1
     perms = [tuple(range(n))]
     labels = {perms[0]: 0}
     for sigma in perms:  # grows while it is walked: the closure of the group
@@ -263,7 +275,7 @@ def _frame(
         sigma = perms[label]
         return AffineIso(Perm(tuple([k + 1 for k in sigma])), tuple([q[i] for i in sigma]))
 
-    return steps, decode
+    return steps, decode, base
 
 
 @dataclass(frozen=True)
@@ -317,7 +329,7 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
         raise InputError(f"freeness word length must be >= 1, got {L}")
     refuse_long_freeness(n, L)
     gens = affine_generators(pm) if generators is None else generators
-    steps, decode = _frame(n, gens, L)
+    steps, decode, _ = _frame(n, gens, L)
     # the key of every non-identity element seen; isometries_seen adds
     # the identity
     seen: set[int] = set()
@@ -378,47 +390,29 @@ def fundamental_domain_check(
         raise InputError(f"tiling box radius must be >= 0, got {box}")
     refuse_large_tiling(n, max(L, n * box))
     gens = affine_generators(pm) if generators is None else generators
-    steps, _ = _frame(n, gens, L)
-    seen = {0}  # element keys
-    # origin image -> the last letter of the first word reaching it (0 at
-    # the origin); a second element with the same image breaks
-    # injectivity.  Undoing that letter's step gives the parent point, so
-    # a witness word is rebuilt only when it is printed.
-    reached: dict[Point, int] = {(0,) * n: 0}
-    undo = {s: ([pi.index(k) for k in range(n)], sh) for s, _, _, pi, sh in steps[0]}
-
-    def word_to(pt: Point) -> SignedWord:
-        word = []
-        while s := reached[pt]:
-            inv, sh = undo[s]  # s moved the parent p to pt: pt[j] = p[pi[j]] + sh[j]
-            pt = tuple([pt[j] - sh[j] for j in inv])
-            word.append(s)
-        return tuple(word[::-1])
-
-    frontier = [(0, 0, (0,) * n)]
+    steps, _, base = _frame(n, gens, L, box)
+    order = len(steps)
+    reached = {0: 0}  # K(q) -> label; q = -g^-1(0), see the module docstring
+    frontier = {0: [0]}  # label -> the K(q) of the elements last reached
     for _ in range(L):
-        nxt = []
-        for key, label, pt in frontier:
-            for s, nl, delta, pi, sh in steps[label]:
-                new = key + delta
-                if new in seen:
-                    continue
-                seen.add(new)
-                npt = tuple([pt[k] + c for k, c in zip(pi, sh)])  # act(new, 0)
-                if npt in reached:
-                    return TilingReport(
-                        "fail",
-                        f"distinct elements {format_signed_word(word_to(npt))} and "
-                        f"{format_signed_word(word_to(pt) + (s,))} both send the origin to {npt}",
-                        len(seen),
-                        0,
-                        (),
-                    )
-                reached[npt] = s
-                nxt.append((new, nl, npt))
+        nxt: dict[int, list[int]] = {}
+        for label, keys in frontier.items():
+            for _, nl, delta, _, _ in steps[label]:
+                kd = (delta + label - nl) // order  # K(d)
+                out = nxt.setdefault(nl, [])
+                for key in keys:
+                    new = key + kd
+                    old = reached.get(new)
+                    if old is None:
+                        reached[new] = nl
+                        out.append(new)
+                    elif old != nl:  # their inverses send the origin to one point
+                        return _tiling_failure(n, steps, L)
         frontier = nxt
+    powers = [base**j for j in range(n)]
     box_points = list(_box_points(n, box))
-    missed = tuple(pt for pt in box_points if pt not in reached)
+    # the box is symmetric: pt is an origin image iff -pt is some q
+    missed = tuple(pt for pt in box_points if -sum(map(mul, powers, pt)) not in reached)
     covered = len(box_points) - len(missed)
     if missed:
         return TilingReport(
@@ -430,6 +424,46 @@ def fundamental_domain_check(
             missed,
         )
     return TilingReport("pass", "", len(reached), covered, ())
+
+
+def _tiling_failure(n: int, steps: list[list[Step]], L: int) -> TilingReport:
+    """The fail report at the first collision of the search that carries
+    origin images as points, in the order freeness walks the words.  Run
+    only once the ball of length L is known to hold a collision."""
+    # origin image -> its element's label and the last letter of its first
+    # word (0 at the origin), whose undone step gives the parent point
+    reached: dict[Point, tuple[int, int]] = {(0,) * n: (0, 0)}
+    undo = {s: ([pi.index(k) for k in range(n)], sh) for s, _, _, pi, sh in steps[0]}
+
+    def word_to(pt: Point) -> SignedWord:
+        word = []
+        while s := reached[pt][1]:
+            inv, sh = undo[s]  # s moved the parent p to pt: pt[j] = p[pi[j]] + sh[j]
+            pt = tuple([pt[j] - sh[j] for j in inv])
+            word.append(s)
+        return tuple(word[::-1])
+
+    frontier = [(0, (0,) * n)]
+    for _ in range(L):
+        nxt = []
+        for label, pt in frontier:
+            for s, nl, _, pi, sh in steps[label]:
+                npt = tuple([pt[k] + c for k, c in zip(pi, sh)])  # the new element's g(0)
+                old = reached.get(npt)
+                if old is None:
+                    reached[npt] = (nl, s)
+                    nxt.append((nl, npt))
+                elif old[0] != nl:  # a second element sends the origin to npt
+                    return TilingReport(
+                        "fail",
+                        f"distinct elements {format_signed_word(word_to(npt))} and "
+                        f"{format_signed_word(word_to(pt) + (s,))} both send the origin to {npt}",
+                        len(reached) + 1,  # the elements met, this one included
+                        0,
+                        (),
+                    )
+        frontier = nxt
+    raise AssertionError("no two elements of the ball share an origin image")
 
 
 def _box_points(n: int, radius: int):

@@ -102,7 +102,10 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
     n = pm.n
     vecs = expvecs_up_to(n, dmax)
-    images = {b: phi_of(pm, b).images for b in vecs}
+    inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
+    images = {b: tuple([inv[c - 1] for c in pm.table.row(b)]) for b in vecs}
+    for p in dict.fromkeys(images.values()):
+        Perm(p)  # a row that is no permutation raises, as phi_of did
 
     def holds(b: ExpVec, c: ExpVec) -> bool:
         pc = images[c]
@@ -221,7 +224,8 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     for e, b, x in peel_walk(table, m):
         rep = tuple(v % ti for v, ti in zip(e, t))
         p = tuple(v - r for v, r in zip(e, rep))
-        if degree(p) <= pm.D - 1 and not phi_of(pm, p).is_identity():
+        if degree(p) <= pm.D - 1 and table.row(p) != table.sigma.images:  # phi(p) != id
+            phi_of(pm, p)  # a row that is no permutation raises
             factorization = CheckResult.failed(
                 f"P0 part {format_expvec(p)} of {format_expvec(e)} has nontrivial phi"
             )

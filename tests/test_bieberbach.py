@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,13 @@ from itype import (
 )
 from itype import bieberbach
 from itype.bieberbach import refuse_large_tiling
+from itype.cli import load_pairmap
 from itype.core import Perm, expvecs_up_to
 from itype.istructure import decode_from, peel_walk
 
 from oracles import freeness_check_bf, fundamental_domain_check_bf, image_group_ref
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -299,10 +303,12 @@ def test_flat_searches_match_oracles_census(census):
         for s in census[n].solutions:
             pm = PhiMap(build_itable(s, D=6))
             _assert_searches_match(pm, affine_generators(pm), (2, 4), (0, 1))
+            _assert_searches_match(pm, affine_generators(pm), (), (2, 3), (1, 2))  # R > L m
 
 
 def test_flat_searches_match_oracles_x2y2(x2y2_pm):
     _assert_searches_match(x2y2_pm, affine_generators(x2y2_pm), (1, 4, 7), (1, 2))
+    _assert_searches_match(x2y2_pm, affine_generators(x2y2_pm), (), (2, 3), (1, 2))  # R > L m
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +328,9 @@ def test_flat_searches_match_oracles_order_4_and_8(n4_pms):
 
 def test_flat_searches_match_oracles_corrupted(x2y2_pm):
     # either generator replaced, shifts up to 2: a search key that
-    # ignored the size of the shifts would merge distinct elements
+    # ignored the size of the shifts would merge distinct elements, and
+    # one that ignored a box radius past L m would count a box point
+    # outside the orbit as covered
     outcomes = set()
     for i in (0, 1):
         for perm in (Perm((1, 2)), Perm((2, 1))):
@@ -330,6 +338,7 @@ def test_flat_searches_match_oracles_corrupted(x2y2_pm):
                 gens = affine_generators(x2y2_pm)
                 gens[i] = AffineIso(perm, shift)
                 outcomes |= _assert_searches_match(x2y2_pm, gens, (2, 4), (0, 1), (2, 3, 4))
+                outcomes |= _assert_searches_match(x2y2_pm, gens, (), (2, 3), (1, 2))
     assert outcomes == {True, False, "pass", "fail", "inconclusive"}
 
 
@@ -346,6 +355,37 @@ def test_flat_searches_match_oracles_random_corruptions(census, n4_pms):
         gens[rng.randrange(pm.n)] = AffineIso(Perm(tuple(perm)), shift)
         outcomes |= _assert_searches_match(pm, gens, (2, 3), (0, 1), (2, 3))
     assert outcomes == {True, False, "pass", "fail", "inconclusive"}
+
+
+def test_tiling_replays_the_point_search_only_on_failure(x2y2_pm, monkeypatch):
+    # the corpus at the CLI's length for radius 1 passes without the
+    # replay; a collision calls it once, and its report is the oracle's
+    replay = bieberbach._tiling_failure
+
+    def refuse(*args):
+        raise AssertionError("replay called on a passing search")
+
+    monkeypatch.setattr(bieberbach, "_tiling_failure", refuse)
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    pms = [PhiMap(build_itable(load_pairmap(str(path)), D=2)) for path in paths]
+    pms = [pm for pm in pms if pm.n <= 4]
+    assert len(pms) == 33
+    for pm in pms:
+        rep = fundamental_domain_check(pm, 1, 2 * pm.n)
+        assert rep.status == "pass"
+        assert rep == fundamental_domain_check_bf(pm, 1, 2 * pm.n)
+    calls = []
+
+    def counted(*args):
+        calls.append(replay(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(bieberbach, "_tiling_failure", counted)
+    gens = affine_generators(x2y2_pm)
+    gens[0] = AffineIso(Perm((2, 1)), (2, 2))  # collides first at x2 x2 and x1 x2^-1 x2^-1
+    rep = fundamental_domain_check(x2y2_pm, 1, 4, generators=gens)
+    assert rep.status == "fail" and calls == [rep]
+    assert rep == fundamental_domain_check_bf(x2y2_pm, 1, 4, generators=gens)
 
 
 def test_consistency_decode_matches_v_inverse(x2y2_table, flip_tables):
