@@ -187,7 +187,10 @@ def check_action_consistency(
     every generator, the affine image equals the decoding of 'canonical
     word times one more letter', i.e. the action really is right
     multiplication transported through v.  `generators` replaces the
-    generator isometries (one per generator, in order)."""
+    generator isometries (one per generator, in order).  Past the origin
+    the first failure ends the check, so at a = b + u_j, v(a) = x v(b),
+    v(b) x_i decodes to c = gamma_i(b) and v(a) x_i to c + u_m, m the
+    place of x in the row of c: gamma_i(a) = c + u_m iff m = pi_i^-1(j)."""
     if bound < 0:
         raise InputError(f"consistency bound must be >= 0, got {bound}")
     if bound + 1 > pm.D:
@@ -196,14 +199,22 @@ def check_action_consistency(
     if len(gens) != pm.n or any(g.n != pm.n for g in gens):
         raise InputError("dimension mismatch")
     moves = [_parts(g) for g in gens]
+    want = [[perm.index(j) for perm, _ in moves] for j in range(pm.n)]  # pi_i^-1(j) by j
     t = pm.table
-    right = {}  # a -> the decodings of v(a) x_i, i = 1..n
+    images = {}  # a -> gamma_i(a), i = 1..n, below the bound
     for a, b, x in peel_walk(t, bound):
         if b is None:  # v(0) x_i is the one letter x_i
-            right[a] = [decode_from(t, a, (i,)) for i in range(1, t.n + 1)]
+            right = images[a] = [decode_from(t, a, (i,)) for i in range(1, t.n + 1)]
+        elif all(  # a = b + u_j, j the first index present in a
+            t._rows[c].index(x) == m
+            for c, m in zip(images[b], want[a.index(next(filter(None, a)))])
+        ):
+            if sum(a) < bound:
+                images[a] = [tuple([a[k] + s for k, s in zip(p, sh)]) for p, sh in moves]
+            continue
         else:
-            right[a] = [decode_from(t, c, (x,)) for c in right[b]]
-        for i, ((perm, shift), algebraic) in enumerate(zip(moves, right[a]), start=1):
+            right = [decode_from(t, c, (x,)) for c in images[b]]
+        for i, ((perm, shift), algebraic) in enumerate(zip(moves, right), start=1):
             geometric = tuple([a[k] + s for k, s in zip(perm, shift)])
             if geometric != algebraic:
                 return CheckResult.failed(

@@ -26,8 +26,10 @@ as in the presentation format):
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 from .core import (
     CheckResult,
@@ -339,8 +341,19 @@ class SolutionCensus:
 def canonical_form(r: PairMap) -> PairMap:
     """Lexicographically least table among all simultaneous relabelings of
     X; the deterministic representative of the isomorphism class."""
-    best = min(r.relabel(tau).table for tau in all_perms(r.n))
-    return PairMap(r.n, best)
+    return PairMap(r.n, min(relabel(r.table) for relabel in _relabellings(r.n)))
+
+
+@lru_cache(maxsize=4)
+def _relabellings(n: int) -> tuple[Callable[[tuple[Pair, ...]], tuple[Pair, ...]], ...]:
+    """Per tau in Sym_n, table -> its ``PairMap.relabel(tau)`` table."""
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    out = []
+    for tau in all_perms(n):
+        src = [tau.images.index(a) * n + tau.images.index(b) for a, b in pairs]
+        image = {(c, d): (tau(c), tau(d)) for c, d in pairs}.__getitem__
+        out.append(lambda tbl, src=src, image=image: tuple(map(image, map(tbl.__getitem__, src))))
+    return tuple(out)
 
 
 def enumerate_solutions(n: int) -> SolutionCensus:
@@ -352,45 +365,45 @@ def enumerate_solutions(n: int) -> SolutionCensus:
     of r(c, a), a bijection in c by axiom 3; involutivity then pins the
     first component, and the diagonal condition follows).  Such a map
     satisfies the braid identity iff the operation x.y = pi_x(y) is a
-    cycle set (Rump, Adv. Math. 2005):
-
-        (x.y).(x.z) = (y.x).(y.z)   for all x, y, z.
-
-    The search assigns the rows pi_1, pi_2, ... in turn, trying every
-    permutation for each.  A pair x < y is tested on all z as soon as
-    the rows of x, y, x.y and y.x are assigned, and a violation cuts the
-    branch; at a leaf every pair has been tested.  Each survivor is also
-    passed through ``check_yb``.  Solutions are sorted by table, so the
-    first solution of each relabeling orbit is its canonical form.
+    cycle set (Rump, Adv. Math. 2005): (x.y).(x.z) = (y.x).(y.z) for all
+    z, that is pi_{x.y} o pi_x = pi_{y.x} o pi_y, for each pair x < y.
+    The search assigns the rows pi_1, pi_2, ... in turn, every permutation
+    for each, and tests a pair by one comparison of gathered rows once the
+    rows of x, y, x.y and y.x are assigned; a violation cuts the branch.
+    A node lists the pairs x < y < k whose last row is its row k; a
+    candidate p adds the (x, k) with pi_x(k), p(x) <= k.  Each survivor is
+    also passed through ``check_yb``.  Solutions are sorted by table, so
+    the first of each relabeling orbit is its canonical form.
     """
     if not 1 <= n <= 4:
         raise InputError(f"enumeration supports 1 <= n <= 4, got {n}")
-    perms = list(itertools.permutations(range(n)))
-    pairs_upto = [[(x, y) for y in range(k + 1) for x in range(y)] for k in range(n)]
-    rows: list[tuple[int, ...]] = []
+    gather = {p: itemgetter(*p) for p in itertools.permutations(range(n))}  # q -> q o p
+    rows: list[tuple[int, ...]] = [()] * n
     solutions = []
-
-    def law_holds(x: int, y: int) -> bool:
-        px, py = rows[x], rows[y]
-        pxy, pyx = rows[px[y]], rows[py[x]]
-        return all(pxy[px[z]] == pyx[py[z]] for z in range(n))
 
     def extend(k: int) -> None:
         if k == n:
             solutions.append(_from_cycle_set(rows))
             return
-        for p in perms:
-            rows.append(p)
-            # test each pair once: when the last of its rows is assigned
-            if all(
-                law_holds(x, y)
-                for x, y in pairs_upto[k]
-                if max(y, rows[x][y], rows[y][x]) == k
-            ):
-                extend(k + 1)
-            rows.pop()
+        due = [
+            (gather[rows[x]], rows[x][y], gather[rows[y]], rows[y][x])
+            for y in range(k) for x in range(y) if max(rows[x][y], rows[y][x]) == k
+        ]
+        new = [(x, gather[rows[x]], rows[x][k]) for x in range(k) if rows[x][k] <= k]
+        for p, gp in gather.items():
+            rows[k] = p
+            for gx, xy, gy, yx in due:
+                if gx(rows[xy]) != gy(rows[yx]):
+                    break
+            else:
+                for x, gx, xk in new:
+                    if p[x] <= k and gx(rows[xk]) != gp(rows[p[x]]):
+                        break
+                else:
+                    extend(k + 1)
 
     extend(0)
+    extend = None  # frees the search state now: extend's closure holds itself
     for r in solutions:
         res = check_yb(r)
         if not res:
@@ -401,7 +414,7 @@ def enumerate_solutions(n: int) -> SolutionCensus:
     for r in solutions:
         if r.table not in seen:
             reps.append(r)
-            seen.update(r.relabel(tau).table for tau in all_perms(n))
+            seen.update(relabel(r.table) for relabel in _relabellings(n))
     return SolutionCensus(n, tuple(solutions), tuple(reps))
 
 
@@ -409,12 +422,8 @@ def _from_cycle_set(rows: list[tuple[int, ...]]) -> PairMap:
     """The pair map r(c, a) = (pi_b(a), b), b = pi_a^-1(c), of the cycle
     set with 0-based rows pi_x."""
     n = len(rows)
-    table = []
-    for c in range(n):
-        for a in range(n):
-            b = rows[a].index(c)
-            table.append((rows[b][a] + 1, b + 1))
-    return PairMap(n, tuple(table))
+    ba = [(rows[a].index(c), a) for c in range(n) for a in range(n)]
+    return PairMap(n, tuple([(rows[b][a] + 1, b + 1) for b, a in ba]))
 
 
 def parse_rtable(text: str) -> PairMap:

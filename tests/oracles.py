@@ -21,6 +21,12 @@ The lattice searches at the end are the straightforward versions of
 word or element, composed with the public `compose` and deduplicated by
 the isometry itself.  The flat searches in `itype.bieberbach` must
 return the same reports.
+
+`enumerate_solutions_ref` is the cycle-set search with the law checked
+point by point and classes deduplicated through `PairMap.relabel`, and
+`check_action_consistency_ref` carries one decoding per point and
+generator; `enumerate_solutions` and `check_action_consistency` must
+return the same census and verdicts, witness text included.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from itype.core import (
     DegreeBoundError,
     InputError,
     Perm,
+    all_perms,
     all_words,
     degree,
     exp_add_gen,
@@ -45,9 +52,9 @@ from itype.core import (
     format_expvec,
     support,
 )
-from itype.istructure import v_of, words_equal
+from itype.istructure import decode_from, peel_walk, v_of, words_equal
 from itype.structuremaps import CosetReport, check_cocycle, kernel_exponents, phi_of
-from itype.ybr import check_axioms
+from itype.ybr import SolutionCensus, _from_cycle_set, check_axioms, check_yb
 from itype.bieberbach import (
     FixedPointSet,
     FreenessReport,
@@ -164,6 +171,53 @@ def check_yb_ref(r) -> CheckResult:
                 f"on {r._fmt(w)}: r1 r2 r1 gives {r._fmt(lhs)}, r2 r1 r2 gives {r._fmt(rhs)}"
             )
     return CheckResult.passed()
+
+
+def enumerate_solutions_ref(n: int) -> SolutionCensus:
+    """The cycle-set search with the law checked point by point: each
+    pair x < y is tested on every z when the last of the rows of x, y,
+    x.y and y.x is assigned, the pairs due at row k found by filtering
+    all pairs y <= k per candidate.  Classes are deduplicated through
+    `PairMap.relabel`."""
+    if not 1 <= n <= 4:
+        raise InputError(f"enumeration supports 1 <= n <= 4, got {n}")
+    perms = list(itertools.permutations(range(n)))
+    pairs_upto = [[(x, y) for y in range(k + 1) for x in range(y)] for k in range(n)]
+    rows: list[tuple[int, ...]] = []
+    solutions = []
+
+    def law_holds(x: int, y: int) -> bool:
+        px, py = rows[x], rows[y]
+        pxy, pyx = rows[px[y]], rows[py[x]]
+        return all(pxy[px[z]] == pyx[py[z]] for z in range(n))
+
+    def extend(k: int) -> None:
+        if k == n:
+            solutions.append(_from_cycle_set(rows))
+            return
+        for p in perms:
+            rows.append(p)
+            if all(
+                law_holds(x, y)
+                for x, y in pairs_upto[k]
+                if max(y, rows[x][y], rows[y][x]) == k
+            ):
+                extend(k + 1)
+            rows.pop()
+
+    extend(0)
+    for r in solutions:
+        res = check_yb(r)
+        if not res:
+            raise ConsistencyError(f"cycle-set survivor fails the braid identity: {res.witness}")
+    solutions.sort(key=lambda r: r.table)
+    reps = []
+    seen: set = set()
+    for r in solutions:
+        if r.table not in seen:
+            reps.append(r)
+            seen.update(r.relabel(tau).table for tau in all_perms(n))
+    return SolutionCensus(n, tuple(solutions), tuple(reps))
 
 
 def image_group_ref(pm) -> frozenset:
@@ -319,6 +373,37 @@ def freeness_check_bf(pm, L: int, generators: list[AffineIso] | None = None) -> 
         frontier = nxt
     relations.sort(key=lambda w: (len(w), w))
     return FreenessReport(True, "", tuple(relations), len(seen_isos))
+
+
+def check_action_consistency_ref(
+    pm, bound: int, generators: list[AffineIso] | None = None
+) -> CheckResult:
+    """The lattice action against right multiplication at every point of
+    degree <= bound: the decodings of v(a) x_i are carried from those of
+    v(b) x_i, b the peeled point, by one `decode_from` each, and
+    compared with the affine images."""
+    if bound < 0:
+        raise InputError(f"consistency bound must be >= 0, got {bound}")
+    if bound + 1 > pm.D:
+        raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
+    gens = affine_generators(pm) if generators is None else generators
+    if len(gens) != pm.n or any(g.n != pm.n for g in gens):
+        raise InputError("dimension mismatch")
+    t = pm.table
+    right = {}  # a -> the decodings of v(a) x_i, i = 1..n
+    for a, b, x in peel_walk(t, bound):
+        if b is None:  # v(0) x_i is the one letter x_i
+            right[a] = [decode_from(t, a, (i,)) for i in range(1, t.n + 1)]
+        else:
+            right[a] = [decode_from(t, c, (x,)) for c in right[b]]
+        for i, (g, algebraic) in enumerate(zip(gens, right[a]), start=1):
+            geometric = act(g, a)
+            if geometric != algebraic:
+                return CheckResult.failed(
+                    f"at a={format_expvec(a)}, generator {i}: affine image "
+                    f"{geometric} but right multiplication gives {algebraic}"
+                )
+    return CheckResult.passed()
 
 
 def fundamental_domain_check_bf(

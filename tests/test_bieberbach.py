@@ -8,6 +8,7 @@ import pytest
 
 from itype import (
     AffineIso,
+    ITable,
     InputError,
     PairMap,
     PhiMap,
@@ -30,10 +31,15 @@ from itype import (
 from itype import bieberbach
 from itype.bieberbach import refuse_large_tiling
 from itype.cli import load_pairmap
-from itype.core import Perm, expvecs_up_to
+from itype.core import Perm, all_perms, expvecs_of_degree, expvecs_up_to
 from itype.istructure import decode_from, peel_walk
 
-from oracles import freeness_check_bf, fundamental_domain_check_bf, image_group_ref
+from oracles import (
+    check_action_consistency_ref,
+    freeness_check_bf,
+    fundamental_domain_check_bf,
+    image_group_ref,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
@@ -132,6 +138,41 @@ def test_action_consistency(x2y2_pm, flip_pms):
 
 def test_action_consistency_full_bound(x2y2_pm):
     assert check_action_consistency(x2y2_pm, x2y2_pm.D - 1).ok
+
+
+def test_action_consistency_matches_reference():
+    # the affine-image comparison against one decoding per point and
+    # generator, witness text included: each corpus table at D = 7 with
+    # the rows of one degree from 1 to 6 shuffled, then its true table
+    # with one generator's permutation or shift replaced
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    rng = random.Random(5)
+    verdicts = set()
+    for path in paths:
+        t = build_itable(load_pairmap(str(path)), D=7)
+        for _ in range(4):
+            level = expvecs_of_degree(t.n, rng.randint(1, 6))
+            shuffled = [t.row(b) for b in level]
+            rng.shuffle(shuffled)
+            pm = PhiMap(ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))}))
+            got = check_action_consistency(pm, 6)
+            assert got == check_action_consistency_ref(pm, 6)
+            verdicts.add(got.ok)
+        pm = PhiMap(t)
+        for _ in range(4):
+            gens = affine_generators(pm)
+            i = rng.randrange(pm.n)
+            perm, shift = gens[i].perm, list(gens[i].shift)
+            if rng.random() < 0.5:
+                perm = rng.choice(all_perms(pm.n))
+            else:
+                shift[rng.randrange(pm.n)] += rng.choice((-1, 1))
+            gens[i] = AffineIso(perm, tuple(shift))
+            got = check_action_consistency(pm, 6, generators=gens)
+            assert got == check_action_consistency_ref(pm, 6, generators=gens)
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
 
 
 def test_wrong_convention_fails_at_n3(census):

@@ -22,7 +22,7 @@ from itype import (
 from itype.core import all_perms, all_words
 
 from conftest import COMM2_TEXT
-from oracles import check_yb_ref
+from oracles import check_yb_ref, enumerate_solutions_ref
 
 X2Y2_TABLE = ((2, 2), (1, 2), (2, 1), (1, 1))  # row-major over (a,b)
 
@@ -261,6 +261,33 @@ def test_enumerate_cross_checked_against_involution_search(census, n):
         if check_yb(cand).ok and check_nondegenerate(cand).ok:
             survivors.add(cand.table)
     assert survivors == {s.table for s in census[n].solutions}
+
+
+def test_enumerate_matches_reference(census, census4):
+    # the gathered law, the per-node pair schedule and the class dedup by
+    # cached gathers against the point-by-point search: the same solutions
+    # in the same order and the same class representatives
+    for n in (1, 2, 3, 4):
+        got = census4 if n == 4 else census[n]
+        ref = enumerate_solutions_ref(n)
+        assert got == ref
+        assert [s.table for s in got.solutions] == [s.table for s in ref.solutions]
+        assert [s.table for s in got.class_reps] == [s.table for s in ref.class_reps]
+
+
+def test_canonical_form_matches_relabel(census, census4):
+    # the cached gathers against PairMap.relabel, on every solution for
+    # n <= 4, on every single-entry mutant of the n <= 3 solutions and on
+    # 1000 seeded ones of the n = 4 solutions; mutants are not solutions
+    sols = [s for cen in census.values() for s in cen.solutions] + list(census4.solutions)
+    maps = sols + [m for r in sols if r.n < 4 for m in _single_entry_mutants(r)]
+    rng = random.Random(13)
+    mutants4 = [m for r in census4.solutions for m in _single_entry_mutants(r)]
+    maps += rng.sample(mutants4, 1000)
+    assert len(maps) == 15 + 168 + 24 + 864 + 1000
+    for r in maps:
+        best = min(r.relabel(tau).table for tau in all_perms(r.n))
+        assert canonical_form(r).table == best
 
 
 def test_enumerate_closed_under_relabeling(census):
