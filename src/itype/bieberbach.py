@@ -38,6 +38,9 @@ K is additive, so a step adds a precomputed delta to the key: one
 integer add, and the searches probe sets of keys.  After at most L steps
 every |q_j| <= L m, m the largest shift entry, so B = 2 L m + 1 keeps
 the keys of distinct elements distinct; the identity's key is 0.
+x = g(x) is x[j] = x[sigma(j)] + a[j]: it telescopes along each cycle of
+sigma, so g has a fixed point iff a sums to 0 on every cycle, as q does.
+Freeness reads that off the digits of K(q) and the label's cycles.
 
 Tiling compares origin images g(0) = a = q o sigma, a tuple per step
 here.  But g^-1 = (sigma^-1, -q): g -> g h grows the word of g^-1 on the
@@ -59,23 +62,22 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .core import CheckResult, DegreeBoundError, InputError, Perm, format_expvec
-from .istructure import decode_from, peel_walk
+from .core import CheckResult, DegreeBoundError, InputError, Perm, expvec_level, format_expvec
+from .istructure import decode_from, level_indices
 from .structuremaps import PhiMap, phi_of
 
 Point = tuple  # integer (or rational) coordinates
 
-# Freeness enumerates every reduced word up to the requested length,
-# 2n-1 times more per letter; past this many it refuses to start.  The
-# longest runs allowed take under a second on a Xeon core with Python
-# 3.11: `bieberbach x2y2.pres --length 12 --radius 0` (1,062,880 words)
-# 0.55 s and 87 MiB in all.
+# Freeness walks every reduced word up to the requested length, 2n-1
+# times more per letter; past this many it refuses to start.  On a Xeon
+# core with Python 3.11, `bieberbach x2y2.pres --length 12 --radius 0`
+# (1,062,880 words, 313 elements) takes 0.6 s and 84 MiB, most of it the walk.
 MAX_FREENESS_WORDS = 2_000_000
 
 # Tiling keeps one key and one label per lattice point it reaches; past
 # this many reachable points it refuses to start.  flip5 at the default
-# flags (982,729 points) takes about 2.6 s and 102 MiB in all on the same
-# core.
+# flags (982,729 points) takes 2.2-2.5 s and 102 MiB in all on the same
+# core, 1.7 s of it the tiling search.
 MAX_TILING_POINTS = 1_000_000
 
 
@@ -190,7 +192,10 @@ def check_action_consistency(
     generator isometries (one per generator, in order).  Past the origin
     the first failure ends the check, so at a = b + u_j, v(a) = x v(b),
     v(b) x_i decodes to c = gamma_i(b) and v(a) x_i to c + u_m, m the
-    place of x in the row of c: gamma_i(a) = c + u_m iff m = pi_i^-1(j)."""
+    place of x in the row of c: gamma_i(a) = c + u_m iff m = pi_i^-1(j).
+    The walk holds each gamma_i(b) as its index in level deg b + 1, so
+    gamma_i(a) is the `up` entry of c + u_m (istructure.level_indices),
+    and builds points only to word a failure."""
     if bound < 0:
         raise InputError(f"consistency bound must be >= 0, got {bound}")
     if bound + 1 > pm.D:
@@ -198,22 +203,11 @@ def check_action_consistency(
     gens = affine_generators(pm) if generators is None else generators
     if len(gens) != pm.n or any(g.n != pm.n for g in gens):
         raise InputError("dimension mismatch")
+    n, t = pm.n, pm.table
     moves = [_parts(g) for g in gens]
-    want = [[perm.index(j) for perm, _ in moves] for j in range(pm.n)]  # pi_i^-1(j) by j
-    t = pm.table
-    images = {}  # a -> gamma_i(a), i = 1..n, below the bound
-    for a, b, x in peel_walk(t, bound):
-        if b is None:  # v(0) x_i is the one letter x_i
-            right = images[a] = [decode_from(t, a, (i,)) for i in range(1, t.n + 1)]
-        elif all(  # a = b + u_j, j the first index present in a
-            t._rows[c].index(x) == m
-            for c, m in zip(images[b], want[a.index(next(filter(None, a)))])
-        ):
-            if sum(a) < bound:
-                images[a] = [tuple([a[k] + s for k, s in zip(p, sh)]) for p, sh in moves]
-            continue
-        else:
-            right = [decode_from(t, c, (x,)) for c in images[b]]
+    want = [[perm.index(j) for perm, _ in moves] for j in range(n)]  # pi_i^-1(j) by j
+
+    def compare(a: Point, right: list[Point]) -> CheckResult:
         for i, ((perm, shift), algebraic) in enumerate(zip(moves, right), start=1):
             geometric = tuple([a[k] + s for k, s in zip(perm, shift)])
             if geometric != algebraic:
@@ -221,6 +215,29 @@ def check_action_consistency(
                     f"at a={format_expvec(a)}, generator {i}: affine image "
                     f"{geometric} but right multiplication gives {algebraic}"
                 )
+        return CheckResult.passed()
+
+    origin = expvec_level(n, 0)[0]  # v(0) x_i is the one letter x_i
+    at_origin = compare(origin, [decode_from(t, origin, (i,)) for i in range(1, n + 1)])
+    if not at_origin or bound == 0:
+        return at_origin
+    # images[k][i]: the level-d index of gamma_i(b), b the k-th point of level d-1
+    images = [[level_indices(n, 1)[1][shift.index(1)] for _, shift in moves]]
+    below = [t._rows[origin]]  # the rows of level d-1
+    for d in range(1, bound + 1):
+        level = expvec_level(n, d)
+        here = [t._rows[a] for a in level]
+        peel, _, least = level_indices(n, d)
+        up = level_indices(n, d + 1)[1] if d < bound else ()
+        nxt = []
+        for k, j in enumerate(least):  # the k-th a of level d is b + u_j
+            kb = peel[k * n + j]
+            x, cs, m = below[kb][j], images[kb], want[j]
+            if [here[c].index(x) for c in cs] != m:
+                return compare(level[k], [decode_from(t, level[c], (x,)) for c in cs])
+            if up:
+                nxt.append([up[c * n + mi] for c, mi in zip(cs, m)])
+        images, below = nxt, here
     return CheckResult.passed()
 
 
@@ -249,11 +266,12 @@ Step = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]
 
 def _frame(
     n: int, gens: list[AffineIso], L: int, box: int = 0
-) -> tuple[list[list[Step]], Callable[[int], AffineIso], int]:
+) -> tuple[list[list[Step]], Callable[[int], AffineIso], Callable[[int], bool], int]:
     """The translation frame of the module docstring for searches of at
     most L steps: steps[label] lists one Step per signed generator, in
-    search order, decode(key) is the element itself, and the base B also
-    keeps the points of the radius-`box` cube distinct."""
+    search order, decode(key) is the element itself, fixes(key) whether
+    it has a fixed point, and the base B also keeps the points of the
+    radius-`box` cube distinct."""
     if any(g.n != n for g in gens):
         raise InputError("dimension mismatch")
     signed = [(s, *_parts(g)) for s, g in _signed_generators(gens)]
@@ -267,6 +285,8 @@ def _frame(
                 labels[nxt] = len(perms)
                 perms.append(nxt)
     order = len(perms)
+    group = [Perm(tuple([k + 1 for k in sigma])) for sigma in perms]
+    cycles = [[[k - 1 for k in c] for c in g.cycles()] for g in group]  # 0-based, by label
     steps = []
     for label, sigma in enumerate(perms):
         row = []
@@ -276,17 +296,24 @@ def _frame(
             row.append((s, nl, kd * order + nl - label, pi, sh))
         steps.append(row)
 
-    def decode(key: int) -> AffineIso:
+    def split(key: int) -> tuple[list[int], int]:
         rest, label = divmod(key, order)
         q = []  # the balanced digits of K(q), least significant first
         for _ in range(n):
             c = (rest + base // 2) % base - base // 2
             q.append(c)
             rest = (rest - c) // base
-        sigma = perms[label]
-        return AffineIso(Perm(tuple([k + 1 for k in sigma])), tuple([q[i] for i in sigma]))
+        return q, label
 
-    return steps, decode, base
+    def decode(key: int) -> AffineIso:
+        q, label = split(key)
+        return AffineIso(group[label], tuple([q[k] for k in perms[label]]))
+
+    def fixes(key: int) -> bool:
+        q, label = split(key)
+        return not any(sum([q[k] for k in c]) for c in cycles[label])
+
+    return steps, decode, fixes, base
 
 
 @dataclass(frozen=True)
@@ -340,7 +367,7 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
         raise InputError(f"freeness word length must be >= 1, got {L}")
     refuse_long_freeness(n, L)
     gens = affine_generators(pm) if generators is None else generators
-    steps, decode, _ = _frame(n, gens, L)
+    steps, decode, fixes, _ = _frame(n, gens, L)
     # the key of every non-identity element seen; isometries_seen adds
     # the identity
     seen: set[int] = set()
@@ -361,12 +388,11 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
                     relations.append(word + (s,))
                 elif new not in seen:
                     seen.add(new)
-                    fp = fixed_points(decode(new))
-                    if not fp.empty:
+                    if new % len(steps) and fixes(new):  # label 0: a translation, no fixed point
                         return FreenessReport(
                             False,
                             f"word {format_signed_word(word + (s,))} is not the "
-                            f"identity yet fixes {fp.point}",
+                            f"identity yet fixes {fixed_points(decode(new)).point}",
                             tuple(relations),
                             len(seen) + 1,
                         )
@@ -401,7 +427,7 @@ def fundamental_domain_check(
         raise InputError(f"tiling box radius must be >= 0, got {box}")
     refuse_large_tiling(n, max(L, n * box))
     gens = affine_generators(pm) if generators is None else generators
-    steps, _, base = _frame(n, gens, L, box)
+    steps, _, _, base = _frame(n, gens, L, box)
     order = len(steps)
     reached = {0: 0}  # K(q) -> label; q = -g^-1(0), see the module docstring
     frontier = {0: [0]}  # label -> the K(q) of the elements last reached

@@ -46,7 +46,8 @@ same exponent vector, which decides the word problem.
 Rows are plain tuples of letters in a dict keyed by exponent vector.  The
 build holds each level's rows in a list in graded-lex order and reads
 neighbours by index: level_indices(n, d) gives, flat, the index of each
-a - u_j one level down and of each b + u_j one level up.  Those tables
+a - u_j one level down and of each b + u_j one level up, and the least
+index present in each a, the j that v and peel_walk peel.  Those tables
 and the levels (core.expvec_level) depend only on (n, d) and are cached,
 so a build does no key arithmetic.  v_of and decode_from step a list of
 exponents and look up its tuple.  A table of more than MAX_TABLE_ROWS
@@ -118,10 +119,11 @@ class ITable:
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def level_indices(n: int, d: int) -> tuple[memoryview, memoryview]:
+def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
     """Flat, read-only neighbour indices between levels d-1 and d >= 1:
     peel[k*n + j] is the index in level d-1 of a - u_j for the k-th a of
-    level d (-1 if a_j = 0), up[k*n + j] that in d of b + u_j for the k-th b of d-1."""
+    level d (-1 if a_j = 0), up[k*n + j] that in d of b + u_j for the k-th b of d-1,
+    and least[k] the least index j present in the k-th a, the one v peels."""
     index = {a: k for k, a in enumerate(expvec_level(n, d))}
     peel = array("i", [-1]) * (len(index) * n)
     up = array("i")
@@ -130,7 +132,10 @@ def level_indices(n: int, d: int) -> tuple[memoryview, memoryview]:
             q = index[b[:j] + (b[j] + 1,) + b[j + 1 :]]
             up.append(q)
             peel[q * n + j] = k
-    return memoryview(peel).toreadonly(), memoryview(up).toreadonly()
+    least = array("i")  # in lex order the a with a_0..a_{j-1} = 0 are the first comb(d+n-j-1, d)
+    for j in reversed(range(n)):
+        least += array("i", [j]) * (comb(d + n - j - 1, d) - comb(d + n - j - 2, d))
+    return tuple(memoryview(m).toreadonly() for m in (peel, up, least))
 
 
 def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
@@ -170,7 +175,7 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     below = [sigma.images]  # the rows one degree down, in level order
     for d in range(1, D):
         level = expvec_level(n, d)
-        peel, up = level_indices(n, d)
+        peel, up, _ = level_indices(n, d)
         here = []
         for k, a in enumerate(level):
             # the row of a - u_j per generator j, None where a_j = 0
@@ -273,15 +278,14 @@ def peel_walk(t: ITable, m: int) -> Iterator[tuple[ExpVec, ExpVec | None, int]]:
     (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
     present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
     t._need(m)
-    rows = t._rows
-    for e in expvecs_up_to(t.n, m):
-        for j, k in enumerate(e):
-            if k:
-                b = e[:j] + (k - 1,) + e[j + 1 :]
-                yield e, b, rows[b][j]
-                break
-        else:
-            yield e, None, 0
+    rows, n = t._rows, t.n
+    yield expvec_level(n, 0)[0], None, 0
+    for d in range(1, m + 1):
+        lower = expvec_level(n, d - 1)
+        peel, _, least = level_indices(n, d)
+        for k, (e, j) in enumerate(zip(expvec_level(n, d), least)):
+            b = lower[peel[k * n + j]]
+            yield e, b, rows[b][j]
 
 
 def words_equal(t: ITable, w1: Word, w2: Word) -> bool:

@@ -175,6 +175,44 @@ def test_action_consistency_matches_reference():
     assert verdicts == {True, False}
 
 
+def test_action_consistency_matches_reference_at_every_bound():
+    # bound 0 checks the origin alone and the top level reads no `up`
+    # table, so each bound from 0 to D - 1 is compared: the rows of the
+    # bound's own level or of level 1 shuffled, and corrupted generators
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    rng = random.Random(14)
+    top = set()  # the bounds at which a point of degree bound was the witness
+
+    def compare(pm, bound, gens=None):
+        got = check_action_consistency(pm, bound, generators=gens)
+        assert got == check_action_consistency_ref(pm, bound, generators=gens)
+        if not got.ok:
+            a = got.witness.split("a=(")[1].split(")")[0]
+            if sum(map(int, a.split(","))) == bound:
+                top.add(bound)
+
+    for path in paths:
+        t = build_itable(load_pairmap(str(path)), D=7)
+        pm = PhiMap(t)
+        for bound in range(t.D):
+            for d in sorted({bound, 1}):
+                level = expvecs_of_degree(t.n, d)
+                shuffled = [t.row(b) for b in level]
+                rng.shuffle(shuffled)
+                rows = {**t._rows, **dict(zip(level, shuffled))}
+                compare(PhiMap(ITable(t.r, t.D, t.sigma, rows)), bound)
+            gens = affine_generators(pm)
+            i = rng.randrange(pm.n)
+            if rng.random() < 0.8:
+                gens[i] = AffineIso(rng.choice(all_perms(pm.n)), gens[i].shift)
+            else:
+                shift = list(gens[i].shift)
+                shift[rng.randrange(pm.n)] += rng.choice((-1, 1))
+                gens[i] = AffineIso(gens[i].perm, tuple(shift))
+            compare(pm, bound, gens)
+    assert top == set(range(7))
+
+
 def test_wrong_convention_fails_at_n3(census):
     # on some n=3 solution phi(u_i) has order 3; its inverse must fail
     found = False
@@ -233,6 +271,64 @@ def test_freeness_catches_corrupted_shift(x2y2_pm):
     rep = freeness_check(x2y2_pm, 2, generators=corrupted)
     assert not rep.ok
     assert "fixes" in rep.witness
+
+
+# Generator 1 of comm3 replaced: the first fixed point is x1 x2, with
+# permutation part a 2-cycle or a 3-cycle and a shift, hence q, nonzero
+# but summing to 0 on every cycle.  A frame test of q == 0 alone passes it.
+CYCLE_SUM_CONTROLS = (
+    (Perm((2, 1, 3)), (-1, 0, 0), (-1, 1, 0), "word x1 x2 is not the identity yet fixes (0, 1, 0)"),
+    (Perm((2, 3, 1)), (-2, 0, 1), (-2, 1, 1), "word x1 x2 is not the identity yet fixes (0, 2, 1)"),
+)
+
+
+def test_freeness_decides_fixed_points_by_cycle_sums():
+    pm = PhiMap(build_itable(load_pairmap(str(CORPUS / "comm3.pres")), D=4))
+    for perm, shift, element_shift, witness in CYCLE_SUM_CONTROLS:
+        gens = affine_generators(pm)
+        gens[0] = AffineIso(perm, shift)
+        element = compose(gens[0], gens[1])
+        assert element == AffineIso(perm, element_shift)
+        assert not fixed_points(element).empty
+        rep = freeness_check(pm, 3, generators=gens)
+        assert not rep.ok and rep.witness == witness
+        assert rep == freeness_check_bf(pm, 3, generators=gens)
+
+
+def _frame_verdicts(n, gens, L):
+    """Asserts, for every element of word length <= L, that the frame's
+    cycle-sum verdict is that of fixed_points on the decoded element;
+    returns how many elements have a fixed point."""
+    steps, decode, fixes, _ = bieberbach._frame(n, gens, L)
+    keys = {0: 0}  # key -> label, for every element met
+    frontier = [0]
+    for _ in range(L):
+        nxt = []
+        for key in frontier:
+            for _, nl, delta, _, _ in steps[keys[key]]:
+                if key + delta not in keys:
+                    keys[key + delta] = nl
+                    nxt.append(key + delta)
+        frontier = nxt
+    fixing = 0
+    for key in keys:
+        verdict = fixes(key)
+        assert verdict == (not fixed_points(decode(key)).empty), (key, decode(key))
+        fixing += verdict
+    return fixing
+
+
+def test_frame_cycle_sums_match_fixed_points():
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    for path in paths:
+        pm = PhiMap(build_itable(load_pairmap(str(path)), D=2))
+        assert _frame_verdicts(pm.n, affine_generators(pm), 4) == 1  # the identity alone
+    pm = PhiMap(build_itable(load_pairmap(str(CORPUS / "comm3.pres")), D=2))
+    for perm, shift, _, _ in CYCLE_SUM_CONTROLS:
+        gens = affine_generators(pm)
+        gens[0] = AffineIso(perm, shift)
+        assert _frame_verdicts(3, gens, 4) > 1
 
 
 def test_fundamental_domain_x2y2(x2y2_pm):
