@@ -62,7 +62,16 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .core import CheckResult, DegreeBoundError, InputError, Perm, expvec_level, format_expvec
+from .core import (
+    CheckResult,
+    DegreeBoundError,
+    InputError,
+    Perm,
+    closure,
+    expvec_level,
+    format_expvec,
+    format_word,
+)
 from .istructure import decode_from, level_indices
 from .structuremaps import PhiMap, phi_of
 
@@ -109,25 +118,16 @@ def act(g: AffineIso, a: Point) -> Point:
     """Apply the isometry to a point (integer or rational coordinates)."""
     if len(a) != g.n:
         raise InputError(f"point has dimension {len(a)}, isometry {g.n}")
-    return tuple(a[g.perm(j) - 1] + g.shift[j - 1] for j in range(1, g.n + 1))
-
-
-def _parts(g: AffineIso) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The 0-based images of the permutation part, and the shift."""
-    return tuple(k - 1 for k in g.perm.images), g.shift
+    return tuple([a[k - 1] + s for k, s in zip(g.perm.images, g.shift)])
 
 
 def compose(g: AffineIso, h: AffineIso) -> AffineIso:
     """The product 'g then h' of the right action:
     act(compose(g, h), a) = act(h, act(g, a)).  Its permutation part is
-    j -> g.perm(h.perm(j)) and its shift j -> g.shift[h.perm(j)] + h.shift[j]."""
+    j -> g.perm(h.perm(j)) and its shift act(h, g.shift)."""
     if g.n != h.n:
         raise InputError("dimension mismatch")
-    p = [k - 1 for k in h.perm.images]
-    return AffineIso(
-        Perm(tuple([g.perm.images[k] for k in p])),
-        tuple([g.shift[k] + c for k, c in zip(p, h.shift)]),
-    )
+    return AffineIso(Perm(tuple([g.perm.images[k - 1] for k in h.perm.images])), act(h, g.shift))
 
 
 def invert(g: AffineIso) -> AffineIso:
@@ -204,12 +204,11 @@ def check_action_consistency(
     if len(gens) != pm.n or any(g.n != pm.n for g in gens):
         raise InputError("dimension mismatch")
     n, t = pm.n, pm.table
-    moves = [_parts(g) for g in gens]
-    want = [[perm.index(j) for perm, _ in moves] for j in range(n)]  # pi_i^-1(j) by j
+    want = [[g.perm.images.index(j + 1) for g in gens] for j in range(n)]  # pi_i^-1(j), 0-based
 
     def compare(a: Point, right: list[Point]) -> CheckResult:
-        for i, ((perm, shift), algebraic) in enumerate(zip(moves, right), start=1):
-            geometric = tuple([a[k] + s for k, s in zip(perm, shift)])
+        for i, (g, algebraic) in enumerate(zip(gens, right), start=1):
+            geometric = act(g, a)
             if geometric != algebraic:
                 return CheckResult.failed(
                     f"at a={format_expvec(a)}, generator {i}: affine image "
@@ -222,7 +221,7 @@ def check_action_consistency(
     if not at_origin or bound == 0:
         return at_origin
     # images[k][i]: the level-d index of gamma_i(b), b the k-th point of level d-1
-    images = [[level_indices(n, 1)[1][shift.index(1)] for _, shift in moves]]
+    images = [[level_indices(n, 1)[1][g.shift.index(1)] for g in gens]]
     below = [t._rows[origin]]  # the rows of level d-1
     for d in range(1, bound + 1):
         level = expvec_level(n, d)
@@ -244,16 +243,6 @@ def check_action_consistency(
 SignedWord = tuple[int, ...]  # i for a generator, -i for its inverse
 
 
-def format_signed_word(w: SignedWord, names: tuple[str, ...] | None = None) -> str:
-    if not w:
-        return "1"
-    parts = []
-    for s in w:
-        name = names[abs(s) - 1] if names else f"x{abs(s)}"
-        parts.append(name if s > 0 else name + "^-1")
-    return " ".join(parts)
-
-
 def _signed_generators(gens: list[AffineIso]) -> list[tuple[int, AffineIso]]:
     out = [(i, g) for i, g in enumerate(gens, start=1)]
     out.extend((-i, invert(g)) for i, g in enumerate(gens, start=1))
@@ -271,27 +260,30 @@ def _frame(
     most L steps: steps[label] lists one Step per signed generator, in
     search order, decode(key) is the element itself, fixes(key) whether
     it has a fixed point, and the base B also keeps the points of the
-    radius-`box` cube distinct."""
+    radius-`box` cube distinct.  The labels number the closure
+    (core.closure) of the identity under the signed permutation parts:
+    for the generator isometries, the group H of
+    structuremaps.kernel_exponents."""
     if any(g.n != n for g in gens):
         raise InputError("dimension mismatch")
-    signed = [(s, *_parts(g)) for s, g in _signed_generators(gens)]
+    signed = [
+        (s, tuple([k - 1 for k in g.perm.images]), g.shift) for s, g in _signed_generators(gens)
+    ]
     base = 2 * max(box, L * max([1] + [abs(c) for _, _, sh in signed for c in sh])) + 1
-    perms = [tuple(range(n))]
-    labels = {perms[0]: 0}
-    for sigma in perms:  # grows while it is walked: the closure of the group
-        for _, pi, _ in signed:
-            nxt = tuple([sigma[k] for k in pi])
-            if nxt not in labels:
-                labels[nxt] = len(perms)
-                perms.append(nxt)
+
+    def products(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [tuple([sigma[k] for k in pi]) for _, pi, _ in signed]  # sigma o pi
+
+    perms = closure([tuple(range(n))], products)  # 0-based; label 0 is the identity
+    labels = {sigma: label for label, sigma in enumerate(perms)}
     order = len(perms)
     group = [Perm(tuple([k + 1 for k in sigma])) for sigma in perms]
     cycles = [[[k - 1 for k in c] for c in g.cycles()] for g in group]  # 0-based, by label
     steps = []
     for label, sigma in enumerate(perms):
         row = []
-        for s, pi, sh in signed:
-            nl = labels[tuple([sigma[k] for k in pi])]
+        for (s, pi, sh), nxt in zip(signed, products(sigma)):
+            nl = labels[nxt]
             kd = sum(c * base**i for i, c in zip(perms[nl], sh))  # K(d), d[sigma'(j)] = s[j]
             row.append((s, nl, kd * order + nl - label, pi, sh))
         steps.append(row)
@@ -391,7 +383,7 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
                     if new % len(steps) and fixes(new):  # label 0: a translation, no fixed point
                         return FreenessReport(
                             False,
-                            f"word {format_signed_word(word + (s,))} is not the "
+                            f"word {format_word(word + (s,))} is not the "
                             f"identity yet fixes {fixed_points(decode(new)).point}",
                             tuple(relations),
                             len(seen) + 1,
@@ -470,13 +462,13 @@ def _tiling_failure(n: int, steps: list[list[Step]], L: int) -> TilingReport:
     # origin image -> its element's label and the last letter of its first
     # word (0 at the origin), whose undone step gives the parent point
     reached: dict[Point, tuple[int, int]] = {(0,) * n: (0, 0)}
-    undo = {s: ([pi.index(k) for k in range(n)], sh) for s, _, _, pi, sh in steps[0]}
+    parts = {s: (pi, sh) for s, _, _, pi, sh in steps[0]}
 
     def word_to(pt: Point) -> SignedWord:
         word = []
         while s := reached[pt][1]:
-            inv, sh = undo[s]  # s moved the parent p to pt: pt[j] = p[pi[j]] + sh[j]
-            pt = tuple([pt[j] - sh[j] for j in inv])
+            pi, sh = parts[-s]  # the inverse letter moves pt back to its parent
+            pt = tuple([pt[k] + c for k, c in zip(pi, sh)])
             word.append(s)
         return tuple(word[::-1])
 
@@ -493,8 +485,8 @@ def _tiling_failure(n: int, steps: list[list[Step]], L: int) -> TilingReport:
                 elif old[0] != nl:  # a second element sends the origin to npt
                     return TilingReport(
                         "fail",
-                        f"distinct elements {format_signed_word(word_to(npt))} and "
-                        f"{format_signed_word(word_to(pt) + (s,))} both send the origin to {npt}",
+                        f"distinct elements {format_word(word_to(npt))} and "
+                        f"{format_word(word_to(pt) + (s,))} both send the origin to {npt}",
                         len(reached) + 1,  # the elements met, this one included
                         0,
                         (),
@@ -553,10 +545,9 @@ def export_affine_group(
     explored word length."""
     lines = []
     for i, g in enumerate(gens, start=1):
-        name = names[i - 1] if names else f"x{i}"
         perm = ",".join(str(k) for k in g.perm.images)
         shift = ",".join(str(k) for k in g.shift)
-        lines.append(f"gen {name} perm={perm} shift={shift}")
+        lines.append(f"gen {format_word((i,), names)} perm={perm} shift={shift}")
     for w in relations:
-        lines.append(f"rel {format_signed_word(w, names)} = 1")
+        lines.append(f"rel {format_word(w, names)} = 1")
     return "\n".join(lines) + "\n"

@@ -91,19 +91,15 @@ class Perm:
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition including fixed points, each cycle starting
         at its least element, cycles ordered by that element."""
-        seen = set()
+        seen: set[int] = set()
         out = []
         for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            out.append(tuple(cyc))
+            if start not in seen:
+                cyc = [start]
+                while (j := self(cyc[-1])) != start:
+                    cyc.append(j)
+                seen.update(cyc)
+                out.append(tuple(cyc))
         return out
 
     @staticmethod
@@ -218,12 +214,26 @@ def all_words(n: int, m: int):
     return itertools.product(range(1, n + 1), repeat=m)
 
 
+def closure(start, moves) -> list:
+    """Every element reachable from `start` by repeating `moves` (an
+    element's neighbours): `start` first, without repeats, then each
+    element in the order it is first met, breadth first."""
+    out = list(dict.fromkeys(start))
+    seen = set(out)
+    for x in out:  # out grows while it is walked
+        for y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 def format_word(w: Word, names: tuple[str, ...] | None = None) -> str:
+    """Letters by name (x1, x2, ... without names); a letter -i, the
+    inverse of generator i, prints as its name with ^-1."""
     if not w:
         return "1"
-    if names is None:
-        return " ".join(f"x{a}" for a in w)
-    return " ".join(names[a - 1] for a in w)
+    return " ".join((names[abs(a) - 1] if names else f"x{abs(a)}") + "^-1" * (a < 0) for a in w)
 
 
 def format_expvec(e: ExpVec) -> str:

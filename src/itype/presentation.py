@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import CheckResult, InputError, Word, all_words, format_word, sort_word
+from .core import CheckResult, InputError, Word, all_words, closure, format_word, sort_word
 
 
 @dataclass(frozen=True)
@@ -206,23 +206,17 @@ def check_star2(p: Presentation) -> CheckResult:
 def rewrite_class(p: Presentation, w: Word) -> frozenset[Word]:
     """Closure of a word under applying the relations, both directions, at
     every position."""
-    rules = []
-    for lhs, rhs in p.relations:
-        rules.append((lhs, rhs))
-        rules.append((rhs, lhs))
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        cur = frontier.pop()
-        for pos in range(len(cur) - 1):
-            pair = cur[pos : pos + 2]
-            for src, dst in rules:
-                if pair == src:
-                    nxt = cur[:pos] + dst + cur[pos + 2 :]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-    return frozenset(seen)
+    rules = [rule for lhs, rhs in p.relations for rule in ((lhs, rhs), (rhs, lhs))]
+
+    def moves(cur: Word) -> list[Word]:
+        return [
+            cur[:pos] + dst + cur[pos + 2 :]
+            for pos in range(len(cur) - 1)
+            for src, dst in rules
+            if cur[pos : pos + 2] == src
+        ]
+
+    return frozenset(closure([w], moves))
 
 
 def check_star3(p: Presentation) -> CheckResult:

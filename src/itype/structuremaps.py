@@ -24,7 +24,8 @@ phi(u_i), phi(b + c + u_i) = phi(pi(b) + pi(c)) * pi, which the pair
 phi(c + u_i), relabeling being a left action.  By induction on deg c
 that gives every pair, and the sweep's pair (0, 0) forces phi(0) = id,
 so both checks agree.  Only a failure runs the sweep, to name its first
-failing pair; check_cocycle, with its Perm objects, formats it.
+failing pair; check_cocycle, with its Perm objects, formats it.  It
+always finds one, as it sweeps (0, 0) and every (b, u_i).
 
 coset_decomposition follows istructure's peel walk, carrying v(e) and
 its decoding; v(rep) v(p) decodes from v(p)'s decoding on.
@@ -44,6 +45,7 @@ from .core import (
     ExpVec,
     InputError,
     Perm,
+    closure,
     compose_perm,
     degree,
     exp_add,
@@ -58,26 +60,20 @@ MAX_COSET_BOX = 1_000_000
 
 
 class PhiMap:
-    """phi backed by an I-structure table; values memoized per row."""
+    """phi backed by an I-structure table."""
 
     def __init__(self, table: ITable):
         self.table = table
         self.n = table.n
         self.D = table.D
         self._sigma_inv = table.sigma.inverse()
-        self._memo: dict[ExpVec, Perm] = {}
 
 
 def phi_of(pm: PhiMap, b: ExpVec) -> Perm:
     """The permutation i -> sigma^-1(x[b, i]); bijective by the row
     property.  Defined for deg b <= D-1."""
-    hit = pm._memo.get(b)
-    if hit is not None:
-        return hit
     row = pm.table.row(b)  # raises DegreeBoundError past D-1
-    perm = Perm(tuple(pm._sigma_inv(c) for c in row))
-    pm._memo[b] = perm
-    return perm
+    return Perm(tuple(pm._sigma_inv(c) for c in row))
 
 
 def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
@@ -126,7 +122,7 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
                 break  # vecs is graded: every later c is too
             if not holds(b, c):
                 return check_cocycle(pm, b, c)
-    return CheckResult.passed()
+    raise AssertionError("the generator instances failed, yet every pair holds")
 
 
 @dataclass(frozen=True)
@@ -145,8 +141,10 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
     """Walk the powers of each generator until phi returns to the
     identity.  The minimal exponent always divides n!, so a table with
     D > n! never fails; smaller tables may need a raised bound.  The
-    image group is the closure of the n generator images: by the cocycle
-    identity every phi(b) is a product of the phi(u_i)."""
+    image group H is the closure of the n generator images under right
+    multiplication by them (core.closure): by the cocycle identity every
+    phi(b) is a product of the phi(u_i).  bieberbach._frame closes the
+    same images, with their inverses, into the same H."""
     n = pm.n
     t = []
     for i in range(1, n + 1):
@@ -163,12 +161,7 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
         if math.factorial(n) % ti != 0:
             raise ConsistencyError(f"t_{i} = {ti} does not divide n! = {math.factorial(n)}")
     gens = tuple(phi_of(pm, tuple(int(j == i) for j in range(n))) for i in range(n))
-    group, frontier = set(gens), list(gens)
-    while frontier:
-        p = frontier.pop()
-        extra = {compose_perm(p, g) for g in gens} - group
-        group |= extra
-        frontier.extend(extra)
+    group = closure(gens, lambda p: [compose_perm(p, g) for g in gens])
     p0 = tuple(tuple(t[i - 1] if j == i else 0 for j in range(1, n + 1)) for i in range(1, n + 1))
     return KernelData(tuple(t), gens, frozenset(group), p0)
 

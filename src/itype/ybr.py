@@ -39,6 +39,7 @@ from .core import (
     Word,
     all_perms,
     all_words,
+    closure,
     format_word,
 )
 from .presentation import Presentation, lex_lines, parse_gens, to_word
@@ -247,7 +248,7 @@ class OrbitReport:
     n: int
     orbits: tuple[Orbit, ...]
     star_census: CheckResult
-    identity: str  # the counting identity the census verifies
+    identity: str  # the counting identity the census implies
 
     def count(self, kind: str) -> int:
         return sum(1 for o in self.orbits if o.kind == kind)
@@ -262,24 +263,16 @@ def classify_orbits3(r: PairMap) -> OrbitReport:
 
     The star census additionally asserts the counts expected of a
     presentation passing the star conditions: n orbits of type A of size
-    1, n(n-1) of type B of size 3, n(n-1)(n-2)/6 of type C of size 6,
-    tied together by n^3 = n + 3n(n-1) + 6#C.  For other inputs the
-    census verdict is informational only."""
+    1, n(n-1) of type B of size 3, n(n-1)(n-2)/6 of type C of size 6;
+    then n^3 = n + 3n(n-1) + 6#C holds identically.  For other inputs
+    the census verdict is informational only."""
     n = r.n
     seen: set[Word] = set()
     orbits: list[Orbit] = []
     for w in all_words(n, 3):
         if w in seen:
             continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            cur = frontier.pop()
-            for pos in (1, 2):
-                nxt = r.apply_at(cur, pos)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
+        orbit = closure([w], lambda cur: (r.apply_at(cur, 1), r.apply_at(cur, 2)))
         seen.update(orbit)
         if any(u[0] == u[1] == u[2] for u in orbit):
             kind = "A"
@@ -287,8 +280,7 @@ def classify_orbits3(r: PairMap) -> OrbitReport:
             kind = "B"
         else:
             kind = "C"
-        orbits.append(Orbit(tuple(sorted(orbit)), kind))
-    orbits.sort(key=lambda o: o.elements[0])
+        orbits.append(Orbit(tuple(sorted(orbit)), kind))  # met at its least word w: in order
     return OrbitReport(
         n=n,
         orbits=tuple(orbits),
@@ -298,9 +290,7 @@ def classify_orbits3(r: PairMap) -> OrbitReport:
 
 
 def _star_census(n: int, orbits: tuple[Orbit, ...]) -> CheckResult:
-    na = sum(1 for o in orbits if o.kind == "A")
-    nb = sum(1 for o in orbits if o.kind == "B")
-    nc = sum(1 for o in orbits if o.kind == "C")
+    na, nb, nc = (sum(o.kind == kind for o in orbits) for kind in "ABC")
     if na != n:
         return CheckResult.failed(f"#A = {na}, expected n = {n}")
     if nb != n * (n - 1):
@@ -316,10 +306,6 @@ def _star_census(n: int, orbits: tuple[Orbit, ...]) -> CheckResult:
                 f"type {o.kind} orbit of {format_word(o.elements[0])} has size "
                 f"{o.size}, expected {want}"
             )
-    if n**3 != na + 3 * nb + 6 * nc:
-        return CheckResult.failed(
-            f"counting identity fails: {n}^3 != {na} + 3*{nb} + 6*{nc}"
-        )
     return CheckResult.passed()
 
 

@@ -50,6 +50,7 @@ from itype.core import (
     exp_unit,
     expvecs_up_to,
     format_expvec,
+    format_word,
     support,
 )
 from itype.istructure import decode_from, peel_walk, v_of, words_equal
@@ -62,7 +63,6 @@ from itype.bieberbach import (
     TilingReport,
     _box_points,
     _signed_generators,
-    format_signed_word,
 )
 
 
@@ -365,7 +365,7 @@ def freeness_check_bf(pm, L: int, generators: list[AffineIso] | None = None) -> 
                 if not fp.empty:
                     return FreenessReport(
                         False,
-                        f"word {format_signed_word(word)} is not the identity yet "
+                        f"word {format_word(word)} is not the identity yet "
                         f"fixes {fp.point}",
                         tuple(relations),
                         len(seen_isos),
@@ -434,8 +434,8 @@ def fundamental_domain_check_bf(
                 if pt in owner:
                     return TilingReport(
                         "fail",
-                        f"distinct elements {format_signed_word(owner[pt])} and "
-                        f"{format_signed_word(nw)} both send the origin to {pt}",
+                        f"distinct elements {format_word(owner[pt])} and "
+                        f"{format_word(nw)} both send the origin to {pt}",
                         len(seen),
                         0,
                         (),

@@ -33,6 +33,7 @@ from itype.bieberbach import refuse_large_tiling
 from itype.cli import load_pairmap
 from itype.core import Perm, all_perms, expvecs_of_degree, expvecs_up_to
 from itype.istructure import decode_from, peel_walk
+from itype.structuremaps import kernel_exponents
 
 from oracles import (
     check_action_consistency_ref,
@@ -329,6 +330,19 @@ def test_frame_cycle_sums_match_fixed_points():
         gens = affine_generators(pm)
         gens[0] = AffineIso(perm, shift)
         assert _frame_verdicts(3, gens, 4) > 1
+
+
+def test_frame_labels_are_the_kernel_image_group():
+    # one H: the permutation parts the frame numbers, the identity first,
+    # are the image of phi that kernel_exponents closes
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    for path in paths:
+        pm = PhiMap(build_itable(load_pairmap(str(path)), D=8))
+        steps, decode, _, _ = bieberbach._frame(pm.n, affine_generators(pm), 1)
+        perms = [decode(label).perm for label in range(len(steps))]  # q = 0: the key is the label
+        assert perms[0] == Perm.identity(pm.n) and len(set(perms)) == len(perms)
+        assert set(perms) == kernel_exponents(pm).group, path.name
 
 
 def test_fundamental_domain_x2y2(x2y2_pm):

@@ -396,6 +396,23 @@ def test_unknown_generator_in_a_word_names_the_word(x2y2_file, capsys):
     assert err == "error: word 'x q': unknown generator 'q'\n"
 
 
+def test_bad_sigma_is_refused(x2y2_file, capsys):
+    err = refused(capsys, "build", x2y2_file, "--sigma", "a,b")
+    assert err == "error: bad --sigma value 'a,b': invalid literal for int() with base 10: 'a'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("normalize", "1"), "word: 1\nexps: (0,0)\ncanonical: 1\n"),
+        (("equal", "1", "1"), "equal: true\n"),
+    ],
+)
+def test_the_empty_word_is_spelled_1(x2y2_file, capsys, argv, out):
+    command, *words = argv
+    assert run(capsys, command, x2y2_file, *words) == (0, out)
+
+
 def test_generators_may_be_named_rtable_and_gens(tmp_path, capsys):
     # every line after the rtable line is a table line, directive words included
     f = tmp_path / "named.rtable"

@@ -7,9 +7,12 @@ from itype.core import (
     Perm,
     abelianize,
     all_perms,
+    closure,
     compose_perm,
+    exp_sub_gen,
     expvecs_of_degree,
     expvecs_up_to,
+    format_word,
     relabel_expvec,
     sort_word,
 )
@@ -88,3 +91,34 @@ def test_relabel_expvec():
     assert relabel_expvec((2, 1), Perm((2, 1))) == (1, 2)
     sigma = Perm((2, 3, 1))
     assert relabel_expvec((1, 0, 0), sigma) == (0, 1, 0)
+
+
+def test_exp_sub_gen_refuses_an_absent_generator():
+    assert exp_sub_gen((1, 2), 2) == (1, 1)
+    with pytest.raises(InputError, match=r"generator 2 absent from \(1, 0\)"):
+        exp_sub_gen((1, 0), 2)
+
+
+def test_closure_is_breadth_first_from_the_start():
+    # a 6-cycle 0 -> 1 -> ... -> 5 -> 0 with chords k -> k + 3: start first,
+    # then each element where it is first met, and the walk ends
+    def moves(k):
+        return (k + 1) % 6, (k + 3) % 6
+
+    assert closure([0], moves) == [0, 1, 3, 2, 4, 5]
+    assert closure([4, 2, 4], moves) == [4, 2, 5, 1, 3, 0]  # start deduplicated, in order
+    assert closure(["a"], lambda w: [w + "a"] if len(w) < 3 else []) == ["a", "aa", "aaa"]
+    assert closure([], moves) == []
+
+
+def test_closure_of_generators_is_the_group_they_generate():
+    swap, cyc = Perm((2, 1, 3)), Perm((2, 3, 1))
+    group = closure([swap, cyc], lambda p: [p * swap, p * cyc])
+    assert group[:2] == [swap, cyc] and sorted(group, key=lambda p: p.images) == all_perms(3)
+
+
+def test_format_word_names_inverse_letters():
+    assert format_word((1, -2), ("x", "y")) == "x y^-1"
+    assert format_word((-1,)) == "x1^-1"
+    assert format_word(()) == "1"
+    assert format_word((2, 1, -1), ("x", "y")) == "y x x^-1"

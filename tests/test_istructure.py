@@ -255,6 +255,11 @@ def test_degree_bound_errors(x2y2_table):
         hilbert_count(x2y2_table, 9)
 
 
+def test_letter_zero_is_refused(x2y2_table):
+    with pytest.raises(InputError, match=r"^letter 0 out of range 1\.\.2 in word \(0, 1\)$"):
+        v_inverse(x2y2_table, (0, 1))
+
+
 def test_normalize_word(x2y2_table):
     nf = normalize_word(x2y2_table, (2, 2, 1))
     assert nf.exps == (2, 1)

@@ -1,7 +1,9 @@
 import pytest
 
 from itype import (
+    CheckResult,
     InputError,
+    PairMap,
     Presentation,
     build_r,
     check_cyclic,
@@ -70,6 +72,22 @@ def test_star1():
     assert check_star1(parse_presentation("gens x\n")).ok  # vacuous
 
 
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        ("gens x y z\nrel z x = y x\n", "rel z x = y x: right side is not x_i' x_j' with i' < j'"),
+        ("gens x y z\nrel y x = y z\n", "rel y x = y z: i' < j violated"),
+        (
+            "gens x y z\nrel y x = x y\nrel y x = x z\n",
+            "rel y x = x z: left side already constrained by rel y x = x y",
+        ),
+    ],
+    ids=["right-side-order", "i-prime-below-j", "repeated-left-side"],
+)
+def test_star1_witnesses(text, witness):
+    assert check_star1(parse_presentation(text)) == CheckResult.failed(witness)
+
+
 def test_star2():
     assert check_star2(parse_presentation(COMM2_TEXT)).ok
     assert check_star2(commutative_presentation(3)).ok
@@ -114,6 +132,12 @@ def test_cyclic_rank_one():
 
 def test_cyclic_x2y2(x2y2, x2y2_r):
     assert check_cyclic(x2y2_r).ok
+
+
+def test_cyclic_image_too_small():
+    # every entry (2,2): each x_a x_a x_b goes to y y y, one image of four
+    res = check_cyclic(PairMap(2, ((2, 2),) * 4))
+    assert res == CheckResult.failed("image of the doubled-first-letter words has size 1 < 4")
 
 
 def test_star_report(x2y2, x2y2_r):

@@ -70,10 +70,12 @@ def test_table_commands_parse_once_and_build_once(capsys, name, words, command, 
 
 
 def test_package_modules_use_every_name_they_import():
-    # a simplification that frees an import must delete it too;
-    # __init__.py imports to re-export
+    # a simplification that frees an import must delete it too, in the
+    # package, the tests and the bench scripts; __init__.py imports to
+    # re-export
     unused = []
-    for path in sorted((ROOT / "src" / "itype").glob("*.py")):
+    sources = (ROOT / "src" / "itype", ROOT / "tests", BENCH)
+    for path in sorted(path for folder in sources for path in folder.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -85,7 +87,7 @@ def test_package_modules_use_every_name_they_import():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.name}: {name}")
+                        unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
 
 

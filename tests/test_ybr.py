@@ -4,6 +4,7 @@ import random
 import pytest
 
 from itype import (
+    CheckResult,
     InputError,
     PairMap,
     build_r,
@@ -134,6 +135,24 @@ def test_orbits_x2y2(x2y2_r):
     assert ((1, 1, 1), (1, 2, 2), (2, 2, 1)) in [o.elements for o in rep.orbits]
     assert not rep.star_census.ok  # not star-shaped; census informational
     assert all(6 % o.size == 0 for o in rep.orbits)
+
+
+@pytest.mark.parametrize(
+    "n, table, witness",
+    [
+        (
+            3,
+            ((3, 2), (1, 3), (3, 1), (2, 3), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3)),
+            "#C = 0, expected n(n-1)(n-2)/6 = 1",
+        ),
+        (2, ((1, 1), (1, 2), (2, 2), (2, 1)), "type B orbit of x1 x1 x2 has size 1, expected 3"),
+    ],
+    ids=["count-of-C", "orbit-size"],
+)
+def test_star_census_witnesses(n, table, witness):
+    rep = classify_orbits3(PairMap(n, table))
+    assert rep.star_census == CheckResult.failed(witness)
+    assert rep.identity == "n^3 = n + 3*n*(n-1) + 6*#C"
 
 
 def test_orbit_sizes_divide_six_and_braid_rotation(census):
