@@ -51,15 +51,30 @@ one add and one dict probe per step, K(q) -> label: equal labels are one
 element, others two with one origin image.  Only such a collision
 reruns the search on points, for the first pair in freeness's word
 order.  B = 2 max(R, L m) + 1 keeps the radius-R cube's points distinct.
+
+Tiling needs no search when three conditions hold (Zassenhaus 1948;
+Charlap 1986).  (a) Generator i has the shift e_i: a step changes
+|g(0)|_1 by exactly 1.  (b) i -> pi_i(i) is a bijection: from p != 0,
+g_i^-1 with p_i > 0, or g_i with pi_i(i) = k and p_k < 0, lowers |p|_1,
+so the ball of word length L sends the origin onto the l1 ball of
+radius L, and G is transitive on Z^n.  (c) The lattice of T = G cap Z^n,
+generated (Schreier) by q_h + d(h, s) - q_{h s} over the labels h and
+the generators s, q_h from a breadth-first transversal, has index |H|.
+T is normal, so the lattice is invariant under every permutation part
+and, by (b), Z^n is the union over h of a_h + T: the index is at most
+|H|, and |H| iff these cosets are distinct, iff g -> g(0) is one to one.
+Then the report is fixed: the l1 ball's size, and the box points of
+norm <= L.  Otherwise the search above decides; it alone words a failure.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 from operator import mul
 
 from .core import (
@@ -83,10 +98,12 @@ Point = tuple  # integer (or rational) coordinates
 # (1,062,880 words, 313 elements) takes 0.6 s and 84 MiB, most of it the walk.
 MAX_FREENESS_WORDS = 2_000_000
 
-# Tiling keeps one key and one label per lattice point it reaches; past
-# this many reachable points it refuses to start.  flip5 at the default
-# flags (982,729 points) takes 2.2-2.5 s and 102 MiB in all on the same
-# core, 1.7 s of it the tiling search.
+# Tiling refuses to start past this many points in the l1 ball its length
+# could reach, whether the closed form or the search would decide.  The
+# search keeps one key and one label per point it reaches: at the default
+# flags flip5 (982,729 points) takes 1.5-2.0 s and 102 MiB in all on the
+# same core when its tiling is searched, 1.6-1.7 s of it the search, and
+# 0.11-0.13 s and 30 MiB in the closed form.
 MAX_TILING_POINTS = 1_000_000
 
 
@@ -175,6 +192,15 @@ def affine_generators(pm: PhiMap) -> list[AffineIso]:
     return [generator_isometry(pm, i) for i in range(1, pm.n + 1)]
 
 
+def _generators(pm: PhiMap, generators: list[AffineIso] | None) -> list[AffineIso]:
+    """The generator isometries, or `generators` in their place: one per
+    generator, in order, each of dimension n."""
+    gens = affine_generators(pm) if generators is None else generators
+    if len(gens) != pm.n or any(g.n != pm.n for g in gens):
+        raise InputError("dimension mismatch")
+    return gens
+
+
 def resolve_convention() -> str:
     """The permutation part of every generator isometry is phi(u_i), by
     the definition of phi (see the module docstring); nothing is decided
@@ -200,9 +226,7 @@ def check_action_consistency(
         raise InputError(f"consistency bound must be >= 0, got {bound}")
     if bound + 1 > pm.D:
         raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
-    gens = affine_generators(pm) if generators is None else generators
-    if len(gens) != pm.n or any(g.n != pm.n for g in gens):
-        raise InputError("dimension mismatch")
+    gens = _generators(pm, generators)
     n, t = pm.n, pm.table
     want = [[g.perm.images.index(j + 1) for g in gens] for j in range(n)]  # pi_i^-1(j), 0-based
 
@@ -243,10 +267,43 @@ def check_action_consistency(
 SignedWord = tuple[int, ...]  # i for a generator, -i for its inverse
 
 
-def _signed_generators(gens: list[AffineIso]) -> list[tuple[int, AffineIso]]:
+def _signed_generators(gens: Sequence[AffineIso]) -> list[tuple[int, AffineIso]]:
     out = [(i, g) for i, g in enumerate(gens, start=1)]
     out.extend((-i, invert(g)) for i, g in enumerate(gens, start=1))
     return out
+
+
+@lru_cache(maxsize=8)  # one build per command: freeness, tiling certificate and search
+def _label_frame(gens: tuple[AffineIso, ...]) -> tuple[list, list, list, list, list]:
+    """The part of the translation frame that depends on the generators
+    alone: the signed generators (letter, 0-based pi, s) in search order;
+    by label, its permutation part (0-based, and as a Perm) and 0-based
+    cycles; and moves[label], the next label and the translation d per
+    signed generator.  The labels number the closure (core.closure) of
+    the identity under the signed permutation parts, label 0 the
+    identity: for the generator isometries, the group H of
+    structuremaps.kernel_exponents."""
+    n = gens[0].n
+    signed = [
+        (s, tuple([k - 1 for k in g.perm.images]), g.shift)
+        for s, g in _signed_generators(gens)
+    ]
+
+    def products(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [tuple([sigma[k] for k in pi]) for _, pi, _ in signed]  # sigma o pi
+
+    perms = closure([tuple(range(n))], products)
+    labels = {sigma: label for label, sigma in enumerate(perms)}
+    group = [Perm(tuple([k + 1 for k in sigma])) for sigma in perms]
+    cycles = [[[k - 1 for k in c] for c in g.cycles()] for g in group]
+    moves = [
+        [
+            (labels[nxt], tuple([c for _, c in sorted(zip(nxt, sh))]))  # d[sigma'(j)] = s[j]
+            for (_, _, sh), nxt in zip(signed, products(sigma))
+        ]
+        for sigma in perms
+    ]
+    return signed, perms, group, cycles, moves
 
 
 # letter, next label, key delta, then the generator's 0-based pi and its s
@@ -260,33 +317,19 @@ def _frame(
     most L steps: steps[label] lists one Step per signed generator, in
     search order, decode(key) is the element itself, fixes(key) whether
     it has a fixed point, and the base B also keeps the points of the
-    radius-`box` cube distinct.  The labels number the closure
-    (core.closure) of the identity under the signed permutation parts:
-    for the generator isometries, the group H of
-    structuremaps.kernel_exponents."""
-    if any(g.n != n for g in gens):
-        raise InputError("dimension mismatch")
-    signed = [
-        (s, tuple([k - 1 for k in g.perm.images]), g.shift) for s, g in _signed_generators(gens)
-    ]
+    radius-`box` cube distinct.  Only the key deltas depend on B; the
+    rest is read from `_label_frame`."""
+    signed, perms, group, cycles, moves = _label_frame(tuple(gens))
     base = 2 * max(box, L * max([1] + [abs(c) for _, _, sh in signed for c in sh])) + 1
-
-    def products(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple([sigma[k] for k in pi]) for _, pi, _ in signed]  # sigma o pi
-
-    perms = closure([tuple(range(n))], products)  # 0-based; label 0 is the identity
-    labels = {sigma: label for label, sigma in enumerate(perms)}
+    powers = [base**j for j in range(n)]
     order = len(perms)
-    group = [Perm(tuple([k + 1 for k in sigma])) for sigma in perms]
-    cycles = [[[k - 1 for k in c] for c in g.cycles()] for g in group]  # 0-based, by label
-    steps = []
-    for label, sigma in enumerate(perms):
-        row = []
-        for (s, pi, sh), nxt in zip(signed, products(sigma)):
-            nl = labels[nxt]
-            kd = sum(c * base**i for i, c in zip(perms[nl], sh))  # K(d), d[sigma'(j)] = s[j]
-            row.append((s, nl, kd * order + nl - label, pi, sh))
-        steps.append(row)
+    steps = [
+        [
+            (s, nl, sum(map(mul, powers, d)) * order + nl - label, pi, sh)
+            for (s, pi, sh), (nl, d) in zip(signed, row)
+        ]
+        for label, row in enumerate(moves)
+    ]
 
     def split(key: int) -> tuple[list[int], int]:
         rest, label = divmod(key, order)
@@ -332,14 +375,21 @@ def refuse_long_freeness(n: int, L: int) -> None:
         )
 
 
+def l1_ball_size(n: int, L: int) -> int:
+    """The lattice points of l1 norm <= L in Z^n: sum_j 2^j C(n,j) C(L,j),
+    choosing the j nonzero coordinates, their signs, and the partial sums
+    of their absolute values among 1..L."""
+    return sum(2**j * comb(n, j) * comb(L, j) for j in range(n + 1))
+
+
 def refuse_large_tiling(n: int, L: int) -> None:
     """Raise InputError if tiling to length L could reach more than
     MAX_TILING_POINTS lattice points."""
     # every step is a signed unit shift, so the elements reached have
-    # distinct origin images of l1 norm <= L: sum_j 2^j C(n,j) C(L,j)
-    # points; a length past the limit is over it whatever n is
+    # distinct origin images of l1 norm <= L; a length past the limit is
+    # over it whatever n is
     k = max(0, min(L, MAX_TILING_POINTS))
-    points = sum(2**j * comb(n, j) * comb(k, j) for j in range(n + 1))
+    points = l1_ball_size(n, k)
     if points > MAX_TILING_POINTS:
         more = "more than " if L > k else ""
         raise InputError(
@@ -358,7 +408,7 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
     if L < 1:
         raise InputError(f"freeness word length must be >= 1, got {L}")
     refuse_long_freeness(n, L)
-    gens = affine_generators(pm) if generators is None else generators
+    gens = _generators(pm, generators)
     steps, decode, fixes, _ = _frame(n, gens, L)
     # the key of every non-identity element seen; isometries_seen adds
     # the identity
@@ -409,50 +459,86 @@ def fundamental_domain_check(
     distinct isometries must reach distinct points (simple transitivity),
     and every lattice point of the radius-`box` cube must be reached once
     L is large enough.  Missing points with no injectivity violation is
-    'inconclusive', not failure.  Refuses (InputError) a length, or a box
-    (the l1 ball of radius n box contains it), whose points number more
-    than MAX_TILING_POINTS."""
+    'inconclusive', not failure.  Decided in closed form when the
+    certificate of the module docstring holds, else by the search.
+    Refuses (InputError) a length, or a box (the l1 ball of radius n box
+    contains it), whose points number more than MAX_TILING_POINTS."""
     n = pm.n
     if L < 1:
         raise InputError(f"tiling word length must be >= 1, got {L}")
     if box < 0:
         raise InputError(f"tiling box radius must be >= 0, got {box}")
     refuse_large_tiling(n, max(L, n * box))
-    gens = affine_generators(pm) if generators is None else generators
-    steps, _, _, base = _frame(n, gens, L, box)
-    order = len(steps)
-    reached = {0: 0}  # K(q) -> label; q = -g^-1(0), see the module docstring
-    frontier = {0: [0]}  # label -> the K(q) of the elements last reached
-    for _ in range(L):
-        nxt: dict[int, list[int]] = {}
-        for label, keys in frontier.items():
-            for _, nl, delta, _, _ in steps[label]:
-                kd = (delta + label - nl) // order  # K(d)
-                out = nxt.setdefault(nl, [])
-                for key in keys:
-                    new = key + kd
-                    old = reached.get(new)
-                    if old is None:
-                        reached[new] = nl
-                        out.append(new)
-                    elif old != nl:  # their inverses send the origin to one point
-                        return _tiling_failure(n, steps, L)
-        frontier = nxt
-    powers = [base**j for j in range(n)]
+    gens = _generators(pm, generators)
     box_points = list(_box_points(n, box))
-    # the box is symmetric: pt is an origin image iff -pt is some q
-    missed = tuple(pt for pt in box_points if -sum(map(mul, powers, pt)) not in reached)
+    if _tiles_simply(n, gens):
+        orbit_size = l1_ball_size(n, L)
+        missed = tuple(pt for pt in box_points if sum(map(abs, pt)) > L)
+    else:
+        steps, _, _, base = _frame(n, gens, L, box)
+        order = len(steps)
+        reached = {0: 0}  # K(q) -> label; q = -g^-1(0), see the module docstring
+        frontier = {0: [0]}  # label -> the K(q) of the elements last reached
+        for _ in range(L):
+            nxt: dict[int, list[int]] = {}
+            for label, keys in frontier.items():
+                for _, nl, delta, _, _ in steps[label]:
+                    kd = (delta + label - nl) // order  # K(d)
+                    out = nxt.setdefault(nl, [])
+                    for key in keys:
+                        new = key + kd
+                        old = reached.get(new)
+                        if old is None:
+                            reached[new] = nl
+                            out.append(new)
+                        elif old != nl:  # their inverses send the origin to one point
+                            return _tiling_failure(n, steps, L)
+            frontier = nxt
+        orbit_size = len(reached)
+        powers = [base**j for j in range(n)]
+        # the box is symmetric: pt is an origin image iff -pt is some q
+        missed = tuple(pt for pt in box_points if -sum(map(mul, powers, pt)) not in reached)
     covered = len(box_points) - len(missed)
     if missed:
         return TilingReport(
             "inconclusive",
             f"{len(missed)} of {len(box_points)} box points not reached at "
             f"word length {L}; raise L",
-            len(reached),
+            orbit_size,
             covered,
             missed,
         )
-    return TilingReport("pass", "", len(reached), covered, ())
+    return TilingReport("pass", "", orbit_size, covered, ())
+
+
+def _tiles_simply(n: int, gens: list[AffineIso]) -> bool:
+    """Conditions (a)-(c) of the module docstring, read off the label
+    frame: unit shifts, a bijective diagonal, and a translation lattice
+    of index |H|.  When they hold, g -> g(0) maps the ball of word length
+    L one to one onto the l1 ball of radius L."""
+    signed, perms, _, _, moves = _label_frame(tuple(gens))
+    units = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
+    diagonal = {pi[i] for i, (_, pi, _) in enumerate(signed[:n])}
+    if [sh for _, _, sh in signed[:n]] != units or len(diagonal) < n:
+        return False
+    q = {0: (0,) * n}  # label -> the q of its transversal element
+    labels = [0]  # breadth first over the generators
+    rows: list[list[int] | None] = [None] * n  # an echelon basis of T: rows[k] leads at k
+    for h in labels:
+        for nl, d in moves[h][:n]:
+            t = tuple([a + b for a, b in zip(q[h], d)])
+            if nl not in q:
+                q[nl] = t
+                labels.append(nl)
+                continue
+            v = [a - b for a, b in zip(t, q[nl])]  # a Schreier generator of T
+            for k in range(n):
+                if v[k] and rows[k] is None:
+                    rows[k], v = v, [0] * n
+                while v[k]:  # Euclid on column k
+                    f = rows[k][k] // v[k]
+                    rows[k], v = v, [a - f * b for a, b in zip(rows[k], v)]
+    return None not in rows and prod(abs(r[k]) for k, r in enumerate(rows)) == len(perms)
 
 
 def _tiling_failure(n: int, steps: list[list[Step]], L: int) -> TilingReport:

@@ -508,6 +508,17 @@ def test_flat_searches_match_oracles_random_corruptions(census, n4_pms):
     assert outcomes == {True, False, "pass", "fail", "inconclusive"}
 
 
+def test_flat_searches_match_oracles_with_the_certificate_off(census, x2y2_pm, n4_pms, monkeypatch):
+    # on valid maps the closed form answers first; the parity sets above,
+    # rerun on the key search alone, keep it covered there too
+    monkeypatch.setattr(bieberbach, "_tiles_simply", lambda n, gens: False)
+    test_flat_searches_match_oracles_census(census)
+    test_flat_searches_match_oracles_x2y2(x2y2_pm)
+    test_flat_searches_match_oracles_order_4_and_8(n4_pms)
+    test_flat_searches_match_oracles_corrupted(x2y2_pm)
+    test_flat_searches_match_oracles_random_corruptions(census, n4_pms)
+
+
 def test_tiling_replays_the_point_search_only_on_failure(x2y2_pm, monkeypatch):
     # the corpus at the CLI's length for radius 1 passes without the
     # replay; a collision calls it once, and its report is the oracle's
@@ -537,6 +548,94 @@ def test_tiling_replays_the_point_search_only_on_failure(x2y2_pm, monkeypatch):
     rep = fundamental_domain_check(x2y2_pm, 1, 4, generators=gens)
     assert rep.status == "fail" and calls == [rep]
     assert rep == fundamental_domain_check_bf(x2y2_pm, 1, 4, generators=gens)
+
+
+def test_tiling_takes_the_closed_form_on_valid_maps(census, monkeypatch):
+    # every solution for n <= 4, x2y2, comm3 and flip5, at the CLI's length
+    # for radius 1 and at a length that leaves the corner (2, ..., 2) out:
+    # the key search never runs.  The report is the oracle's; for the n = 4
+    # solutions outside the 23 class representatives (the oracle takes
+    # about 30 s on them) it is the key search's, which the parity tests
+    # below tie to the oracle
+    solutions = [s for n in (1, 2, 3) for s in census[n].solutions]
+    reps = list(enumerate_solutions(4).class_reps)
+    others = [s for s in enumerate_solutions(4).solutions if s not in reps]
+    assert len(solutions) + len(reps) + len(others) == 183
+    named = [load_pairmap(str(CORPUS / name)) for name in ("x2y2.pres", "comm3.pres", "flip5.rtable")]
+    pms = [PhiMap(build_itable(s, D=2)) for s in solutions + reps + named + others]
+    cases = [(pm, R, L) for pm in pms for R, L in ((1, 2 * pm.n), (2, max(1, 2 * pm.n - 1)))]
+    frame = bieberbach._frame
+
+    def search(*args):
+        raise AssertionError("key search run on a valid map")
+
+    monkeypatch.setattr(bieberbach, "_frame", search)
+    got = [fundamental_domain_check(pm, R, L) for pm, R, L in cases]
+    assert {rep.status for rep in got} == {"pass", "inconclusive"}
+    monkeypatch.setattr(bieberbach, "_frame", frame)
+    monkeypatch.setattr(bieberbach, "_tiles_simply", lambda n, gens: False)
+    oracle = 2 * (len(pms) - len(others))
+    for k, (rep, (pm, R, L)) in enumerate(zip(got, cases)):
+        check = fundamental_domain_check_bf if k < oracle else fundamental_domain_check
+        assert rep == check(pm, R, L)
+        assert rep.orbit_size == sum(2**j * math.comb(pm.n, j) * math.comb(L, j) for j in range(pm.n + 1))
+
+
+def test_each_certificate_gate_falls_back_to_the_search(x2y2_pm, flip_pms, census, monkeypatch):
+    # a shift that is not a unit vector, a diagonal i -> pi_i(i) that is
+    # not a bijection, and (found by a seeded search) unit shifts and a
+    # bijective diagonal whose translation lattice has index other than
+    # |H|: each runs the key search, and its report is the oracle's
+    frames = []
+    frame = bieberbach._frame
+    monkeypatch.setattr(bieberbach, "_frame", lambda *args: frames.append(args) or frame(*args))
+
+    def falls_back(pm, gens, box, L):
+        assert not bieberbach._tiles_simply(pm.n, gens)
+        calls = len(frames)
+        rep = fundamental_domain_check(pm, box, L, generators=gens)
+        assert len(frames) == calls + 1
+        assert rep == fundamental_domain_check_bf(pm, box, L, generators=gens)
+        return rep
+
+    # translations by (1, 1) and (0, 1): the diagonal is a bijection and
+    # the lattice is Z^2, but (1, -1) takes three steps, not two
+    gens = [AffineIso(Perm((1, 2)), (1, 1)), affine_generators(flip_pms[2])[1]]
+    rep = falls_back(flip_pms[2], gens, 1, 2)
+    assert rep.status == "inconclusive" and rep.missed == ((1, -1), (-1, 1))
+    gens = [AffineIso(Perm((1, 2)), (1, 0)), affine_generators(x2y2_pm)[1]]  # pi_1(1) = pi_2(2) = 1
+    assert falls_back(x2y2_pm, gens, 1, 4).status == "fail"
+    rng = random.Random(0)
+    pms = [PhiMap(build_itable(s, D=2)) for s in census[3].solutions]
+    units = affine_generators(pms[0])
+    for _ in range(100):
+        pm = rng.choice(pms)
+        gens = affine_generators(pm)
+        i = rng.randrange(3)
+        gens[i] = AffineIso(rng.choice(all_perms(3)), gens[i].shift)
+        if len({g.perm(j) for j, g in enumerate(gens, start=1)}) == 3:
+            rep = fundamental_domain_check(pm, 1, 6, generators=gens)
+            if rep.status == "fail":
+                break
+    else:
+        raise AssertionError("no unit-shift corruption with a bijective diagonal fails")
+    assert [g.shift for g in gens] == [g.shift for g in units]
+    assert falls_back(pm, gens, 1, 6) == rep
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pm, gens: fundamental_domain_check(pm, 1, 4, generators=gens),
+        lambda pm, gens: freeness_check(pm, 3, generators=gens),
+    ],
+    ids=["tiling", "freeness"],
+)
+def test_searches_refuse_a_generator_list_of_the_wrong_length(x2y2_pm, call):
+    gens = affine_generators(x2y2_pm)
+    for wrong in (gens[:1], gens + gens[:1], [gens[0], AffineIso.identity(3)]):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            call(x2y2_pm, wrong)
 
 
 def test_consistency_decode_matches_v_inverse(x2y2_table, flip_tables):

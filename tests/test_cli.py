@@ -170,6 +170,17 @@ def test_bieberbach_golden(capsys, name, length, radius, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_bieberbach_default_flags_flip5(capsys):
+    # tiling length 2Rn = 20: the largest orbit under the limit, decided in
+    # closed form; the digest is that of the key search's report
+    code, out = run(capsys, "bieberbach", str(CORPUS / "flip5.rtable"))
+    assert code == 0
+    assert "orbit: 3125 box points covered, 982729 elements\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "345df44e2e2dfa0c9b9b03e8177b81b13b229f51714b3a6e2ee46b7f70987d05"
+    )
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--length", "0"), ("--length", "-2"), ("--radius", "-1"), ("--radius", "-1", "--length", "-2")],
