@@ -42,16 +42,6 @@ x = g(x) is x[j] = x[sigma(j)] + a[j]: it telescopes along each cycle of
 sigma, so g has a fixed point iff a sums to 0 on every cycle, as q does.
 Freeness reads that off the digits of K(q) and the label's cycles.
 
-Tiling compares origin images g(0) = a = q o sigma, a tuple per step
-here.  But g^-1 = (sigma^-1, -q): g -> g h grows the word of g^-1 on the
-left, h^-1 g^-1, where the origin moves by a translation, and q is minus
-its origin image.  The ball of word length <= L is closed under inverses,
-so the search meets the same elements and origin images up to sign with
-one add and one dict probe per step, K(q) -> label: equal labels are one
-element, others two with one origin image.  Only such a collision
-reruns the search on points, for the first pair in freeness's word
-order.  B = 2 max(R, L m) + 1 keeps the radius-R cube's points distinct.
-
 Tiling needs no search when three conditions hold (Zassenhaus 1948;
 Charlap 1986).  (a) Generator i has the shift e_i: a step changes
 |g(0)|_1 by exactly 1.  (b) i -> pi_i(i) is a bijection: from p != 0,
@@ -64,7 +54,9 @@ T is normal, so the lattice is invariant under every permutation part
 and, by (b), Z^n is the union over h of a_h + T: the index is at most
 |H|, and |H| iff these cosets are distinct, iff g -> g(0) is one to one.
 Then the report is fixed: the l1 ball's size, and the box points of
-norm <= L.  Otherwise the search above decides; it alone words a failure.
+norm <= L.  Otherwise a breadth-first search over the element keys
+decides: it steps a new element's origin image, a'[j] = a[pi(j)] + s[j],
+and fails at the first one already taken.
 """
 
 from __future__ import annotations
@@ -98,12 +90,13 @@ Point = tuple  # integer (or rational) coordinates
 # (1,062,880 words, 313 elements) takes 0.6 s and 84 MiB, most of it the walk.
 MAX_FREENESS_WORDS = 2_000_000
 
-# Tiling refuses to start past this many points in the l1 ball its length
-# could reach, whether the closed form or the search would decide.  The
-# search keeps one key and one label per point it reaches: at the default
-# flags flip5 (982,729 points) takes 1.5-2.0 s and 102 MiB in all on the
-# same core when its tiling is searched, 1.6-1.7 s of it the search, and
-# 0.11-0.13 s and 30 MiB in the closed form.
+# Tiling refuses to start past this many points that its search could
+# reach, whether the closed form or the search would decide.  The search
+# keeps one key and one origin image per element it meets: at the default
+# flags flip5 (982,729 points) takes 3.8-4.5 s and 239 MiB in all on a
+# 2-vCPU Xeon with Python 3.11 when its tiling is searched (a key search
+# in the inverse frame took 1.6-2.0 s and 102 MiB), and 0.18 s and 30 MiB
+# in the closed form.
 MAX_TILING_POINTS = 1_000_000
 
 
@@ -311,16 +304,15 @@ Step = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]
 
 
 def _frame(
-    n: int, gens: list[AffineIso], L: int, box: int = 0
-) -> tuple[list[list[Step]], Callable[[int], AffineIso], Callable[[int], bool], int]:
+    n: int, gens: list[AffineIso], L: int
+) -> tuple[list[list[Step]], Callable[[int], AffineIso], Callable[[int], bool]]:
     """The translation frame of the module docstring for searches of at
     most L steps: steps[label] lists one Step per signed generator, in
-    search order, decode(key) is the element itself, fixes(key) whether
-    it has a fixed point, and the base B also keeps the points of the
-    radius-`box` cube distinct.  Only the key deltas depend on B; the
+    search order, decode(key) is the element itself and fixes(key) whether
+    it has a fixed point.  Only the key deltas depend on the base B; the
     rest is read from `_label_frame`."""
     signed, perms, group, cycles, moves = _label_frame(tuple(gens))
-    base = 2 * max(box, L * max([1] + [abs(c) for _, _, sh in signed for c in sh])) + 1
+    base = 2 * L * max([1] + [abs(c) for _, _, sh in signed for c in sh]) + 1
     powers = [base**j for j in range(n)]
     order = len(perms)
     steps = [
@@ -348,7 +340,7 @@ def _frame(
         q, label = split(key)
         return not any(sum([q[k] for k in c]) for c in cycles[label])
 
-    return steps, decode, fixes, base
+    return steps, decode, fixes
 
 
 @dataclass(frozen=True)
@@ -359,14 +351,20 @@ class FreenessReport:
     isometries_seen: int
 
 
+def reduced_word_count(n: int, L: int) -> int:
+    """The reduced words of length 1..L in n generators and their
+    inverses: sum over k of 2n(2n-1)^(k-1)."""
+    return 2 * L if n == 1 else n * ((2 * n - 1) ** L - 1) // (n - 1)
+
+
 def refuse_long_freeness(n: int, L: int) -> None:
     """Raise InputError if freeness to length L would enumerate more
     than MAX_FREENESS_WORDS reduced words."""
-    # sum over k = 1..L of 2n(2n-1)^(k-1); past `cap` letters it is over
-    # the limit anyway, and the exact figure would be too long to print
+    # past `cap` letters they are over the limit anyway, and the exact
+    # figure would be too long to print
     cap = 64 if n > 1 else MAX_FREENESS_WORDS
     k = max(0, min(L, cap))
-    words = 2 * k if n == 1 else n * ((2 * n - 1) ** k - 1) // (n - 1)
+    words = reduced_word_count(n, k)
     if words > MAX_FREENESS_WORDS:
         more = "more than " if L > cap else ""
         raise InputError(
@@ -382,16 +380,19 @@ def l1_ball_size(n: int, L: int) -> int:
     return sum(2**j * comb(n, j) * comb(L, j) for j in range(n + 1))
 
 
-def refuse_large_tiling(n: int, L: int) -> None:
+def refuse_large_tiling(n: int, L: int, radius: int | None = None) -> None:
     """Raise InputError if tiling to length L could reach more than
-    MAX_TILING_POINTS lattice points."""
-    # every step is a signed unit shift, so the elements reached have
-    # distinct origin images of l1 norm <= L; a length past the limit is
-    # over it whatever n is
-    k = max(0, min(L, MAX_TILING_POINTS))
-    points = l1_ball_size(n, k)
+    MAX_TILING_POINTS lattice points.  Up to its first collision the
+    search meets distinct origin images, at most one per reduced word
+    and each of l1 norm <= radius (by default L: unit shifts)."""
+    # each count is over the limit, whatever n is, past a radius of the
+    # limit or (n > 1) 64 letters
+    radius = L if radius is None else radius
+    k = max(0, min(radius, MAX_TILING_POINTS))
+    j = max(0, min(L, 64)) if n > 1 else L
+    points, capped = min((l1_ball_size(n, k), radius > k), (1 + reduced_word_count(n, j), L > j))
     if points > MAX_TILING_POINTS:
-        more = "more than " if L > k else ""
+        more = "more than " if capped else ""
         raise InputError(
             f"tiling to word length {L} may reach {more}{points} lattice points, "
             f"over the limit of {MAX_TILING_POINTS}"
@@ -403,13 +404,16 @@ def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None
     length L.  A non-identity isometry with a fixed point fails the
     check; identity isometries from non-empty words are relations of the
     group, recorded, never failures.  Refuses (InputError) a length
-    with more than MAX_FREENESS_WORDS reduced words."""
+    with more than MAX_FREENESS_WORDS reduced words.  Under (a)-(c) of the
+    module docstring the 2n signed letters s send 0 by s g to the 2n grid
+    neighbours of g(0), and g -> g(0) is one to one: read right to left,
+    the relations are the non-backtracking closed walks of Z^n."""
     n = pm.n
     if L < 1:
         raise InputError(f"freeness word length must be >= 1, got {L}")
     refuse_long_freeness(n, L)
     gens = _generators(pm, generators)
-    steps, decode, fixes, _ = _frame(n, gens, L)
+    steps, decode, fixes = _frame(n, gens, L)
     # the key of every non-identity element seen; isometries_seen adds
     # the identity
     seen: set[int] = set()
@@ -461,8 +465,9 @@ def fundamental_domain_check(
     L is large enough.  Missing points with no injectivity violation is
     'inconclusive', not failure.  Decided in closed form when the
     certificate of the module docstring holds, else by the search.
-    Refuses (InputError) a length, or a box (the l1 ball of radius n box
-    contains it), whose points number more than MAX_TILING_POINTS."""
+    Refuses (InputError) a length or a box whose points number more than
+    MAX_TILING_POINTS: the l1 ball of radius n box holds the box, and
+    that of radius L m the search's, m the largest l1 norm of a shift."""
     n = pm.n
     if L < 1:
         raise InputError(f"tiling word length must be >= 1, got {L}")
@@ -470,34 +475,51 @@ def fundamental_domain_check(
         raise InputError(f"tiling box radius must be >= 0, got {box}")
     refuse_large_tiling(n, max(L, n * box))
     gens = _generators(pm, generators)
+    refuse_large_tiling(n, L, L * max([1] + [sum(map(abs, g.shift)) for g in gens]))
     box_points = list(_box_points(n, box))
     if _tiles_simply(n, gens):
         orbit_size = l1_ball_size(n, L)
         missed = tuple(pt for pt in box_points if sum(map(abs, pt)) > L)
     else:
-        steps, _, _, base = _frame(n, gens, L, box)
-        order = len(steps)
-        reached = {0: 0}  # K(q) -> label; q = -g^-1(0), see the module docstring
-        frontier = {0: [0]}  # label -> the K(q) of the elements last reached
+        steps, _, _ = _frame(n, gens, L)
+        parts = {s: (pi, sh) for s, _, _, pi, sh in steps[0]}
+        seen = {0}  # the keys of the elements met
+        # origin image -> the last letter of its element's first word (0 at
+        # the origin), whose inverse steps back to the parent's image
+        owner: dict[Point, int] = {(0,) * n: 0}
+
+        def word_to(pt: Point) -> SignedWord:
+            word = []
+            while s := owner[pt]:
+                pi, sh = parts[-s]
+                pt = tuple([pt[k] + c for k, c in zip(pi, sh)])
+                word.append(s)
+            return tuple(word[::-1])
+
+        frontier = [(0, (0,) * n)]  # (key, origin image), in the order first met
         for _ in range(L):
-            nxt: dict[int, list[int]] = {}
-            for label, keys in frontier.items():
-                for _, nl, delta, _, _ in steps[label]:
-                    kd = (delta + label - nl) // order  # K(d)
-                    out = nxt.setdefault(nl, [])
-                    for key in keys:
-                        new = key + kd
-                        old = reached.get(new)
-                        if old is None:
-                            reached[new] = nl
-                            out.append(new)
-                        elif old != nl:  # their inverses send the origin to one point
-                            return _tiling_failure(n, steps, L)
+            nxt = []
+            for key, pt in frontier:
+                for s, _, delta, pi, sh in steps[key % len(steps)]:
+                    new = key + delta
+                    if new in seen:
+                        continue
+                    seen.add(new)
+                    npt = tuple([pt[k] + c for k, c in zip(pi, sh)])  # the new element's g(0)
+                    if npt in owner:
+                        return TilingReport(
+                            "fail",
+                            f"distinct elements {format_word(word_to(npt))} and "
+                            f"{format_word(word_to(pt) + (s,))} both send the origin to {npt}",
+                            len(seen),
+                            0,
+                            (),
+                        )
+                    owner[npt] = s
+                    nxt.append((new, npt))
             frontier = nxt
-        orbit_size = len(reached)
-        powers = [base**j for j in range(n)]
-        # the box is symmetric: pt is an origin image iff -pt is some q
-        missed = tuple(pt for pt in box_points if -sum(map(mul, powers, pt)) not in reached)
+        orbit_size = len(seen)
+        missed = tuple(pt for pt in box_points if pt not in owner)
     covered = len(box_points) - len(missed)
     if missed:
         return TilingReport(
@@ -539,46 +561,6 @@ def _tiles_simply(n: int, gens: list[AffineIso]) -> bool:
                     f = rows[k][k] // v[k]
                     rows[k], v = v, [a - f * b for a, b in zip(rows[k], v)]
     return None not in rows and prod(abs(r[k]) for k, r in enumerate(rows)) == len(perms)
-
-
-def _tiling_failure(n: int, steps: list[list[Step]], L: int) -> TilingReport:
-    """The fail report at the first collision of the search that carries
-    origin images as points, in the order freeness walks the words.  Run
-    only once the ball of length L is known to hold a collision."""
-    # origin image -> its element's label and the last letter of its first
-    # word (0 at the origin), whose undone step gives the parent point
-    reached: dict[Point, tuple[int, int]] = {(0,) * n: (0, 0)}
-    parts = {s: (pi, sh) for s, _, _, pi, sh in steps[0]}
-
-    def word_to(pt: Point) -> SignedWord:
-        word = []
-        while s := reached[pt][1]:
-            pi, sh = parts[-s]  # the inverse letter moves pt back to its parent
-            pt = tuple([pt[k] + c for k, c in zip(pi, sh)])
-            word.append(s)
-        return tuple(word[::-1])
-
-    frontier = [(0, (0,) * n)]
-    for _ in range(L):
-        nxt = []
-        for label, pt in frontier:
-            for s, nl, _, pi, sh in steps[label]:
-                npt = tuple([pt[k] + c for k, c in zip(pi, sh)])  # the new element's g(0)
-                old = reached.get(npt)
-                if old is None:
-                    reached[npt] = (nl, s)
-                    nxt.append((nl, npt))
-                elif old[0] != nl:  # a second element sends the origin to npt
-                    return TilingReport(
-                        "fail",
-                        f"distinct elements {format_word(word_to(npt))} and "
-                        f"{format_word(word_to(pt) + (s,))} both send the origin to {npt}",
-                        len(reached) + 1,  # the elements met, this one included
-                        0,
-                        (),
-                    )
-        frontier = nxt
-    raise AssertionError("no two elements of the ball share an origin image")
 
 
 def _box_points(n: int, radius: int):

@@ -163,7 +163,7 @@ def cmd_phi(args, rep: Reporter) -> int:
     cc = cocycle_exhaustive(pm, min(5, t.D - 1))
     for name, g in zip(t.r.names, cosets.kernel.generators):
         rep.field(f"phi {name}", ",".join(str(k) for k in g.images))
-    rep.field("kernel t", "(" + ",".join(str(k) for k in cosets.t) + ")")
+    rep.field("kernel t", format_expvec(cosets.t))
     rep.field("G order", cosets.kernel.group_order)
     rep.field("cosets", " ".join(format_expvec(a) for a in cosets.reps))
     rep.check("cocycle", cc)

@@ -1,7 +1,9 @@
+import collections
 import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -296,11 +298,51 @@ def test_freeness_decides_fixed_points_by_cycle_sums():
         assert rep == freeness_check_bf(pm, 3, generators=gens)
 
 
+def _grid_closed_walks(n, L):
+    """The non-backtracking closed walks of length 1..L from the origin of
+    the grid Z^n, by dynamic programming over (point, last step); step k^1
+    undoes step k."""
+    units = [tuple(sign * (j == i) for j in range(n)) for i in range(n) for sign in (1, -1)]
+    walks = {((0,) * n, -1): 1}
+    closed = 0
+    for _ in range(L):
+        nxt = collections.Counter()
+        for (pt, last), count in walks.items():
+            for k, u in enumerate(units):
+                if k != last ^ 1:
+                    nxt[tuple(map(add, pt, u)), k] += count
+        walks = nxt
+        closed += sum(count for (pt, _), count in walks.items() if not any(pt))
+    return closed
+
+
+def test_relations_are_the_grids_closed_walks(census, flip_pms):
+    # under the tiling certificate the left Cayley graph is the grid, so
+    # the relation count depends on n and L alone (freeness_check docstring)
+    assert _grid_closed_walks(2, 12) == 19_880 and _grid_closed_walks(3, 8) == 6_504
+    assert _grid_closed_walks(5, 4) == 80
+    solutions = [s for n in (1, 2, 3) for s in census[n].solutions]
+    solutions += enumerate_solutions(4).solutions
+    assert len(solutions) == 183
+    pms = [PhiMap(build_itable(s, D=2)) for s in solutions]
+    pms.append(PhiMap(build_itable(PairMap.flip(5), D=2)))
+    for pm in pms:
+        L = {1: 8, 2: 8, 3: 6}.get(pm.n, 4)
+        assert bieberbach._tiles_simply(pm.n, affine_generators(pm))
+        rep = freeness_check(pm, L)
+        assert rep.ok and len(rep.relations) == _grid_closed_walks(pm.n, L)
+    # shifts that are not unit vectors: free, but not the grid's count
+    gens = [AffineIso(Perm((1, 3, 2)), s) for s in ((-1, -1, 0), (0, 1, 0), (0, 0, 1))]
+    assert not bieberbach._tiles_simply(3, gens)
+    rep = freeness_check(flip_pms[3], 6, generators=gens)
+    assert rep.ok and len(rep.relations) == 368 and _grid_closed_walks(3, 6) == 384
+
+
 def _frame_verdicts(n, gens, L):
     """Asserts, for every element of word length <= L, that the frame's
     cycle-sum verdict is that of fixed_points on the decoded element;
     returns how many elements have a fixed point."""
-    steps, decode, fixes, _ = bieberbach._frame(n, gens, L)
+    steps, decode, fixes = bieberbach._frame(n, gens, L)
     keys = {0: 0}  # key -> label, for every element met
     frontier = [0]
     for _ in range(L):
@@ -339,7 +381,7 @@ def test_frame_labels_are_the_kernel_image_group():
     assert len(paths) == 34
     for path in paths:
         pm = PhiMap(build_itable(load_pairmap(str(path)), D=8))
-        steps, decode, _, _ = bieberbach._frame(pm.n, affine_generators(pm), 1)
+        steps, decode, _ = bieberbach._frame(pm.n, affine_generators(pm), 1)
         perms = [decode(label).perm for label in range(len(steps))]  # q = 0: the key is the label
         assert perms[0] == Perm.identity(pm.n) and len(set(perms)) == len(perms)
         assert set(perms) == kernel_exponents(pm).group, path.name
@@ -480,8 +522,7 @@ def test_flat_searches_match_oracles_order_4_and_8(n4_pms):
 def test_flat_searches_match_oracles_corrupted(x2y2_pm):
     # either generator replaced, shifts up to 2: a search key that
     # ignored the size of the shifts would merge distinct elements, and
-    # one that ignored a box radius past L m would count a box point
-    # outside the orbit as covered
+    # a box radius past L m puts box points outside every reachable image
     outcomes = set()
     for i in (0, 1):
         for perm in (Perm((1, 2)), Perm((2, 1))):
@@ -510,7 +551,7 @@ def test_flat_searches_match_oracles_random_corruptions(census, n4_pms):
 
 def test_flat_searches_match_oracles_with_the_certificate_off(census, x2y2_pm, n4_pms, monkeypatch):
     # on valid maps the closed form answers first; the parity sets above,
-    # rerun on the key search alone, keep it covered there too
+    # rerun on the search alone, keep it covered there too
     monkeypatch.setattr(bieberbach, "_tiles_simply", lambda n, gens: False)
     test_flat_searches_match_oracles_census(census)
     test_flat_searches_match_oracles_x2y2(x2y2_pm)
@@ -519,44 +560,13 @@ def test_flat_searches_match_oracles_with_the_certificate_off(census, x2y2_pm, n
     test_flat_searches_match_oracles_random_corruptions(census, n4_pms)
 
 
-def test_tiling_replays_the_point_search_only_on_failure(x2y2_pm, monkeypatch):
-    # the corpus at the CLI's length for radius 1 passes without the
-    # replay; a collision calls it once, and its report is the oracle's
-    replay = bieberbach._tiling_failure
-
-    def refuse(*args):
-        raise AssertionError("replay called on a passing search")
-
-    monkeypatch.setattr(bieberbach, "_tiling_failure", refuse)
-    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
-    pms = [PhiMap(build_itable(load_pairmap(str(path)), D=2)) for path in paths]
-    pms = [pm for pm in pms if pm.n <= 4]
-    assert len(pms) == 33
-    for pm in pms:
-        rep = fundamental_domain_check(pm, 1, 2 * pm.n)
-        assert rep.status == "pass"
-        assert rep == fundamental_domain_check_bf(pm, 1, 2 * pm.n)
-    calls = []
-
-    def counted(*args):
-        calls.append(replay(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(bieberbach, "_tiling_failure", counted)
-    gens = affine_generators(x2y2_pm)
-    gens[0] = AffineIso(Perm((2, 1)), (2, 2))  # collides first at x2 x2 and x1 x2^-1 x2^-1
-    rep = fundamental_domain_check(x2y2_pm, 1, 4, generators=gens)
-    assert rep.status == "fail" and calls == [rep]
-    assert rep == fundamental_domain_check_bf(x2y2_pm, 1, 4, generators=gens)
-
-
 def test_tiling_takes_the_closed_form_on_valid_maps(census, monkeypatch):
     # every solution for n <= 4, x2y2, comm3 and flip5, at the CLI's length
     # for radius 1 and at a length that leaves the corner (2, ..., 2) out:
-    # the key search never runs.  The report is the oracle's; for the n = 4
+    # the search never runs.  The report is the oracle's; for the n = 4
     # solutions outside the 23 class representatives (the oracle takes
-    # about 30 s on them) it is the key search's, which the parity tests
-    # below tie to the oracle
+    # about 30 s on them) it is the search's, which the parity tests
+    # above tie to the oracle
     solutions = [s for n in (1, 2, 3) for s in census[n].solutions]
     reps = list(enumerate_solutions(4).class_reps)
     others = [s for s in enumerate_solutions(4).solutions if s not in reps]
@@ -567,7 +577,7 @@ def test_tiling_takes_the_closed_form_on_valid_maps(census, monkeypatch):
     frame = bieberbach._frame
 
     def search(*args):
-        raise AssertionError("key search run on a valid map")
+        raise AssertionError("search run on a valid map")
 
     monkeypatch.setattr(bieberbach, "_frame", search)
     got = [fundamental_domain_check(pm, R, L) for pm, R, L in cases]
@@ -585,7 +595,7 @@ def test_each_certificate_gate_falls_back_to_the_search(x2y2_pm, flip_pms, censu
     # a shift that is not a unit vector, a diagonal i -> pi_i(i) that is
     # not a bijection, and (found by a seeded search) unit shifts and a
     # bijective diagonal whose translation lattice has index other than
-    # |H|: each runs the key search, and its report is the oracle's
+    # |H|: each runs the search, and its report is the oracle's
     frames = []
     frame = bieberbach._frame
     monkeypatch.setattr(bieberbach, "_frame", lambda *args: frames.append(args) or frame(*args))
@@ -679,6 +689,26 @@ def test_tiling_refuses_large_orbits(x2y2_pm, monkeypatch):
     assert fundamental_domain_check(x2y2_pm, 1, 3).status == "pass"  # 25 points
     with pytest.raises(InputError, match="41 lattice points"):
         fundamental_domain_check(x2y2_pm, 1, 4)
+
+
+def test_tiling_guard_counts_the_longest_shift(x2y2_pm, monkeypatch):
+    # shifts of l1 norm 2 and 3: six steps reach origin images of norm 18
+    # (685 points), where a unit-step count (85 points) lets 291 elements
+    # in.  The search meets at most one element per reduced word, so the
+    # guard takes the smaller of the two counts: at L = 3 53 words (181
+    # points), at L = 4 161 words (313 points)
+    gens = [AffineIso(Perm((1, 2)), (-2, 0)), AffineIso(Perm((2, 1)), (-2, -1))]
+    rep = fundamental_domain_check(x2y2_pm, 0, 6, generators=gens)
+    assert rep.status == "pass" and rep.orbit_size == 291
+    monkeypatch.setattr(bieberbach, "MAX_TILING_POINTS", 100)
+    rep = fundamental_domain_check(x2y2_pm, 0, 3, generators=gens)
+    assert rep == fundamental_domain_check_bf(x2y2_pm, 0, 3, generators=gens)
+    for L, points in ((4, 161), (6, 685)):
+        with pytest.raises(
+            InputError,
+            match=f"^tiling to word length {L} may reach {points} lattice points, over the limit of 100$",
+        ):
+            fundamental_domain_check(x2y2_pm, 0, L, generators=gens)
 
 
 @pytest.mark.parametrize(

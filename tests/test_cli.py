@@ -172,7 +172,7 @@ def test_bieberbach_golden(capsys, name, length, radius, digest):
 
 def test_bieberbach_default_flags_flip5(capsys):
     # tiling length 2Rn = 20: the largest orbit under the limit, decided in
-    # closed form; the digest is that of the key search's report
+    # closed form; the digest is that of the search's report
     code, out = run(capsys, "bieberbach", str(CORPUS / "flip5.rtable"))
     assert code == 0
     assert "orbit: 3125 box points covered, 982729 elements\n" in out
