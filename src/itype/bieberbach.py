@@ -473,7 +473,13 @@ def fundamental_domain_check(
         raise InputError(f"tiling word length must be >= 1, got {L}")
     if box < 0:
         raise InputError(f"tiling box radius must be >= 0, got {box}")
-    refuse_large_tiling(n, max(L, n * box))
+    refuse_large_tiling(n, L)
+    if (points := l1_ball_size(n, min(n * box, MAX_TILING_POINTS))) > MAX_TILING_POINTS:
+        more = "more than " if n * box > MAX_TILING_POINTS else ""
+        raise InputError(
+            f"tiling box of radius {box} lies in the l1 ball of radius {n * box}, which "
+            f"holds {more}{points} lattice points, over the limit of {MAX_TILING_POINTS}"
+        )
     gens = _generators(pm, generators)
     refuse_large_tiling(n, L, L * max([1] + [sum(map(abs, g.shift)) for g in gens]))
     box_points = list(_box_points(n, box))

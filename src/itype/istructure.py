@@ -26,11 +26,11 @@ the cross-row compatibility
 which also makes v independent of the peeling order.  Violations raise
 ConsistencyError: they mean a bug or an invalid pair map.
 
-A row depends only on the rows it is peeled from (None where a_j = 0),
-and the sweep at b only on the row of b and its n raised rows.  The
-build memoizes both on exactly those inputs, so a hit is the same check
-on the same values; a failure is never stored, so the first one raises
-as it would unmemoized.  Rows forced by equal inputs share one tuple.
+A row depends only on the rows it is peeled from, and the sweep at b
+only on the row of b and its n raised rows.  The build interns each
+distinct row as one tuple and memoizes both on the ids of those rows, in
+the order each key is first met in its level; a failure is never stored,
+so the first failing row or b and its message are the unmemoized ones.
 
 Two rules read the table, and this module holds the only copy of each.
 v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j), and
@@ -43,15 +43,15 @@ walk, v(e), its decoding and that of v(e) x_i each take one letter from
 those of b.  Two words are equal in the semigroup iff they decode to the
 same exponent vector, which decides the word problem.
 
-Rows are plain tuples of letters in a dict keyed by exponent vector.  The
-build holds each level's rows in a list in graded-lex order and reads
-neighbours by index: level_indices(n, d) gives, flat, the index of each
-a - u_j one level down and of each b + u_j one level up, and the least
-index present in each a, the j that v and peel_walk peel.  Those tables
-and the levels (core.expvec_level) depend only on (n, d) and are cached,
-so a build does no key arithmetic.  v_of and decode_from step a list of
-exponents and look up its tuple.  A table of more than MAX_TABLE_ROWS
-rows is refused before any work, with its row count.
+Rows are plain tuples of letters in a dict keyed by exponent vector.
+The build holds each level as a list of row ids in graded-lex order:
+level_indices(n, d) gives, flat, the index of each a - u_j one level down
+and of each b + u_j one level up, and the least index present in each a,
+the j that v and peel_walk peel.  Those and the levels (core.expvec_level)
+are cached per (n, d); a level's keys are gathered with one map per j,
+and Python work is done per distinct key only.  v_of and decode_from step
+a list of exponents and look up its tuple.  A table of more than
+MAX_TABLE_ROWS rows is refused before any work, with its row count.
 """
 
 from __future__ import annotations
@@ -169,23 +169,26 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     letters = list(range(1, n + 1))
     total = n * (n + 1) // 2
 
-    made: dict[tuple, tuple[int, ...]] = {}  # peeled rows -> the row they force
-    swept: set[tuple] = set()  # (row b, raised rows) whose sweep passed
+    made: dict[tuple[int, ...], int] = {}  # peeled row ids -> id of the row they force
+    swept: set[tuple[int, ...]] = set()  # (id of row b, ids of raised rows) whose sweep passed
+    distinct = [sigma.images]  # row id -> row
+    ids = {sigma.images: 0}  # row -> row id
     rows: dict[ExpVec, tuple[int, ...]] = {expvec_level(n, 0)[0]: sigma.images}
-    below = [sigma.images]  # the rows one degree down, in level order
+    below = [0]  # the row ids one degree down, in level order
     for d in range(1, D):
         level = expvec_level(n, d)
         peel, up, _ = level_indices(n, d)
-        here = []
-        for k, a in enumerate(level):
-            # the row of a - u_j per generator j, None where a_j = 0
-            key = tuple([below[p] if p >= 0 else None for p in peel[k * n : k * n + n]])
-            row = made.get(key)
-            if row is not None:
-                here.append(row)
+        # per generator j the id of the row of a - u_j, or -1 where a_j = 0:
+        # peel's -1 there reads the -1 appended to below
+        get = (below + [-1]).__getitem__
+        keys = list(zip(*[map(get, peel[j::n]) for j in range(n)]))
+        for key in dict.fromkeys(keys):
+            if key in made:
                 continue
             # (j, row of a - u_j, offset into solve) per generator j present
-            peeled = [(j, brow, (brow[j] - 1) * n - 1) for j, brow in enumerate(key) if brow]
+            peeled = [
+                (j, distinct[p], (distinct[p][j] - 1) * n - 1) for j, p in enumerate(key) if p >= 0
+            ]
             power_index = peeled[0][0] if len(peeled) == 1 else None
             row = [0] * n
             for i in range(n):
@@ -194,44 +197,45 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
                 values = {solve[off + brow[i]] for j, brow, off in peeled if j != i}
                 if len(values) != 1:
                     raise ConsistencyError(
-                        f"entry ({format_expvec(a)}, {i + 1}) depends on the peeled "
-                        f"generator: candidates {sorted(values)}"
+                        f"entry ({format_expvec(level[keys.index(key)])}, {i + 1}) depends "
+                        f"on the peeled generator: candidates {sorted(values)}"
                     )
                 row[i] = values.pop()
             if power_index is not None:
                 others = [c for c in row if c != 0]
                 if len(set(others)) != n - 1:
                     raise ConsistencyError(
-                        f"row {format_expvec(a)}: peeling-case entries {others} "
-                        "are not pairwise distinct"
+                        f"row {format_expvec(level[keys.index(key)])}: peeling-case "
+                        f"entries {others} are not pairwise distinct"
                     )
                 row[power_index] = total - sum(others)
             if sorted(row) != letters:
                 raise ConsistencyError(
-                    f"row {format_expvec(a)} = {tuple(row)} is not a permutation of X"
+                    f"row {format_expvec(level[keys.index(key)])} = {tuple(row)} "
+                    "is not a permutation of X"
                 )
-            made[key] = row = tuple(row)
-            here.append(row)
+            made[key] = ids.setdefault(tuple(row), len(ids))
+        distinct = list(ids)
+        here = list(map(made.__getitem__, keys))
         # cross-row compatibility for every b one degree further down,
         # all i, j (i = j included: those pairs must be fixed by r)
-        for k, brow in enumerate(below):
-            raised = [here[q] for q in up[k * n : k * n + n]]
-            key = (brow, *raised)
+        keys = list(zip(below, *[map(here.__getitem__, up[j::n]) for j in range(n)]))
+        for key in dict.fromkeys(keys):
             if key in swept:
                 continue
+            brow, *raised = map(distinct.__getitem__, key)
             for i in range(n):
-                bi = brow[i]
-                ri = raised[i]
+                bi, ri = brow[i], raised[i]
                 for j in range(n):
                     lhs = table[(raised[j][i] - 1) * n + brow[j] - 1]
                     if lhs[0] != ri[j] or lhs[1] != bi:
-                        b = format_expvec(expvec_level(n, d - 1)[k])
+                        b = format_expvec(expvec_level(n, d - 1)[keys.index(key)])
                         raise ConsistencyError(
                             f"compatibility fails at b={b}, i={i + 1}, "
                             f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
                         )
             swept.add(key)
-        rows.update(zip(level, here))
+        rows.update(zip(level, map(distinct.__getitem__, here)))
         below = here
     return ITable(r, D, sigma, rows)
 
@@ -334,10 +338,9 @@ def normalize_word(t: ITable, w: Word) -> NormalForm:
 
 def dump_itable(t: ITable) -> str:
     """Bit-exact dump: header, then one line per (row, column) in
-    graded-lex order of the rows."""
+    graded-lex order of the rows.  Each distinct row's text is made once;
+    a vector's block joins it with the vector's name."""
     sigma = ",".join(str(k) for k in t.sigma.images)
-    lines = [f"itable n={t.n} D={t.D} sigma={sigma}"]
-    for b in expvecs_up_to(t.n, t.D - 1):
-        name = format_expvec(b)
-        lines.extend(f"{name} {i} -> {c}" for i, c in enumerate(t._rows[b], start=1))
-    return "\n".join(lines) + "\n"
+    parts = {r: ["", *(f" {i} -> {c}\n" for i, c in enumerate(r, 1))] for r in {*t._rows.values()}}
+    blocks = (format_expvec(b).join(parts[t._rows[b]]) for b in expvecs_up_to(t.n, t.D - 1))
+    return f"itable n={t.n} D={t.D} sigma={sigma}\n" + "".join(blocks)

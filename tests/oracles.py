@@ -9,7 +9,9 @@ cocycle sweep and the braid check below are the straightforward versions
 of `build_itable`, `expvecs_of_degree`, `cocycle_exhaustive` and
 `check_yb`: keys built through the exponent-vector helpers, one `Perm`
 composition per pair, words rewritten by slicing.  The flat code in
-`itype` must produce the same rows, vectors and results.
+`itype` must produce the same rows, vectors and results.  `dump_itable_ref`
+formats the table line by line, where `dump_itable` formats each distinct
+row once; the two must produce the same bytes.
 
 `coset_decomposition_ref` is the coset certificate vector by vector:
 three canonical words and one `words_equal` per exponent vector, where
@@ -145,6 +147,17 @@ def build_itable_ref(r, D: int = 8, sigma: Perm | None = None) -> ITable:
                             f"r{lhs} != {rhs}"
                         )
     return ITable(r, D, sigma, rows)
+
+
+def dump_itable_ref(t: ITable) -> str:
+    """Bit-exact dump: header, then one line per (row, column) in
+    graded-lex order of the rows."""
+    sigma = ",".join(str(k) for k in t.sigma.images)
+    lines = [f"itable n={t.n} D={t.D} sigma={sigma}"]
+    for b in expvecs_up_to(t.n, t.D - 1):
+        name = format_expvec(b)
+        lines.extend(f"{name} {i} -> {c}" for i, c in enumerate(t._rows[b], start=1))
+    return "\n".join(lines) + "\n"
 
 
 def cocycle_exhaustive_ref(pm, dmax: int) -> CheckResult:

@@ -729,10 +729,20 @@ def test_certificates_refuse_empty_ranges(x2y2_pm, call, message):
 
 def test_tiling_refuses_large_boxes(x2y2_pm, monkeypatch):
     # the l1 ball of radius n box holds the cube: at box 10^4 that is
-    # 800,040,001 points, though L = 1 reaches 5
-    with pytest.raises(InputError, match="800040001 lattice points"):
-        fundamental_domain_check(x2y2_pm, 10**4, 1)
+    # 800,040,001 points, though L = 1 reaches 5; past a radius of the
+    # limit the count is that of the ball of radius the limit
+    for box, points in ((10**4, "800040001"), (10**7, "more than 2000002000001")):
+        with pytest.raises(
+            InputError,
+            match=f"^tiling box of radius {box} lies in the l1 ball of radius {2 * box}, "
+            f"which holds {points} lattice points, over the limit of 1000000$",
+        ):
+            fundamental_domain_check(x2y2_pm, box, 1)
     monkeypatch.setattr(bieberbach, "MAX_TILING_POINTS", 12)
     assert fundamental_domain_check(x2y2_pm, 0, 1).status == "pass"  # 5 points
-    with pytest.raises(InputError, match="13 lattice points"):
+    with pytest.raises(
+        InputError,
+        match="^tiling box of radius 1 lies in the l1 ball of radius 2, "
+        "which holds 13 lattice points, over the limit of 12$",
+    ):
         fundamental_domain_check(x2y2_pm, 1, 1)  # the radius-2 ball

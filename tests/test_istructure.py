@@ -44,6 +44,7 @@ import oracles
 from oracles import (
     build_itable_ref,
     class_index,
+    dump_itable_ref,
     expvecs_of_degree_ref,
     relations_of_pairmap,
     words_equal_bf,
@@ -270,6 +271,18 @@ def test_dump_golden(x2y2_r):
     assert dump_itable(build_itable(x2y2_r, D=3)) == X2Y2_DUMP_D3
 
 
+def test_dump_matches_reference(census, x2y2_r):
+    # every census solution with n <= 4, flip5, and every sigma of x2y2
+    # and the flip on 3 letters, at D = 8
+    tables = [build_itable(s, D=8) for cen in census.values() for s in cen.solutions]
+    tables += [build_itable(s, D=8) for s in (*enumerate_solutions(4).solutions, PairMap.flip(5))]
+    for r in (x2y2_r, PairMap.flip(3)):
+        tables += [build_itable(r, 8, sigma) for sigma in all_perms(r.n)]
+    assert len(tables) == 15 + 168 + 1 + 2 + 6
+    for t in tables:
+        assert dump_itable(t) == dump_itable_ref(t)
+
+
 def test_build_census_d6(census):
     # every enumerated solution admits the construction with all internal
     # cross-checks active
@@ -366,10 +379,14 @@ def test_expvecs_of_degree_list_is_the_callers(x2y2_r):
 
 
 def test_rows_match_reference_census(census):
-    maps = [s for cen in census.values() for s in cen.solutions]
-    maps += [*enumerate_solutions(4).solutions, PairMap.flip(5)]
-    for s in maps:
-        t, ref = build_itable(s, D=8), build_itable_ref(s, D=8)
+    # every solution with n <= 4 and flip5 at D = 8, then the 31 classes
+    # at D = 12 and flip5 at D = 9
+    maps = [(s, 8) for cen in census.values() for s in cen.solutions]
+    maps += [(s, 8) for s in (*enumerate_solutions(4).solutions, PairMap.flip(5))]
+    classes = [(s, 12) for n in (1, 2, 3, 4) for s in enumerate_solutions(n).class_reps]
+    assert len(classes) == 31
+    for r, D in (*maps, *classes, (PairMap.flip(5), 9)):
+        t, ref = build_itable(r, D), build_itable_ref(r, D)
         assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
 
 
@@ -457,6 +474,17 @@ def test_rows_match_reference_decode_sized_tables(x2y2_r):
     for r, D in ((x2y2_r, 24), (PairMap.flip(5), 10), (c4_20, 16)):
         t, ref = build_itable(r, D), build_itable_ref(r, D)
         assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
+
+
+def test_equal_rows_are_one_tuple():
+    # every corpus input at D = 8: equal rows share a tuple even where
+    # they are forced by different peeled rows
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    for path in paths:
+        rows = build_itable(load_pairmap(str(path)), D=8)._rows.values()
+        assert len({id(row) for row in rows}) == len(set(rows))
 
 
 def test_build_refuses_oversized_table(monkeypatch):
