@@ -199,6 +199,13 @@ def expvec_level(n: int, d: int) -> tuple[ExpVec, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def expvec_level_names(n: int, d: int) -> tuple[str, ...]:
+    """format_expvec of each vector of expvec_level(n, d), in order:
+    table dumps over the same alphabet share them."""
+    return tuple(map(format_expvec, expvec_level(n, d)))
+
+
 def expvecs_of_degree(n: int, d: int) -> list[ExpVec]:
     """expvec_level as a fresh list, the caller's to change."""
     return list(expvec_level(n, d))

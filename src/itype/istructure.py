@@ -77,7 +77,7 @@ from .core import (
     exp_add_gen,
     exp_unit,
     expvec_level,
-    expvecs_up_to,
+    expvec_level_names,
     format_expvec,
 )
 from .ybr import PairMap, check_axioms
@@ -339,8 +339,13 @@ def normalize_word(t: ITable, w: Word) -> NormalForm:
 def dump_itable(t: ITable) -> str:
     """Bit-exact dump: header, then one line per (row, column) in
     graded-lex order of the rows.  Each distinct row's text is made once;
-    a vector's block joins it with the vector's name."""
+    a vector's block joins it with the vector's name, the names coming
+    from core.expvec_level_names."""
     sigma = ",".join(str(k) for k in t.sigma.images)
     parts = {r: ["", *(f" {i} -> {c}\n" for i, c in enumerate(r, 1))] for r in {*t._rows.values()}}
-    blocks = (format_expvec(b).join(parts[t._rows[b]]) for b in expvecs_up_to(t.n, t.D - 1))
+    blocks = (
+        name.join(parts[t._rows[b]])
+        for d in range(t.D)
+        for b, name in zip(expvec_level(t.n, d), expvec_level_names(t.n, d))
+    )
     return f"itable n={t.n} D={t.D} sigma={sigma}\n" + "".join(blocks)

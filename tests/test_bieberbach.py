@@ -633,6 +633,76 @@ def test_each_certificate_gate_falls_back_to_the_search(x2y2_pm, flip_pms, censu
     assert falls_back(pm, gens, 1, 6) == rep
 
 
+def test_freeness_takes_the_closed_form_on_valid_maps(census, monkeypatch):
+    # every solution for n <= 4, x2y2, comm3 and flip5, at L = 2 and at the
+    # lengths of test_relations_are_the_grids_closed_walks, and at lengths
+    # where the relation walk cuts most prefixes (x2y2 at 12, comm3 at 8,
+    # flip5 and each n = 4 class at 5): the word walk never runs.  The
+    # report is the walk's (the parity tests above tie it to the oracle),
+    # and the oracle's where that is cheap: the n <= 3 solutions at L = 2
+    # and 4, the n = 4 class representatives at L = 3
+    solutions = [s for n in (1, 2, 3) for s in census[n].solutions]
+    reps = list(enumerate_solutions(4).class_reps)
+    others = [s for s in enumerate_solutions(4).solutions if s not in reps]
+    named = [load_pairmap(str(CORPUS / name)) for name in ("x2y2.pres", "comm3.pres", "flip5.rtable")]
+    assert len(solutions) + len(reps) + len(others) + len(named) == 186
+    cases = []  # (pm, L, whether the oracle is run)
+    for k, s in enumerate(solutions + reps + named + others):
+        pm = PhiMap(build_itable(s, D=2))
+        cases += [(pm, 2, pm.n <= 3), (pm, {1: 8, 2: 8, 3: 6}.get(pm.n, 4), False)]
+        if k < len(solutions) + len(reps):
+            cases.append((pm, 4 if pm.n <= 3 else 3, True))
+        if len(solutions) <= k < len(solutions) + len(reps) + len(named):
+            cases.append((pm, {2: 12, 3: 8}.get(pm.n, 5), False))
+    walk = bieberbach._word_walk
+
+    def word_walk(*args):
+        raise AssertionError("word walk run on a valid map")
+
+    monkeypatch.setattr(bieberbach, "_word_walk", word_walk)
+    got = [freeness_check(pm, L) for pm, L, _ in cases]
+    monkeypatch.setattr(bieberbach, "_word_walk", walk)
+    monkeypatch.setattr(bieberbach, "_tiles_simply", lambda n, gens: False)
+    for rep, (pm, L, oracle) in zip(got, cases):
+        assert rep.ok and rep == freeness_check(pm, L)
+        assert rep.isometries_seen == sum(2**j * math.comb(pm.n, j) * math.comb(L, j) for j in range(pm.n + 1))
+        if oracle:
+            assert rep == freeness_check_bf(pm, L)
+
+
+def test_freeness_falls_back_when_the_lattice_index_is_wrong(census):
+    # corruptions of n = 3 solutions drawn as in
+    # test_each_certificate_gate_falls_back_to_the_search, kept when they
+    # pass gates (a) and (b): a closed form that skipped gate (c) would
+    # pass the 51 that fail it, yet the walk finds a fixed point by L = 6
+    # on each of them, as the oracle does
+    rng = random.Random(0)
+    pms = [PhiMap(build_itable(s, D=2)) for s in census[3].solutions]
+    units = [tuple(int(j == i) for j in range(3)) for i in range(3)]
+    kept = []
+    for _ in range(400):
+        pm = rng.choice(pms)
+        gens = affine_generators(pm)
+        i = rng.randrange(3)
+        gens[i] = AffineIso(rng.choice(all_perms(3)), gens[i].shift)
+        if len({g.perm(j) for j, g in enumerate(gens, start=1)}) == 3:
+            assert [g.shift for g in gens] == units
+            kept.append((pm, gens))
+    failures = []
+    for pm, gens in kept:
+        rep = freeness_check(pm, 6, generators=gens)
+        assert rep == bieberbach._word_walk(3, gens, 6)
+        if not rep.ok:
+            assert rep == freeness_check_bf(pm, 6, generators=gens)
+            failures.append((tuple(g.perm.images for g in gens), rep.witness))
+    assert len(kept) == 133 and len(failures) == 51
+    assert sum(not bieberbach._tiles_simply(3, gens) for _, gens in kept) == 51
+    assert (
+        ((2, 1, 3), (2, 3, 1), (2, 3, 1)),
+        "word x1 x1 x2^-1 x2^-1 is not the identity yet fixes (0, 0, 0)",
+    ) in failures
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,8 @@ CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     "name, length, radius, digest",
     [
         ("x2y2.pres", 9, 1, "352264dcea2288577a429de41e12faa4ed37ff1e0ae3eeb99c7f85ebef4aa885"),
+        # 19,880 rel lines
+        ("x2y2.pres", 12, 0, "8b329ab073146ad982853e3f76f94b059ee9213ff70758a9b43cccee406f2928"),
         ("c4_19.rtable", 3, 1, "d130970f67812bc12f31311388382d0768cab433ed03a27b3f29671239302946"),
         ("flip5.rtable", 3, 1, "1971719afb26a59cc9806e0707eca341a4751528a3f85a66b3c44d2587321660"),
         ("c3_02.rtable", 6, 2, "77874e295de2fda862293a7521b4b2e8c610b67c34b3a6cfea045faff70a1093"),
@@ -179,6 +182,23 @@ def test_bieberbach_default_flags_flip5(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "345df44e2e2dfa0c9b9b03e8177b81b13b229f51714b3a6e2ee46b7f70987d05"
     )
+
+
+def test_bieberbach_output_sweep(capsys):
+    # every corpus input at the lattice benchmark's flags, x2y2 at length
+    # 9, and the inputs with n <= 3 at the default flags: one digest of
+    # each run's flags, exit code and stdout
+    inputs = json.loads((CORPUS / "manifest.json").read_text())["inputs"]
+    names = sorted(e["file"] for e in inputs)
+    small = sorted(e["file"] for e in inputs if e["n"] <= 3)
+    assert len(names) == 34 and len(small) == 10
+    runs = [(name, ("--length", "3", "--radius", "1")) for name in names]
+    runs += [("x2y2.pres", ("--length", "9"))] + [(name, ()) for name in small]
+    digest = hashlib.sha256()
+    for name, flags in runs:
+        code, out = run(capsys, "bieberbach", str(CORPUS / name), *flags)
+        digest.update(f"{name} {' '.join(flags)}: exit {code}\n{out}".encode())
+    assert digest.hexdigest() == "18bfca05b087ed03d434099a3caf4810975c36904b725bdd9b101684303bb801"
 
 
 @pytest.mark.parametrize(
