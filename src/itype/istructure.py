@@ -33,21 +33,20 @@ the order each key is first met in its level; a failure is never stored,
 so the first failing row or b and its message are the unmemoized ones.
 
 Two rules read the table, and this module holds the only copy of each.
-v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j), and
-peel_walk yields each e with that b = e - u_j and letter, in graded-lex
-order, so b comes first.  Decoding reads a word right to left, each
-letter in the row of the vector decoded so far; every row being a
-permutation, this never fails.  decode_from(t, d, w) decodes w u from
-the decoding d of u, and v_inverse starts it at the origin.  Along the
-walk, v(e), its decoding and that of v(e) x_i each take one letter from
-those of b.  Two words are equal in the semigroup iff they decode to the
-same exponent vector, which decides the word problem.
+v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j).
+Decoding reads a word right to left, each letter in the row of the
+vector decoded so far; every row being a permutation, this never fails.
+decode_from(t, d, w) decodes w u from the decoding d of u, and v_inverse
+starts it at the origin.  In graded-lex order, v(e), its decoding and
+that of v(e) x_i each take one letter from those of e - u_j: the coset
+and action checks walk so.  Two words are equal in the semigroup iff
+they decode to the same exponent vector, which decides the word problem.
 
 Rows are plain tuples of letters in a dict keyed by exponent vector.
 The build holds each level as a list of row ids in graded-lex order:
 level_indices(n, d) gives, flat, the index of each a - u_j one level down
 and of each b + u_j one level up, and the least index present in each a,
-the j that v and peel_walk peel.  Those and the levels (core.expvec_level)
+the j that v peels.  Those and the levels (core.expvec_level)
 are cached per (n, d); a level's keys are gathered with one map per j,
 and Python work is done per distinct key only.  v_of and decode_from step
 a list of exponents and look up its tuple.  A table of more than
@@ -57,7 +56,6 @@ MAX_TABLE_ROWS rows is refused before any work, with its row count.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -275,21 +273,6 @@ def decode_from(t: ITable, d: ExpVec, w: Word) -> ExpVec:
     for letter in reversed(w):
         b[rows[tuple(b)].index(letter)] += 1
     return tuple(b)
-
-
-def peel_walk(t: ITable, m: int) -> Iterator[tuple[ExpVec, ExpVec | None, int]]:
-    """Every exponent vector e of degree <= m in graded-lex order, as
-    (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
-    present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
-    t._need(m)
-    rows, n = t._rows, t.n
-    yield expvec_level(n, 0)[0], None, 0
-    for d in range(1, m + 1):
-        lower = expvec_level(n, d - 1)
-        peel, _, least = level_indices(n, d)
-        for k, (e, j) in enumerate(zip(expvec_level(n, d), least)):
-            b = lower[peel[k * n + j]]
-            yield e, b, rows[b][j]
 
 
 def words_equal(t: ITable, w1: Word, w2: Word) -> bool:

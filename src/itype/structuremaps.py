@@ -23,12 +23,22 @@ phi(u_i), phi(b + c + u_i) = phi(pi(b) + pi(c)) * pi, which the pair
 (pi(b), pi(c)) and the pair (c, u_i) turn into phi(phi(c + u_i)(b)) *
 phi(c + u_i), relabeling being a left action.  By induction on deg c
 that gives every pair, and the sweep's pair (0, 0) forces phi(0) = id,
-so both checks agree.  Only a failure runs the sweep, to name its first
-failing pair; check_cocycle, with its Perm objects, formats it.  It
-always finds one, as it sweeps (0, 0) and every (b, u_i).
+so both checks agree.  Per level, the row of b + u_i is read through
+istructure.level_indices and that of phi(u_i)(b) through one itemgetter
+per generator; each distinct pair of rows is composed once.  Only a
+failure runs the sweep, which check_cocycle words at its first failing
+pair; it always finds one, as it sweeps (0, 0) and every (b, u_i).
 
-coset_decomposition follows istructure's peel walk, carrying v(e) and
-its decoding; v(rep) v(p) decodes from v(p)'s decoding on.
+coset_decomposition walks each e of degree <= m in graded-lex order,
+holding the decoding of v(e) = x v(e - u_j), j least present, as its
+index up[c*n + row_c.index(x)] in level deg e, c that of e - u_j.  The
+split e = rep + p, rep = e mod t, is cached per (n, m, t).  The P0 part
+of e is a P0 point no later than e, so only P0 points ask phi = id.  The
+product rule holds outright if rep or p is 0.  Else v(rep) = y v(rep -
+u_j), j least in rep, and e - u_j = (rep - u_j) + p passed: decoding
+v(rep) v(p) whole repeats its rows, then steps with y from the decoding
+of v(e - u_j), the one step the walk takes.  So the first failure, its
+witness and any exception fall on the same vector.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from functools import lru_cache
+from operator import itemgetter, mod, sub
 
 from .core import (
     CheckResult,
@@ -47,13 +58,12 @@ from .core import (
     Perm,
     closure,
     compose_perm,
-    degree,
     exp_add,
-    expvecs_up_to,
+    expvec_level,
     format_expvec,
     relabel_expvec,
 )
-from .istructure import ITable, decode_from, peel_walk, v_of, words_equal
+from .istructure import ITable, level_indices, v_of, words_equal
 
 # phi prints all prod(t_i) vectors of the coset box; past this many it refuses.
 MAX_COSET_BOX = 1_000_000
@@ -96,32 +106,32 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
     a failure sweeps all pairs in order, to format the first failing one."""
     if dmax > pm.D - 1:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
-    n = pm.n
-    vecs = expvecs_up_to(n, dmax)
+    n, rows = pm.n, pm.table._rows
+    levels = [expvec_level(n, d) for d in range(dmax + 1)]
+    here = [list(map(rows.__getitem__, level)) for level in levels]
     inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
-    images = {b: tuple([inv[c - 1] for c in pm.table.row(b)]) for b in vecs}
-    for p in dict.fromkeys(images.values()):
+    images = {r: tuple([inv[c - 1] for c in r]) for rs in here for r in rs}
+    for p in images.values():
         Perm(p)  # a row that is no permutation raises, as phi_of did
-
-    def holds(b: ExpVec, c: ExpVec) -> bool:
-        pc = images[c]
-        relabeled = [0] * n
-        for i in range(n):
-            relabeled[pc[i] - 1] = b[i]
-        p = images[tuple(relabeled)]
-        return images[tuple(map(add, b, c))] == tuple([p[k - 1] for k in pc])
-
-    if images[vecs[0]] == tuple(range(1, n + 1)) and all(
-        holds(b, u) for b in expvecs_up_to(n, dmax - 1) for u in vecs[1 : n + 1]  # u: degree 1
+    ident = tuple(range(1, n + 1))
+    # the distinct (pi, row of b + u_i, row of pi(b)), pi = phi(u_i), over
+    # every i and b of degree < dmax, pi(b) having b_k at place pi(k)
+    gens = [images[r] for r in reversed(here[1])] if dmax else []  # level 1 is u_n, ..., u_1
+    pairs = set()
+    for i, pi in enumerate(gens):
+        relabel = None if pi == ident else itemgetter(*map(pi.index, ident))
+        for d in range(dmax):
+            above = map(here[d + 1].__getitem__, level_indices(n, d + 1)[1][i::n])
+            moved = map(relabel, levels[d]) if relabel else levels[d]
+            pairs.update(zip(itertools.repeat(pi), above, map(rows.__getitem__, moved)))
+    if images[here[0][0]] == ident and all(
+        images[a] == tuple([images[b][k - 1] for k in pi]) for pi, a, b in pairs
     ):
         return CheckResult.passed()
-    for b in vecs:
-        room = dmax - sum(b)
-        for c in vecs:
-            if sum(c) > room:
-                break  # vecs is graded: every later c is too
-            if not holds(b, c):
-                return check_cocycle(pm, b, c)
+    vecs = [b for level in levels for b in level]
+    for b, c in itertools.product(vecs, vecs):
+        if sum(b) + sum(c) <= dmax and not (res := check_cocycle(pm, b, c)):
+            return res
     raise AssertionError("the generator instances failed, yet every pair holds")
 
 
@@ -145,17 +155,19 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
     multiplication by them (core.closure): by the cocycle identity every
     phi(b) is a product of the phi(u_i).  bieberbach._frame closes the
     same images, with their inverses, into the same H."""
-    n = pm.n
+    n, rows, ident = pm.n, pm.table._rows, pm.table.sigma.images
     t = []
     for i in range(1, n + 1):
         for k in range(1, pm.D):
-            if phi_of(pm, tuple(k if j == i else 0 for j in range(1, n + 1))).is_identity():
+            b = (0,) * (i - 1) + (k,) + (0,) * (n - i)
+            if rows[b] == ident:  # phi(b) = id
                 t.append(k)
                 break
+            phi_of(pm, b)  # a row that is no permutation raises
         else:
             raise DegreeBoundError(
-                f"no power of generator {i} up to degree D-1 = {pm.D - 1} has "
-                f"trivial phi; raise the degree bound (at most n! = {math.factorial(n)} needed)"
+                f"no power of generator {i} up to degree D-1 = {pm.D - 1} has trivial "
+                f"phi; raise the degree bound (D = n! + 1 = {math.factorial(n) + 1} suffices)"
             )
     for i, ti in enumerate(t, start=1):
         if math.factorial(n) % ti != 0:
@@ -183,6 +195,67 @@ class CosetReport:
         return bool(self.factorization and self.product_rule and self.commuting)
 
 
+@lru_cache(maxsize=32)  # a session meets 12 (n, m, t)
+def _coset_split(n: int, m: int, t: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
+    """Per level d of 1..m, the split e = rep + p, rep = e mod t, of the
+    k-th vector of the level where p != 0: () if rep = 0 (a P0 point), else
+    (index in level d-1 of e - u_j, deg rep, index of rep in its level), j
+    the least index present in rep."""
+    where = {e: (d, k) for d in range(m) for k, e in enumerate(expvec_level(n, d))}
+    splits = []
+    for d in range(1, m + 1):
+        peel, split = level_indices(n, d)[0], {}
+        for k, e in enumerate(expvec_level(n, d)):
+            rep = tuple(map(mod, e, t))
+            if rep != e:
+                j = next((j for j, v in enumerate(rep) if v), None)
+                split[k] = () if j is None else (peel[k * n + j], *where[rep])
+        splits.append(split)
+    return splits
+
+
+def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, CheckResult]:
+    """Factorization and product rule at every e of degree <= m in
+    graded-lex order, up to the first failure (see the module notes)."""
+    n, rows, ident = pm.n, pm.table._rows, pm.table.sigma.images
+    passed = CheckResult.passed()
+
+    def nontrivial(p: ExpVec) -> CheckResult:  # a P0 point is its own P0 part
+        phi_of(pm, p)  # a row that is no permutation raises
+        name = format_expvec(p)
+        return CheckResult.failed(f"P0 part {name} of {name} has nontrivial phi")
+
+    origin = expvec_level(n, 0)[0]
+    if rows[origin] != ident:
+        return nontrivial(origin), passed
+    first = [[0]]  # per level walked, the first letter of each v(e)
+    below, dec_below = [rows[origin]], [0]  # level d-1: rows, decodings of v(e)
+    for d, split in enumerate(_coset_split(n, m, t), start=1):
+        level = expvec_level(n, d)
+        peel, up, least = level_indices(n, d)
+        xs, dec = [], []
+        for k, j in enumerate(least):
+            s = split.get(k)
+            if s == () and d < pm.D and rows[level[k]] != ident:
+                return nontrivial(level[k]), passed
+            kb = peel[k * n + j]
+            x, c = below[kb][j], dec_below[kb]
+            xs.append(x)
+            dec.append(up[c * n + below[c].index(x)])
+            if s:  # v(rep) = y v(rep - u_j), and e - u_j passed
+                y, c = first[s[1]][s[2]], dec_below[s[0]]
+                if up[c * n + below[c].index(y)] != dec[k]:
+                    e = level[k]
+                    rep = tuple(map(mod, e, t))
+                    return passed, CheckResult.failed(
+                        f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
+                        f"v({format_expvec(tuple(map(sub, e, rep)))}) in the semigroup"
+                    )
+        first.append(xs)
+        below, dec_below = [rows[a] for a in level] if d < m else [], dec
+    return passed, passed
+
+
 def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     """Certify, for every exponent vector e of degree <= m, that its
     split e = rep + p with rep = e mod t in the box and p in P0 has
@@ -193,8 +266,7 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     of more than MAX_COSET_BOX vectors."""
     if m > pm.D:
         raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
-    table = pm.table
-    n = pm.n
+    table, n = pm.table, pm.n
     kd = kernel_exponents(pm)
     t = kd.t
     box = math.prod(t)
@@ -209,37 +281,12 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
             f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
         )
     reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
-    # per vector walked so far: v(e) and the decoding of v(e)
-    word: dict[ExpVec, tuple[int, ...]] = {}
-    dec: dict[ExpVec, ExpVec] = {}
-    factorization = CheckResult.passed()
-    product_rule = CheckResult.passed()
-    for e, b, x in peel_walk(table, m):
-        rep = tuple(v % ti for v, ti in zip(e, t))
-        p = tuple(v - r for v, r in zip(e, rep))
-        if degree(p) <= pm.D - 1 and table.row(p) != table.sigma.images:  # phi(p) != id
-            phi_of(pm, p)  # a row that is no permutation raises
-            factorization = CheckResult.failed(
-                f"P0 part {format_expvec(p)} of {format_expvec(e)} has nontrivial phi"
-            )
-            break
-        if b is None:
-            word[e], dec[e] = (), e
-        else:
-            word[e] = (x,) + word[b]
-            dec[e] = decode_from(table, dec[b], (x,))
-        if decode_from(table, dec[p], word[rep]) != dec[e]:
-            product_rule = CheckResult.failed(
-                f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
-                f"v({format_expvec(p)}) in the semigroup"
-            )
-            break
+    factorization, product_rule = _coset_walk(pm, m, t)
     commuting = CheckResult.passed()
     gens = [v_of(table, g) for g in kd.p0_generators]
     for i in range(n):
         for j in range(i + 1, n):
-            wi, wj = gens[i], gens[j]
-            if not words_equal(table, wi + wj, wj + wi):
+            if not words_equal(table, gens[i] + gens[j], gens[j] + gens[i]):
                 commuting = CheckResult.failed(
                     f"v(u_{i + 1}^{t[i]}) and v(u_{j + 1}^{t[j]}) do not commute"
                 )

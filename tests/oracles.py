@@ -15,8 +15,10 @@ row once; the two must produce the same bytes.
 
 `coset_decomposition_ref` is the coset certificate vector by vector:
 three canonical words and one `words_equal` per exponent vector, where
-`coset_decomposition` carries each word and its decoding over from a
-vector one letter shorter.  The two must return the same report.
+`coset_decomposition` steps each decoding once from that of a vector one
+letter shorter.  The two must return the same report.  `peel_walk` is
+the graded-lex walk on exponent-vector tuples, v(e) = x v(b), that the
+package takes on level indices.
 
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
@@ -34,6 +36,7 @@ return the same census and verdicts, witness text included.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from itype import AffineIso, ITable, act, affine_generators, compose, fixed_points
@@ -50,12 +53,13 @@ from itype.core import (
     exp_add_gen,
     exp_sub_gen,
     exp_unit,
+    expvec_level,
     expvecs_up_to,
     format_expvec,
     format_word,
     support,
 )
-from itype.istructure import decode_from, peel_walk, v_of, words_equal
+from itype.istructure import decode_from, level_indices, v_of, words_equal
 from itype.structuremaps import CosetReport, check_cocycle, kernel_exponents, phi_of
 from itype.ybr import SolutionCensus, _from_cycle_set, check_axioms, check_yb
 from itype.bieberbach import (
@@ -386,6 +390,21 @@ def freeness_check_bf(pm, L: int, generators: list[AffineIso] | None = None) -> 
         frontier = nxt
     relations.sort(key=lambda w: (len(w), w))
     return FreenessReport(True, "", tuple(relations), len(seen_isos))
+
+
+def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
+    """Every exponent vector e of degree <= m in graded-lex order, as
+    (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
+    present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
+    t._need(m)
+    rows, n = t._rows, t.n
+    yield expvec_level(n, 0)[0], None, 0
+    for d in range(1, m + 1):
+        lower = expvec_level(n, d - 1)
+        peel, _, least = level_indices(n, d)
+        for k, (e, j) in enumerate(zip(expvec_level(n, d), least)):
+            b = lower[peel[k * n + j]]
+            yield e, b, rows[b][j]
 
 
 def check_action_consistency_ref(

@@ -34,7 +34,7 @@ from itype import bieberbach
 from itype.bieberbach import refuse_large_tiling
 from itype.cli import load_pairmap
 from itype.core import Perm, all_perms, expvecs_of_degree, expvecs_up_to
-from itype.istructure import decode_from, peel_walk
+from itype.istructure import decode_from
 from itype.structuremaps import kernel_exponents
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     freeness_check_bf,
     fundamental_domain_check_bf,
     image_group_ref,
+    peel_walk,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"

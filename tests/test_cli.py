@@ -201,6 +201,27 @@ def test_bieberbach_output_sweep(capsys):
     assert digest.hexdigest() == "18bfca05b087ed03d434099a3caf4810975c36904b725bdd9b101684303bb801"
 
 
+def phi_sweep_runs():
+    """(name, flags) of every corpus input at the default --degree, at 4
+    and at 6: m = D in the coset check, and the short-table refusals."""
+    inputs = json.loads((CORPUS / "manifest.json").read_text())["inputs"]
+    names = sorted(e["file"] for e in inputs)
+    assert len(names) == 34
+    return [(name, flags) for name in names for flags in ((), ("--degree", "4"), ("--degree", "6"))]
+
+
+def test_phi_output_sweep(capsys):
+    # one digest of each run's flags, exit code, stdout and stderr
+    digest = hashlib.sha256()
+    for name, flags in phi_sweep_runs():
+        code = main(["phi", str(CORPUS / name), *flags])
+        captured = capsys.readouterr()
+        digest.update(
+            f"{name} {' '.join(flags)}: exit {code}\n{captured.out}--\n{captured.err}".encode()
+        )
+    assert digest.hexdigest() == "d67251f674cdf406f3152bf9ca181d62de1930b75dd7e27906036d4af1167f61"
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--length", "0"), ("--length", "-2"), ("--radius", "-1"), ("--radius", "-1", "--length", "-2")],
@@ -323,6 +344,11 @@ def refused(capsys, *argv) -> str:
 def test_phi_short_table_prints_nothing(capsys, name, degree, need):
     err = refused(capsys, "phi", str(CORPUS / name), "--degree", str(degree))
     assert f"needs degree {need}" in err
+
+
+def test_phi_kernel_refusal_names_a_bound_that_suffices(capsys):
+    err = refused(capsys, "phi", str(CORPUS / "x2y2.pres"), "--degree", "2")
+    assert "raise the degree bound (D = n! + 1 = 3 suffices)" in err
 
 
 def test_phi_refuses_a_large_coset_box(tmp_path, capsys):

@@ -507,7 +507,7 @@ def test_peel_walk_and_decode_from_match_v_of_and_v_inverse():
     for path in paths:
         t = build_itable(load_pairmap(str(path)), D=8)
         word = {}
-        for e, b, x in ist.peel_walk(t, t.D):
+        for e, b, x in oracles.peel_walk(t, t.D):
             word[e] = () if b is None else (x,) + word[b]
             assert word[e] == v_of(t, e)
         assert list(word) == expvecs_up_to(t.n, t.D)

@@ -8,6 +8,7 @@ import pytest
 from itype import (
     DegreeBoundError,
     ITable,
+    InputError,
     PairMap,
     PhiMap,
     build_itable,
@@ -114,6 +115,13 @@ def test_kernel_needs_degree(x2y2_r):
     pm = PhiMap(build_itable(x2y2_r, D=2))
     with pytest.raises(DegreeBoundError, match="raise the degree bound"):
         kernel_exponents(pm)
+
+
+def test_kernel_refusal_names_a_bound_that_suffices(x2y2_r):
+    # t_i needs D >= t_i + 1, and D = n! + 1 always suffices: 3 for x2y2
+    with pytest.raises(DegreeBoundError, match=r"\(D = n! \+ 1 = 3 suffices\)"):
+        kernel_exponents(PhiMap(build_itable(x2y2_r, D=2)))
+    assert kernel_exponents(PhiMap(build_itable(x2y2_r, D=3))).t == (2, 2)
 
 
 def test_group_closed(x2y2_pm, census):
@@ -356,3 +364,57 @@ def test_coset_corruptions_match_reference(x2y2_table):
                     checks = ("factorization", "product_rule", "commuting")
                     failed |= {k for k in checks if not getattr(got, k)}
     assert failed == {"factorization", "product_rule", "commuting"}
+
+
+def test_cosets_match_reference_for_every_sigma():
+    # the inputs with n <= 3 under every sigma, at m = 6 < D = 8 and at
+    # m = D = 8 and 6: 129 passing reports, 99 of them with sigma != id,
+    # each equal to the reference's
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    cases = []
+    for path in paths:
+        r = load_pairmap(str(path))
+        for sigma in all_perms(r.n) if r.n <= 3 else ():
+            for D, m in ((8, 6), (8, 8), (6, 6)):
+                t = build_itable(r, D=D, sigma=sigma)
+                got = coset_decomposition(PhiMap(t), m)
+                assert got == coset_decomposition_ref(PhiMap(t), m)
+                cases.append((got.ok, sigma.is_identity()))
+    assert cases.count((True, False)) == 99 and cases.count((True, True)) == 30
+
+
+CHECKS = ("factorization", "product_rule", "commuting")
+
+
+def test_coset_corruptions_of_the_deepest_rows_match_reference(x2y2_r):
+    # each row of degree m - 1, the deepest the walk reads, replaced by two
+    # other permutations and by (1, ..., 1), on x2y2 and on t = (3, 3, 3),
+    # at m = 6 < D = 8 and at m = D = 7, where P0 points of degree D - 1
+    # hold rows: the reports, or the exceptions, agree
+    c3_05 = load_pairmap(str(CORPUS / "c3_05.rtable"))
+    outcomes = set()
+    for D, m in ((8, 6), (7, 7)):
+        for t in (build_itable(x2y2_r, D=D), build_itable(c3_05, D=D)):
+            for b in expvecs_of_degree(t.n, m - 1):
+                others = [p.images for p in all_perms(t.n) if p.images != t.row(b)]
+                for images in [*others[:2], (1,) * t.n]:
+                    bad = _with_row(t, b, images)
+                    got = _coset_outcome(coset_decomposition, bad, m)
+                    assert got == _coset_outcome(coset_decomposition_ref, bad, m)
+                    if isinstance(got, CosetReport):
+                        outcomes |= {k for k in CHECKS if not getattr(got, k)}
+                    else:
+                        outcomes.add(got[0])
+    assert outcomes == {ValueError, InputError, *CHECKS}
+
+
+def test_phi_checks_refuse_a_row_that_is_no_permutation(x2y2_table):
+    # (1, 1) in place of phi(u_1^2) = id: the kernel walk reads it before
+    # any power of u_1 with trivial phi.  The cocycle check validates every
+    # row to dmax before it checks a pair.
+    bad = _with_row(x2y2_table, (2, 0), (1, 1))
+    with pytest.raises(InputError, match=r"not a permutation of 1..2: \(1, 1\)"):
+        kernel_exponents(PhiMap(bad))
+    for b in expvecs_up_to(2, 5):
+        with pytest.raises(InputError, match=r"not a permutation of 1..2: \(1, 1\)"):
+            cocycle_exhaustive(PhiMap(_with_row(x2y2_table, b, (1, 1))), 5)
