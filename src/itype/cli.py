@@ -87,10 +87,14 @@ def load_input(path: str) -> Presentation | PairMap:
     return parse_presentation(text)
 
 
-def load_pairmap(path: str) -> PairMap:
-    """The pair map of a file: read as such, or built from its relations."""
-    x = load_input(path)
+def as_pairmap(x: Presentation | PairMap) -> PairMap:
+    """The pair map of an input: read as such, or built from its relations."""
     return build_r(x) if isinstance(x, Presentation) else x
+
+
+def load_pairmap(path: str) -> PairMap:
+    """The pair map of a file."""
+    return as_pairmap(load_input(path))
 
 
 def load_table(args) -> ITable:
@@ -223,7 +227,7 @@ def _describe_2d(g) -> str:
 
 def cmd_orbits(args, rep: Reporter) -> int:
     x = load_input(args.file)
-    r = build_r(x) if isinstance(x, Presentation) else x
+    r = as_pairmap(x)
     report = classify_orbits3(r)
     for o in report.orbits:
         members = ", ".join(format_word(w, r.names) for w in o.elements)

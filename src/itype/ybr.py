@@ -69,21 +69,15 @@ class PairMap:
         """Apply r to letters pos, pos+1 of w (1-based)."""
         return w[: pos - 1] + self(w[pos - 1], w[pos]) + w[pos + 1 :]
 
-    def pairs(self):
-        for a in range(1, self.n + 1):
-            for b in range(1, self.n + 1):
-                yield (a, b), self(a, b)
+    def pairs(self) -> Iterator[tuple[Pair, Pair]]:
+        return zip(itertools.product(range(1, self.n + 1), repeat=2), self.table)
 
     def relabel(self, tau: Perm) -> "PairMap":
         """Conjugate by a relabeling of X: the image of (tau a, tau b) is
         tau applied to the image of (a, b)."""
-        inv = tau.inverse()
-        tbl = []
-        for a in range(1, self.n + 1):
-            for b in range(1, self.n + 1):
-                c, d = self(inv(a), inv(b))
-                tbl.append((tau(c), tau(d)))
-        return PairMap(self.n, tuple(tbl))
+        inv, xs = tau.inverse(), range(1, self.n + 1)
+        images = (self(inv(a), inv(b)) for a in xs for b in xs)
+        return PairMap(self.n, tuple((tau(c), tau(d)) for c, d in images))
 
     @staticmethod
     def from_entries(n: int, entries: dict[Pair, Pair], names=None) -> "PairMap":
@@ -97,8 +91,7 @@ class PairMap:
 
     @staticmethod
     def identity(n: int, names=None) -> "PairMap":
-        tbl = tuple((a, b) for a in range(1, n + 1) for b in range(1, n + 1))
-        return PairMap(n, tbl, names)
+        return PairMap(n, tuple(itertools.product(range(1, n + 1), repeat=2)), names)
 
     @staticmethod
     def flip(n: int, names=None) -> "PairMap":
@@ -353,13 +346,16 @@ def enumerate_solutions(n: int) -> SolutionCensus:
     satisfies the braid identity iff the operation x.y = pi_x(y) is a
     cycle set (Rump, Adv. Math. 2005): (x.y).(x.z) = (y.x).(y.z) for all
     z, that is pi_{x.y} o pi_x = pi_{y.x} o pi_y, for each pair x < y.
-    The search assigns the rows pi_1, pi_2, ... in turn, every permutation
-    for each, and tests a pair by one comparison of gathered rows once the
-    rows of x, y, x.y and y.x are assigned; a violation cuts the branch.
-    A node lists the pairs x < y < k whose last row is its row k; a
-    candidate p adds the (x, k) with pi_x(k), p(x) <= k.  Each survivor is
-    also passed through ``check_yb``.  Solutions are sorted by table, so
-    the first of each relabeling orbit is its canonical form.
+    The search assigns the rows pi_1, pi_2, ... in turn and tests a pair
+    by one comparison of gathered rows once the rows of x, y, x.y and y.x
+    are assigned; a violation cuts the branch.  Node k lists the pairs
+    x < y < k whose last row is row k, and a candidate p adds the (x, k)
+    with pi_x(k), p(x) <= k.  A listed pair with x.y = k > y.x (or x, y
+    swapped) passes only pi_k = pi_{y.x} o pi_y o pi_x^-1, and the node
+    tries that row alone, else every permutation.  Solutions are sorted
+    by table, so the first of each relabeling orbit is its canonical
+    form; only that one goes through ``check_yb``, as conjugation by a
+    relabeling preserves r1 r2 r1 = r2 r1 r2.
     """
     if not 1 <= n <= 4:
         raise InputError(f"enumeration supports 1 <= n <= 4, got {n}")
@@ -371,12 +367,18 @@ def enumerate_solutions(n: int) -> SolutionCensus:
         if k == n:
             solutions.append(_from_cycle_set(rows))
             return
-        due = [
-            (gather[rows[x]], rows[x][y], gather[rows[y]], rows[y][x])
-            for y in range(k) for x in range(y) if max(rows[x][y], rows[y][x]) == k
-        ]
+        due, forced = [], None
+        for y in range(k):
+            for x in range(y):
+                xy, yx = rows[x][y], rows[y][x]
+                if max(xy, yx) == k:
+                    due.append((gather[rows[x]], xy, gather[rows[y]], yx))
+                    if xy != yx and forced is None:  # a.b = k > b.a fixes pi_k
+                        a, b = (x, y) if xy == k else (y, x)
+                        t = gather[rows[b]](rows[rows[b][a]])  # pi_{b.a} o pi_b = pi_k o pi_a
+                        forced = tuple(tz for _, tz in sorted(zip(rows[a], t)))  # t o pi_a^-1
         new = [(x, gather[rows[x]], rows[x][k]) for x in range(k) if rows[x][k] <= k]
-        for p, gp in gather.items():
+        for p, gp in gather.items() if forced is None else [(forced, gather[forced])]:
             rows[k] = p
             for gx, xy, gy, yx in due:
                 if gx(rows[xy]) != gy(rows[yx]):
@@ -390,15 +392,13 @@ def enumerate_solutions(n: int) -> SolutionCensus:
 
     extend(0)
     extend = None  # frees the search state now: extend's closure holds itself
-    for r in solutions:
-        res = check_yb(r)
-        if not res:
-            raise ConsistencyError(f"cycle-set survivor fails the braid identity: {res.witness}")
     solutions.sort(key=lambda r: r.table)
     reps = []
     seen: set[tuple[Pair, ...]] = set()
     for r in solutions:
         if r.table not in seen:
+            if not (res := check_yb(r)):
+                raise ConsistencyError(f"cycle-set survivor fails the braid identity: {res.witness}")
             reps.append(r)
             seen.update(relabel(r.table) for relabel in _relabellings(n))
     return SolutionCensus(n, tuple(solutions), tuple(reps))

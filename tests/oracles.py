@@ -26,8 +26,9 @@ word or element, composed with the public `compose` and deduplicated by
 the isometry itself.  The flat searches in `itype.bieberbach` must
 return the same reports.
 
-`enumerate_solutions_ref` is the cycle-set search with the law checked
-point by point and classes deduplicated through `PairMap.relabel`, and
+`enumerate_solutions_ref` is the cycle-set search of `cycle_set_nodes`,
+every permutation tried for every row and the law checked point by
+point, with classes deduplicated through `PairMap.relabel`, and
 `check_action_consistency_ref` carries one decoding per point and
 generator; `enumerate_solutions` and `check_action_consistency` must
 return the same census and verdicts, witness text included.
@@ -190,39 +191,44 @@ def check_yb_ref(r) -> CheckResult:
     return CheckResult.passed()
 
 
+def cycle_set_law(rows, x: int, y: int) -> bool:
+    """(x.y).(x.z) = (y.x).(y.z) for every z, on 0-based rows pi_x."""
+    px, py = rows[x], rows[y]
+    pxy, pyx = rows[px[y]], rows[py[x]]
+    return all(pxy[px[z]] == pyx[py[z]] for z in range(len(px)))
+
+
+def cycle_set_nodes(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The cycle-set search, depth first over every permutation for each
+    row in turn: each tuple of rows pi_0, ..., pi_{k-1} whose pairs pass
+    the law, for k = 0 .. n (k = n a solution).  A pair x < y is tested
+    when the last of the rows of x, y, x.y and y.x is assigned, the pairs
+    due at row k found by filtering all pairs y <= k per candidate."""
+    perms = list(itertools.permutations(range(n)))
+
+    def walk(rows):
+        yield rows
+        k = len(rows)
+        for p in perms if k < n else ():
+            grown = rows + (p,)
+            if all(
+                cycle_set_law(grown, x, y)
+                for y in range(k + 1)
+                for x in range(y)
+                if max(y, grown[x][y], grown[y][x]) == k
+            ):
+                yield from walk(grown)
+
+    return walk(())
+
+
 def enumerate_solutions_ref(n: int) -> SolutionCensus:
-    """The cycle-set search with the law checked point by point: each
-    pair x < y is tested on every z when the last of the rows of x, y,
-    x.y and y.x is assigned, the pairs due at row k found by filtering
-    all pairs y <= k per candidate.  Classes are deduplicated through
-    `PairMap.relabel`."""
+    """The cycle-set search of `cycle_set_nodes`, the law checked point
+    by point; every solution passes `check_yb`.  Classes are
+    deduplicated through `PairMap.relabel`."""
     if not 1 <= n <= 4:
         raise InputError(f"enumeration supports 1 <= n <= 4, got {n}")
-    perms = list(itertools.permutations(range(n)))
-    pairs_upto = [[(x, y) for y in range(k + 1) for x in range(y)] for k in range(n)]
-    rows: list[tuple[int, ...]] = []
-    solutions = []
-
-    def law_holds(x: int, y: int) -> bool:
-        px, py = rows[x], rows[y]
-        pxy, pyx = rows[px[y]], rows[py[x]]
-        return all(pxy[px[z]] == pyx[py[z]] for z in range(n))
-
-    def extend(k: int) -> None:
-        if k == n:
-            solutions.append(_from_cycle_set(rows))
-            return
-        for p in perms:
-            rows.append(p)
-            if all(
-                law_holds(x, y)
-                for x, y in pairs_upto[k]
-                if max(y, rows[x][y], rows[y][x]) == k
-            ):
-                extend(k + 1)
-            rows.pop()
-
-    extend(0)
+    solutions = [_from_cycle_set(rows) for rows in cycle_set_nodes(n) if len(rows) == n]
     for r in solutions:
         res = check_yb(r)
         if not res:

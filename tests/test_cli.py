@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,15 @@ def test_enumerate(capsys):
     assert "solutions: 2" in out and "classes: 2" in out
 
 
+def test_enumerate_n3_list_golden(capsys):
+    # the largest share of a census pass
+    code, out = run(capsys, "enumerate", "--n", "3", "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5cdfa3e51a5f84dc065e5698d905365be9d5ce91d43b061720e76b192ed35dc6"
+    )
+
+
 def test_enumerate_n4_list_golden(capsys):
     code, out = run(capsys, "enumerate", "--n", "4", "--list")
     assert code == 0
@@ -531,6 +541,19 @@ def test_deterministic_output(x2y2_file, capsys):
     _, out1 = run(capsys, "phi", x2y2_file)
     _, out2 = run(capsys, "phi", x2y2_file)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("n, code", [("2", 0), ("9", 2)])
+def test_python_m_itype_from_a_checkout(n, code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "itype", "enumerate", "--n", n],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert ("solutions: 2" in proc.stdout) == (code == 0)
 
 
 def test_console_script_entry(x2y2_file):

@@ -5,6 +5,7 @@ import pytest
 
 from itype import (
     CheckResult,
+    ConsistencyError,
     InputError,
     PairMap,
     build_r,
@@ -20,10 +21,11 @@ from itype import (
     parse_presentation,
     parse_rtable,
 )
-from itype.core import all_perms, all_words
+from itype import ybr
+from itype.core import Perm, all_perms, all_words
 
 from conftest import COMM2_TEXT
-from oracles import check_yb_ref, enumerate_solutions_ref
+from oracles import check_yb_ref, cycle_set_law, cycle_set_nodes, enumerate_solutions_ref
 
 X2Y2_TABLE = ((2, 2), (1, 2), (2, 1), (1, 1))  # row-major over (a,b)
 
@@ -292,6 +294,51 @@ def test_enumerate_matches_reference(census, census4):
         assert got == ref
         assert [s.table for s in got.solutions] == [s.table for s in ref.solutions]
         assert [s.table for s in got.class_reps] == [s.table for s in ref.class_reps]
+
+
+@pytest.mark.parametrize("n, nodes, forced", [(1, 1, 0), (2, 3, 0), (3, 31, 16), (4, 1431, 1050)])
+def test_forced_row_is_the_only_row_passing_its_pair(n, nodes, forced):
+    # replay the search: at a node k, a pair x, y < k with x.y = k > y.x
+    # admits exactly one row k among all of Sym_n, pi_{y.x} o pi_y o pi_x^-1
+    # (composed here as Perms); `nodes` and `forced` count the nodes below
+    # the leaves and those with such a pair
+    perms = list(itertools.permutations(range(n)))
+    seen_nodes = seen_forced = 0
+    for rows in cycle_set_nodes(n):
+        k = len(rows)
+        if k == n:
+            continue
+        one_sided = [(x, y) for x in range(k) for y in range(k) if rows[x][y] == k > rows[y][x]]
+        seen_nodes += 1
+        seen_forced += bool(one_sided)
+        pi = [Perm(tuple(i + 1 for i in row)) for row in rows]
+        for x, y in one_sided:
+            row = pi[rows[y][x]] * pi[y] * pi[x].inverse()
+            passing = [p for p in perms if cycle_set_law(rows + (p,), x, y)]
+            assert passing == [tuple(i - 1 for i in row.images)], (rows, x, y)
+    assert (seen_nodes, seen_forced) == (nodes, forced)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumerate_braid_checks_a_corrupt_non_representative(n, monkeypatch):
+    # negative control for checking one representative per class: a
+    # survivor that is not a representative, two of its entries swapped
+    # so that the braid identity fails, is no relabeling of a checked
+    # representative, so it is met as a representative and rejected
+    cen = enumerate_solutions(n)
+    target = next(s for s in cen.solutions if s not in cen.class_reps)
+    for i, j in itertools.combinations(range(n * n), 2):
+        table = list(target.table)
+        table[i], table[j] = table[j], table[i]
+        bad = PairMap(n, tuple(table))
+        if not check_yb(bad):
+            break
+    assert not check_yb(bad)
+    real = ybr._from_cycle_set
+    monkeypatch.setattr(ybr, "_from_cycle_set", lambda rows: bad if real(rows) == target else real(rows))
+    with pytest.raises(ConsistencyError) as exc:
+        enumerate_solutions(n)
+    assert str(exc.value) == f"cycle-set survivor fails the braid identity: {check_yb(bad).witness}"
 
 
 def test_canonical_form_matches_relabel(census, census4):
