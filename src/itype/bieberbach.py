@@ -13,13 +13,11 @@ a coordinate permutation followed by a unit shift: a Euclidean isometry
 of Z^n that extends verbatim to R^n.  Its permutation part is phi(u_i),
 the table row of u_i, by definition.  Products of the generator
 isometries and their inverses realize the whole quotient group; this
-module certifies, within bounds or, under the certificate below, in
-closed form, that
+module certifies, within bounds or in closed form, that
 
   * the lattice action matches right multiplication in the semigroup,
-  * no non-identity element reachable at a given word length has a
-    fixed point (freeness), fixed-point sets being solved exactly by
-    cycle analysis of the permutation part,
+  * no non-identity element has a fixed point (freeness), fixed-point
+    sets being solved exactly by cycle analysis of the permutation part,
   * the orbit of the origin tiles a requested box exactly once, so the
     unit cube is a fundamental domain,
 
@@ -41,7 +39,6 @@ every |q_j| <= L m, m the largest shift entry, so B = 2 L m + 1 keeps
 the keys of distinct elements distinct; the identity's key is 0.
 x = g(x) is x[j] = x[sigma(j)] + a[j]: it telescopes along each cycle of
 sigma, so g has a fixed point iff a sums to 0 on every cycle, as q does.
-Freeness reads that off the digits of K(q) and the label's cycles.
 
 Tiling needs no search when three conditions hold (Zassenhaus 1948;
 Charlap 1986).  (a) Generator i has the shift e_i: a step changes
@@ -62,17 +59,20 @@ and fails at the first one already taken.
 The same certificate decides freeness.  Under (a)-(c) G acts simply
 transitively on Z^n.  An element with a fixed point has an integral one,
 its shift being integral (fixed_points), so it fixes a lattice point and
-is the identity: G is torsion-free.  Freeness then passes with the l1
-ball's size as the count of elements, and only the relations are walked,
-each prefix kept while its length plus its element's word length is at
-most L.  Otherwise every reduced word is walked, and the first element
-with a fixed point is the witness.
+is the identity: G is torsion-free.  Otherwise the test is exact as well
+(Zassenhaus 1948; Charlap 1986, ch. I-III): the elements of label h are
+(h, q_h + t) with t in T, and such an element has a fixed point iff
+q_h + t sums to 0 on every cycle of h.  So G has torsion iff, for some
+label h != id, the cycle sums of q_h lie in the image of T under h's
+cycle-sum map: one echelon form and one reduction per label, whatever
+the word length.  Either way only the relations are walked, each prefix
+kept while its length plus its element's word length is at most L.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,13 +94,12 @@ from .structuremaps import PhiMap, phi_of
 
 Point = tuple  # integer (or rational) coordinates
 
-# Freeness walks every reduced word up to the requested length, 2n-1
-# times more per letter, unless the tiling certificate decides it; past
-# this many words it refuses to start either way.  On a 2-vCPU Xeon with
-# Python 3.11, `bieberbach x2y2.pres --length 12 --radius 0` (1,062,880
-# words, 19,880 relations, 313 elements) takes 0.3-0.4 s and 28 MiB in the
-# closed form, which walks only the prefixes that can still close, and
-# 0.6-0.9 s and 83 MiB when every word is walked.
+# Freeness walks the relation prefixes up to the requested length, at
+# most one per reduced word, 2n-1 times more per letter; past this many
+# reduced words it refuses to start.  On a 2-vCPU Xeon with Python 3.11,
+# `bieberbach x2y2.pres --length 12 --radius 0` (1,062,880 words, 19,880
+# relations, 313 elements) takes 0.3-0.4 s and 28 MiB: only the prefixes
+# that can still close are extended.
 MAX_FREENESS_WORDS = 2_000_000
 
 # Tiling refuses to start past this many points that its search could
@@ -124,6 +123,9 @@ class AffineIso:
     def __post_init__(self):
         if self.perm.n != len(self.shift):
             raise InputError("permutation and shift dimensions differ")
+
+    def __str__(self) -> str:
+        return f"perm={','.join(map(str, self.perm.images))} shift={','.join(map(str, self.shift))}"
 
     @property
     def n(self) -> int:
@@ -316,44 +318,21 @@ def _label_frame(gens: tuple[AffineIso, ...]) -> tuple[list, list, list, list, l
 Step = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _frame(
-    n: int, gens: list[AffineIso], L: int
-) -> tuple[list[list[Step]], Callable[[int], AffineIso], Callable[[int], bool]]:
+def _frame(n: int, gens: list[AffineIso], L: int) -> list[list[Step]]:
     """The translation frame of the module docstring for searches of at
     most L steps: steps[label] lists one Step per signed generator, in
-    search order, decode(key) is the element itself and fixes(key) whether
-    it has a fixed point.  Only the key deltas depend on the base B; the
-    rest is read from `_label_frame`."""
-    signed, perms, group, cycles, moves = _label_frame(tuple(gens))
+    search order.  Only the key deltas depend on the base B; the rest is
+    read from `_label_frame`."""
+    signed, perms, _, _, moves = _label_frame(tuple(gens))
     base = 2 * L * max([1] + [abs(c) for _, _, sh in signed for c in sh]) + 1
     powers = [base**j for j in range(n)]
-    order = len(perms)
-    steps = [
+    return [
         [
-            (s, nl, sum(map(mul, powers, d)) * order + nl - label, pi, sh)
+            (s, nl, sum(map(mul, powers, d)) * len(perms) + nl - label, pi, sh)
             for (s, pi, sh), (nl, d) in zip(signed, row)
         ]
         for label, row in enumerate(moves)
     ]
-
-    def split(key: int) -> tuple[list[int], int]:
-        rest, label = divmod(key, order)
-        q = []  # the balanced digits of K(q), least significant first
-        for _ in range(n):
-            c = (rest + base // 2) % base - base // 2
-            q.append(c)
-            rest = (rest - c) // base
-        return q, label
-
-    def decode(key: int) -> AffineIso:
-        q, label = split(key)
-        return AffineIso(group[label], tuple([q[k] for k in perms[label]]))
-
-    def fixes(key: int) -> bool:
-        q, label = split(key)
-        return not any(sum([q[k] for k in c]) for c in cycles[label])
-
-    return steps, decode, fixes
 
 
 @dataclass(frozen=True)
@@ -361,7 +340,7 @@ class FreenessReport:
     ok: bool
     witness: str
     relations: tuple[SignedWord, ...]  # reduced words evaluating to the identity
-    isometries_seen: int
+    isometries_seen: int  # the elements of word length <= L
 
 
 def reduced_word_count(n: int, L: int) -> int:
@@ -413,81 +392,50 @@ def refuse_large_tiling(n: int, L: int, radius: int | None = None) -> None:
 
 
 def freeness_check(pm: PhiMap, L: int, generators: list[AffineIso] | None = None) -> FreenessReport:
-    """Every reduced word in the generators and inverses up to length L.
-    A non-identity isometry with a fixed point fails the check; identity
-    isometries from non-empty words are relations of the group, recorded,
-    never failures.  Refuses (InputError) a length with more than
-    MAX_FREENESS_WORDS reduced words.  Under (a)-(c) of the module
-    docstring it passes in closed form: G acts simply transitively, so an
-    element with a fixed point, which then fixes a lattice point, is the
-    identity (Zassenhaus 1948; Charlap 1986).  The 2n signed letters s
-    send 0 by s g to the 2n grid neighbours of g(0): read right to left,
-    the relations are the non-backtracking closed walks of Z^n, found by
-    `_relations`.  Otherwise `_word_walk` walks every word."""
+    """Whether G is torsion-free: a non-identity isometry with a fixed
+    point fails the check, and the witness is the element and the point.
+    The verdict is exact, whatever L (module docstring).  The relations
+    are the reduced words of length 1..L that evaluate to the identity,
+    and isometries_seen counts the elements of word length <= L.  Refuses
+    (InputError) a length with more than MAX_FREENESS_WORDS reduced
+    words.  Under (a)-(c) of the module docstring it passes in closed
+    form: the 2n signed letters s send 0 by s g to the 2n grid neighbours
+    of g(0), so read right to left the relations are the non-backtracking
+    closed walks of Z^n, and the elements those of the l1 ball.
+    Otherwise `_torsion` decides and the ball is walked to radius L."""
     n = pm.n
     if L < 1:
         raise InputError(f"freeness word length must be >= 1, got {L}")
     refuse_long_freeness(n, L)
     gens = _generators(pm, generators)
     if _tiles_simply(n, gens):
-        return FreenessReport(True, "", _relations(n, gens, L), l1_ball_size(n, L))
-    return _word_walk(n, gens, L)
+        return FreenessReport(True, "", _relations(n, gens, L, L // 2)[0], l1_ball_size(n, L))
+    relations, seen = _relations(n, gens, L, L)
+    torsion = _torsion(tuple(gens))
+    witness = "" if torsion is None else "element {} fixes {}".format(*torsion)
+    return FreenessReport(torsion is None, witness, relations, seen)
 
 
-def _word_walk(n: int, gens: list[AffineIso], L: int) -> FreenessReport:
-    """Freeness by walking every reduced word up to length L, breadth
-    first: the first element met with a fixed point fails the check,
-    with the relations met before it."""
-    steps, decode, fixes = _frame(n, gens, L)
-    # the key of every non-identity element seen; isometries_seen adds
-    # the identity
-    seen: set[int] = set()
-    relations: list[SignedWord] = []
-    frontier: list[tuple[int, int, SignedWord]] = [(0, 0, ())]
-    for depth in range(1, L + 1):
-        extend = depth < L  # the words of length L are never extended: keep none
-        nxt = []
-        for key, label, word in frontier:
-            cancel = -word[-1] if word else 0
-            for s, nl, delta, _, _ in steps[label]:
-                if s == cancel:
-                    continue  # not a reduced word
-                new = key + delta
-                if extend:
-                    nxt.append((new, nl, word + (s,)))
-                if not new:
-                    relations.append(word + (s,))
-                elif new not in seen:
-                    seen.add(new)
-                    if new % len(steps) and fixes(new):  # label 0: a translation, no fixed point
-                        return FreenessReport(
-                            False,
-                            f"word {format_word(word + (s,))} is not the "
-                            f"identity yet fixes {fixed_points(decode(new)).point}",
-                            tuple(relations),
-                            len(seen) + 1,
-                        )
-        frontier = nxt
-    relations.sort(key=lambda w: (len(w), w))
-    return FreenessReport(True, "", tuple(relations), len(seen) + 1)
-
-
-def _relations(n: int, gens: list[AffineIso], L: int) -> tuple[SignedWord, ...]:
+def _relations(
+    n: int, gens: list[AffineIso], L: int, radius: int
+) -> tuple[tuple[SignedWord, ...], int]:
     """The reduced words of length 1..L that evaluate to the identity,
-    sorted by length, then letters.  A prefix of such a word, of length
-    d at g, leaves a suffix evaluating to g^-1, so |g| <= L - d, |g| the
-    word length of g: only those prefixes are extended.  As |g| <= d as
-    well, the balls about the identity are needed only to radius L // 2."""
-    steps, _, _ = _frame(n, gens, L)
+    sorted by length, then letters, and the number of elements of word
+    length <= radius.  A prefix of such a word, of length d at g, leaves
+    a suffix evaluating to g^-1, so |g| <= L - d, |g| the word length of
+    g: only those prefixes are extended.  As |g| <= d as well, the balls
+    about the identity are needed only to radius L // 2, the least
+    radius taken."""
+    steps = _frame(n, gens, L)
     order = len(steps)
     balls = [{0}]  # balls[r]: the keys of word length <= r
-    for _ in range(L // 2):
+    for _ in range(radius):
         ball = balls[-1]
         balls.append(ball | {key + delta for key in ball for _, _, delta, _, _ in steps[key % order]})
     relations: list[SignedWord] = []
     frontier: list[tuple[int, SignedWord]] = [(0, ())]
     for depth in range(1, L + 1):
-        ball = balls[min(L - depth, L // 2)]
+        ball = balls[min(L - depth, radius)]
         nxt = []
         for key, word in frontier:
             cancel = -word[-1] if word else 0
@@ -498,7 +446,7 @@ def _relations(n: int, gens: list[AffineIso], L: int) -> tuple[SignedWord, ...]:
         frontier = nxt
         relations.extend(word for key, word in frontier if not key)
     relations.sort(key=lambda w: (len(w), w))
-    return tuple(relations)
+    return tuple(relations), len(balls[-1])
 
 
 @dataclass(frozen=True)
@@ -541,7 +489,7 @@ def fundamental_domain_check(
         orbit_size = l1_ball_size(n, L)
         missed = tuple(pt for pt in box_points if sum(map(abs, pt)) > L)
     else:
-        steps, _, _ = _frame(n, gens, L)
+        steps = _frame(n, gens, L)
         parts = {s: (pi, sh) for s, _, _, pi, sh in steps[0]}
         seen = {0}  # the keys of the elements met
         # origin image -> the last letter of its element's first word (0 at
@@ -599,35 +547,80 @@ def _tiles_simply(n: int, gens: list[AffineIso]) -> bool:
     of index |H|.  When they hold, g -> g(0) maps the ball of word length
     L one to one onto the l1 ball of radius L.  The one gate of both
     closed forms, freeness and tiling."""
-    return _certificate(tuple(gens))
-
-
-@lru_cache(maxsize=8)  # one certificate per command: freeness, then tiling
-def _certificate(gens: tuple[AffineIso, ...]) -> bool:
-    n = gens[0].n
-    signed, perms, _, _, moves = _label_frame(gens)
+    signed, perms, _, _, _ = _label_frame(tuple(gens))
     units = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
     diagonal = {pi[i] for i, (_, pi, _) in enumerate(signed[:n])}
     if [sh for _, _, sh in signed[:n]] != units or len(diagonal) < n:
         return False
-    q = {0: (0,) * n}  # label -> the q of its transversal element
-    labels = [0]  # breadth first over the generators
-    rows: list[list[int] | None] = [None] * n  # an echelon basis of T: rows[k] leads at k
+    rows = _translations(tuple(gens))[1]
+    return None not in rows and prod(abs(r[k]) for k, r in enumerate(rows)) == len(perms)
+
+
+@lru_cache(maxsize=8)  # one transversal per command: the certificate, then any torsion test
+def _translations(gens: tuple[AffineIso, ...]) -> tuple[list[tuple[int, ...]], list[list[int] | None]]:
+    """By label, the q of a breadth-first transversal over the
+    generators; and an echelon basis of T = G cap Z^n, from the Schreier
+    generators q_h + d(h, s) - q_{h s} (module docstring, (c))."""
+    n = gens[0].n
+    moves = _label_frame(gens)[4]
+    q: list[tuple[int, ...] | None] = [(0,) * n] + [None] * (len(moves) - 1)
+    labels = [0]
+    schreier = []
     for h in labels:
         for nl, d in moves[h][:n]:
             t = tuple([a + b for a, b in zip(q[h], d)])
-            if nl not in q:
+            if q[nl] is None:
                 q[nl] = t
                 labels.append(nl)
-                continue
-            v = [a - b for a, b in zip(t, q[nl])]  # a Schreier generator of T
-            for k in range(n):
-                if v[k] and rows[k] is None:
-                    rows[k], v = v, [0] * n
-                while v[k]:  # Euclid on column k
-                    f = rows[k][k] // v[k]
-                    rows[k], v = v, [a - f * b for a, b in zip(rows[k], v)]
-    return None not in rows and prod(abs(r[k]) for k, r in enumerate(rows)) == len(perms)
+            else:
+                schreier.append([a - b for a, b in zip(t, q[nl])])
+    return q, _echelon(schreier, n)
+
+
+def _echelon(vectors: list[list[int]], k: int) -> list[list[int] | None]:
+    """An echelon basis, on the first k columns, of the lattice the
+    integer vectors span: rows[j] is 0 before column j and nonzero at it,
+    or None.  Euclid on each column in turn; what a vector keeps once it
+    is 0 on the first k columns is dropped."""
+    rows: list[list[int] | None] = [None] * k
+    for v in vectors:
+        for j in range(k):
+            if v[j] and rows[j] is None:
+                rows[j], v = v, [0] * len(v)
+            while v[j]:
+                f = rows[j][j] // v[j]
+                rows[j], v = v, [a - f * b for a, b in zip(rows[j], v)]
+    return rows
+
+
+def _torsion(gens: tuple[AffineIso, ...]) -> tuple[AffineIso, Point] | None:
+    """A non-identity element with a fixed point, and the point, or None
+    when G is torsion-free: for each label h != id, [cycle sums | q_h] is
+    reduced by an echelon basis of [cycle sums of t | t] over t in T; if
+    the cycle sums reach 0, the rest is the q of such an element (module
+    docstring)."""
+    _, perms, group, cycles, _ = _label_frame(gens)
+    qs, rows = _translations(gens)
+    basis = [r for r in rows if r is not None]
+    for h in range(1, len(perms)):
+
+        def lift(q):  # [the cycle sums of q | q]
+            return [sum([q[k] for k in c]) for c in cycles[h]] + list(q)
+
+        v = lift(qs[h])
+        for j, r in enumerate(_echelon([lift(b) for b in basis], len(cycles[h]))):
+            if r is not None:
+                f = v[j] // r[j]
+                v = [a - f * b for a, b in zip(v, r)]
+            if v[j]:
+                break
+        else:
+            q = v[len(cycles[h]) :]
+            g = AffineIso(group[h], tuple([q[k] for k in perms[h]]))
+            point = fixed_points(g).point
+            assert act(g, point) == point
+            return g, point
+    return None
 
 
 def _box_points(n: int, radius: int):
@@ -678,11 +671,7 @@ def export_affine_group(
 ) -> str:
     """One line per generator, then the relations detected at the
     explored word length."""
-    lines = []
-    for i, g in enumerate(gens, start=1):
-        perm = ",".join(str(k) for k in g.perm.images)
-        shift = ",".join(str(k) for k in g.shift)
-        lines.append(f"gen {format_word((i,), names)} perm={perm} shift={shift}")
+    lines = [f"gen {format_word((i,), names)} {g}" for i, g in enumerate(gens, start=1)]
     for w in relations:
         lines.append(f"rel {format_word(w, names)} = 1")
     return "\n".join(lines) + "\n"

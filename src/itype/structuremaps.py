@@ -153,8 +153,8 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
     D > n! never fails; smaller tables may need a raised bound.  The
     image group H is the closure of the n generator images under right
     multiplication by them (core.closure): by the cocycle identity every
-    phi(b) is a product of the phi(u_i).  bieberbach._frame closes the
-    same images, with their inverses, into the same H."""
+    phi(b) is a product of the phi(u_i).  bieberbach._label_frame closes
+    the same images, with their inverses, into the same H."""
     n, rows, ident = pm.n, pm.table._rows, pm.table.sigma.images
     t = []
     for i in range(1, n + 1):

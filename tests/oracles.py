@@ -23,8 +23,10 @@ package takes on level indices.
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
 word or element, composed with the public `compose` and deduplicated by
-the isometry itself.  The flat searches in `itype.bieberbach` must
-return the same reports.
+the isometry itself.  The flat tiling search in `itype.bieberbach` must
+return the same reports.  Freeness there is exact: where the walk
+passes, it has the walk's relations and count, and where the walk finds
+a fixed point, it fails too.
 
 `enumerate_solutions_ref` is the cycle-set search of `cycle_set_nodes`,
 every permutation tried for every row and the law checked point by

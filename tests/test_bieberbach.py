@@ -277,12 +277,38 @@ def test_freeness_catches_corrupted_shift(x2y2_pm):
     assert "fixes" in rep.witness
 
 
-# Generator 1 of comm3 replaced: the first fixed point is x1 x2, with
-# permutation part a 2-cycle or a 3-cycle and a shift, hence q, nonzero
-# but summing to 0 on every cycle.  A frame test of q == 0 alone passes it.
+def _ball(gens, L):
+    """Every element of word length <= L, one compose per step."""
+    seen = {AffineIso.identity(gens[0].n)}
+    frontier = list(seen)
+    for _ in range(L):
+        nxt = []
+        for g in frontier:
+            for s in gens + [invert(h) for h in gens]:
+                new = compose(g, s)
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return seen
+
+
+def _assert_torsion_witness(rep, gens):
+    """The failed report's witness is the element and point `_torsion`
+    gives, the element is not the identity, and act verifies the point."""
+    g, point = bieberbach._torsion(tuple(gens))
+    assert not rep.ok and rep.witness == f"element {g} fixes {point}"
+    assert not g.perm.is_identity() and act(g, point) == point
+    return g
+
+
+# Generator 1 of comm3 replaced: the first fixed point the walk meets is
+# x1 x2, with permutation part a 2-cycle or a 3-cycle and a shift, hence
+# q, nonzero but summing to 0 on every cycle.  A test of q == 0 alone
+# passes that element.
 CYCLE_SUM_CONTROLS = (
-    (Perm((2, 1, 3)), (-1, 0, 0), (-1, 1, 0), "word x1 x2 is not the identity yet fixes (0, 1, 0)"),
-    (Perm((2, 3, 1)), (-2, 0, 1), (-2, 1, 1), "word x1 x2 is not the identity yet fixes (0, 2, 1)"),
+    (Perm((2, 1, 3)), (-1, 0, 0), (-1, 1, 0), "element perm=2,1,3 shift=0,0,0 fixes (0, 0, 0)"),
+    (Perm((2, 3, 1)), (-2, 0, 1), (-2, 1, 1), "element perm=2,3,1 shift=-2,1,1 fixes (0, 2, 1)"),
 )
 
 
@@ -295,8 +321,26 @@ def test_freeness_decides_fixed_points_by_cycle_sums():
         assert element == AffineIso(perm, element_shift)
         assert not fixed_points(element).empty
         rep = freeness_check(pm, 3, generators=gens)
-        assert not rep.ok and rep.witness == witness
-        assert rep == freeness_check_bf(pm, 3, generators=gens)
+        assert rep.witness == witness and _assert_torsion_witness(rep, gens) in _ball(gens, 2)
+        oracle = freeness_check_bf(pm, 3, generators=gens)
+        assert not oracle.ok and set(oracle.relations) <= set(rep.relations)
+
+
+def test_freeness_finds_torsion_past_the_walks_length():
+    # x1 of comm3 replaced by a reflection with shift (-2, -2, -2): no
+    # word of length <= 6 has a fixed point, so the walk passes there,
+    # yet an element of word length 7 fixes (0, -2, 0)
+    pm = PhiMap(build_itable(load_pairmap(str(CORPUS / "comm3.pres")), D=4))
+    gens = affine_generators(pm)
+    gens[0] = AffineIso(Perm((2, 1, 3)), (-2, -2, -2))
+    rep = freeness_check(pm, 6, generators=gens)
+    assert rep.witness == "element perm=2,1,3 shift=2,-2,0 fixes (0, -2, 0)"
+    g = _assert_torsion_witness(rep, gens)
+    assert g in _ball(gens, 7) and g not in _ball(gens, 6)
+    oracle = freeness_check_bf(pm, 6, generators=gens)
+    assert oracle.ok
+    assert (oracle.relations, oracle.isometries_seen) == (rep.relations, rep.isometries_seen)
+    assert not freeness_check_bf(pm, 7, generators=gens).ok
 
 
 def _grid_closed_walks(n, L):
@@ -339,40 +383,24 @@ def test_relations_are_the_grids_closed_walks(census, flip_pms):
     assert rep.ok and len(rep.relations) == 368 and _grid_closed_walks(3, 6) == 384
 
 
-def _frame_verdicts(n, gens, L):
-    """Asserts, for every element of word length <= L, that the frame's
-    cycle-sum verdict is that of fixed_points on the decoded element;
-    returns how many elements have a fixed point."""
-    steps, decode, fixes = bieberbach._frame(n, gens, L)
-    keys = {0: 0}  # key -> label, for every element met
-    frontier = [0]
-    for _ in range(L):
-        nxt = []
-        for key in frontier:
-            for _, nl, delta, _, _ in steps[keys[key]]:
-                if key + delta not in keys:
-                    keys[key + delta] = nl
-                    nxt.append(key + delta)
-        frontier = nxt
-    fixing = 0
-    for key in keys:
-        verdict = fixes(key)
-        assert verdict == (not fixed_points(decode(key)).empty), (key, decode(key))
-        fixing += verdict
-    return fixing
-
-
-def test_frame_cycle_sums_match_fixed_points():
+def test_torsion_cycle_sums_match_fixed_points():
+    # `_torsion` finds no torsion in the corpus inputs' groups, and in
+    # their word-length-4 balls only the identity has a fixed point; each
+    # control has another within that ball, and `_torsion` finds one
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     for path in paths:
         pm = PhiMap(build_itable(load_pairmap(str(path)), D=2))
-        assert _frame_verdicts(pm.n, affine_generators(pm), 4) == 1  # the identity alone
+        gens = affine_generators(pm)
+        assert bieberbach._torsion(tuple(gens)) is None
+        assert sum(not fixed_points(g).empty for g in _ball(gens, 4)) == 1  # the identity alone
     pm = PhiMap(build_itable(load_pairmap(str(CORPUS / "comm3.pres")), D=2))
     for perm, shift, _, _ in CYCLE_SUM_CONTROLS:
         gens = affine_generators(pm)
         gens[0] = AffineIso(perm, shift)
-        assert _frame_verdicts(3, gens, 4) > 1
+        assert sum(not fixed_points(g).empty for g in _ball(gens, 4)) > 1
+        g, point = bieberbach._torsion(tuple(gens))
+        assert not g.perm.is_identity() and act(g, point) == point
 
 
 def test_frame_labels_are_the_kernel_image_group():
@@ -382,8 +410,7 @@ def test_frame_labels_are_the_kernel_image_group():
     assert len(paths) == 34
     for path in paths:
         pm = PhiMap(build_itable(load_pairmap(str(path)), D=8))
-        steps, decode, _ = bieberbach._frame(pm.n, affine_generators(pm), 1)
-        perms = [decode(label).perm for label in range(len(steps))]  # q = 0: the key is the label
+        perms = bieberbach._label_frame(tuple(affine_generators(pm)))[2]
         assert perms[0] == Perm.identity(pm.n) and len(set(perms)) == len(perms)
         assert set(perms) == kernel_exponents(pm).group, path.name
 
@@ -449,18 +476,7 @@ def test_classify_degenerate_and_errors():
 def test_orbit_injectivity(x2y2_pm):
     # distinct isometries reach distinct points: implied by the passing
     # tiling check, asserted directly on the element map here
-    gens = affine_generators(x2y2_pm)
-    seen = {AffineIso.identity(2)}
-    frontier = list(seen)
-    for _ in range(4):
-        nxt = []
-        for g in frontier:
-            for s in gens + [invert(h) for h in gens]:
-                new = compose(g, s)
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
+    seen = _ball(affine_generators(x2y2_pm), 4)
     points = {act(g, (0, 0)) for g in seen}
     assert len(points) == len(seen)
 
@@ -476,13 +492,25 @@ def test_export_format(x2y2_pm):
 
 
 def _assert_searches_match(pm, gens, lengths, radii, tile_lengths=None):
-    """Freeness at each of `lengths`, tiling at each of `tile_lengths`
-    (default: `lengths` and 2n) and `radii`, equal to the oracles; returns
-    the outcomes seen (freeness ok values and tiling statuses)."""
+    """Freeness at each of `lengths` against the walk, and tiling at each
+    of `tile_lengths` (default: `lengths` and 2n) and `radii` equal to
+    the oracle; returns the outcomes seen (freeness ok values and tiling
+    statuses).  Freeness is exact: where the walk passes, the relations
+    and the count are the walk's, and the verdict too unless the report
+    carries a verified witness; where the walk fails, so does the
+    report, with every relation the walk met."""
     outcomes = set()
     for L in lengths:
         new = freeness_check(pm, L, generators=gens)
-        assert new == freeness_check_bf(pm, L, generators=gens)
+        old = freeness_check_bf(pm, L, generators=gens)
+        if old.ok:
+            assert (new.relations, new.isometries_seen) == (old.relations, old.isometries_seen)
+        else:
+            assert set(old.relations) <= set(new.relations)
+        if new.ok:
+            assert old.ok and not new.witness
+        else:
+            _assert_torsion_witness(new, gens)
         outcomes.add(new.ok)
     for L in lengths + (2 * pm.n,) if tile_lengths is None else tile_lengths:
         for box in radii:
@@ -638,10 +666,12 @@ def test_freeness_takes_the_closed_form_on_valid_maps(census, monkeypatch):
     # every solution for n <= 4, x2y2, comm3 and flip5, at L = 2 and at the
     # lengths of test_relations_are_the_grids_closed_walks, and at lengths
     # where the relation walk cuts most prefixes (x2y2 at 12, comm3 at 8,
-    # flip5 and each n = 4 class at 5): the word walk never runs.  The
-    # report is the walk's (the parity tests above tie it to the oracle),
-    # and the oracle's where that is cheap: the n <= 3 solutions at L = 2
-    # and 4, the n = 4 class representatives at L = 3
+    # flip5 and each n = 4 class at 5): the torsion test never runs.  The
+    # report is the one without the certificate, where `_torsion` finds no
+    # torsion on any of the 186 and the ball is walked to radius L (the
+    # parity tests above tie it to the oracle), and the oracle's where
+    # that is cheap: the n <= 3 solutions at L = 2 and 4, the n = 4 class
+    # representatives at L = 3
     solutions = [s for n in (1, 2, 3) for s in census[n].solutions]
     reps = list(enumerate_solutions(4).class_reps)
     others = [s for s in enumerate_solutions(4).solutions if s not in reps]
@@ -655,14 +685,14 @@ def test_freeness_takes_the_closed_form_on_valid_maps(census, monkeypatch):
             cases.append((pm, 4 if pm.n <= 3 else 3, True))
         if len(solutions) <= k < len(solutions) + len(reps) + len(named):
             cases.append((pm, {2: 12, 3: 8}.get(pm.n, 5), False))
-    walk = bieberbach._word_walk
+    torsion = bieberbach._torsion
 
-    def word_walk(*args):
-        raise AssertionError("word walk run on a valid map")
+    def torsion_test(*args):
+        raise AssertionError("torsion test run on a valid map")
 
-    monkeypatch.setattr(bieberbach, "_word_walk", word_walk)
+    monkeypatch.setattr(bieberbach, "_torsion", torsion_test)
     got = [freeness_check(pm, L) for pm, L, _ in cases]
-    monkeypatch.setattr(bieberbach, "_word_walk", walk)
+    monkeypatch.setattr(bieberbach, "_torsion", torsion)
     monkeypatch.setattr(bieberbach, "_tiles_simply", lambda n, gens: False)
     for rep, (pm, L, oracle) in zip(got, cases):
         assert rep.ok and rep == freeness_check(pm, L)
@@ -675,8 +705,8 @@ def test_freeness_falls_back_when_the_lattice_index_is_wrong(census):
     # corruptions of n = 3 solutions drawn as in
     # test_each_certificate_gate_falls_back_to_the_search, kept when they
     # pass gates (a) and (b): a closed form that skipped gate (c) would
-    # pass the 51 that fail it, yet the walk finds a fixed point by L = 6
-    # on each of them, as the oracle does
+    # pass the 51 that fail it, yet each has torsion, and the oracle's
+    # walk finds a fixed point by L = 6 on each of them
     rng = random.Random(0)
     pms = [PhiMap(build_itable(s, D=2)) for s in census[3].solutions]
     units = [tuple(int(j == i) for j in range(3)) for i in range(3)]
@@ -692,15 +722,18 @@ def test_freeness_falls_back_when_the_lattice_index_is_wrong(census):
     failures = []
     for pm, gens in kept:
         rep = freeness_check(pm, 6, generators=gens)
-        assert rep == bieberbach._word_walk(3, gens, 6)
+        assert rep.ok == bieberbach._tiles_simply(3, gens)
+        assert (rep.relations, rep.isometries_seen) == bieberbach._relations(3, gens, 6, 6)
         if not rep.ok:
-            assert rep == freeness_check_bf(pm, 6, generators=gens)
+            _assert_torsion_witness(rep, gens)
+            oracle = freeness_check_bf(pm, 6, generators=gens)
+            assert not oracle.ok and set(oracle.relations) <= set(rep.relations)
             failures.append((tuple(g.perm.images for g in gens), rep.witness))
     assert len(kept) == 133 and len(failures) == 51
     assert sum(not bieberbach._tiles_simply(3, gens) for _, gens in kept) == 51
     assert (
         ((2, 1, 3), (2, 3, 1), (2, 3, 1)),
-        "word x1 x1 x2^-1 x2^-1 is not the identity yet fixes (0, 0, 0)",
+        "element perm=2,1,3 shift=0,0,0 fixes (0, 0, 0)",
     ) in failures
 
 
