@@ -97,10 +97,12 @@ def load_pairmap(path: str) -> PairMap:
     return as_pairmap(load_input(path))
 
 
-def load_table(args) -> ITable:
+def load_table(args, certify: bool = True) -> ITable:
     """The table of ``args.file`` to ``args.degree``, with the command's
-    ``--sigma`` if it has one; the file is read before ``--sigma``."""
-    return build_itable(load_pairmap(args.file), args.degree, _sigma(args))
+    ``--sigma`` if it has one; the file is read before ``--sigma``.  The
+    word commands pass certify=False: their rows past degree 1 come from
+    the cocycle (see build_itable)."""
+    return build_itable(load_pairmap(args.file), args.degree, _sigma(args), certify=certify)
 
 
 def cmd_check(args, rep: Reporter) -> int:
@@ -136,7 +138,7 @@ def cmd_build(args, rep: Reporter) -> int:
 
 
 def cmd_normalize(args, rep: Reporter) -> int:
-    t = load_table(args)
+    t = load_table(args, certify=False)
     names = t.r.names
     w = parse_word(args.word, names)
     nf = normalize_word(t, w)
@@ -147,7 +149,7 @@ def cmd_normalize(args, rep: Reporter) -> int:
 
 
 def cmd_equal(args, rep: Reporter) -> int:
-    t = load_table(args)
+    t = load_table(args, certify=False)
     w1 = parse_word(args.word1, t.r.names)
     w2 = parse_word(args.word2, t.r.names)
     a1, a2 = v_inverse(t, w1), v_inverse(t, w2)

@@ -51,6 +51,20 @@ are cached per (n, d); a level's keys are gathered with one map per j,
 and Python work is done per distinct key only.  v_of and decode_from step
 a list of exponents and look up its tuple.  A table of more than
 MAX_TABLE_ROWS rows is refused before any work, with its row count.
+
+build_itable(..., certify=False), which normalize and equal use, makes
+the same refusals and axiom check but builds and checks levels 0 and 1
+only.  Every other row is read on first access, and kept, from the
+twisted cocycle phi(c + u_i) = phi(P_i(c)) * P_i with P_i = phi(u_i) =
+sigma^-1 * row(u_i), which every map passing the axioms obeys, for
+every sigma:
+
+    row(c + u_i)[k] = row(P_i(c))[P_i(k)],  i the least index present,
+
+P_i(c) moving c_k to place P_i(k).  The checks on levels 2 to D-1 catch
+only a bug or a map failing the axioms, so the word problem is decided
+the same.  phi keeps the certified rows: its cocycle check would prove
+nothing on rows computed from the cocycle.
 """
 
 from __future__ import annotations
@@ -136,9 +150,49 @@ def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
     return tuple(memoryview(m).toreadonly() for m in (peel, up, least))
 
 
-def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
+class _CocycleRows(dict):
+    """The rows of a certify=False table: levels 0 and 1 as built, and each
+    other row of degree <= D-1 read from the cocycle on first access and
+    kept (see the module notes).  Any other key raises KeyError, as a row
+    missing from a built table does."""
+
+    def __init__(self, rows: dict[ExpVec, tuple[int, ...]], D: int, sigma: Perm):
+        super().__init__(rows)
+        inv = sigma.inverse().images
+        self._bound = D - 1
+        self._steps = []  # per i: P_i 0-based, and where each place of P_i(c) reads c
+        for i in range(1, sigma.n + 1):
+            p = [inv[c - 1] - 1 for c in rows[exp_add_gen(exp_unit(sigma.n), i)]]
+            self._steps.append((p, sorted(range(sigma.n), key=p.__getitem__)))
+
+    def __missing__(self, b: ExpVec) -> tuple[int, ...]:
+        if len(b) != len(self._steps) or min(b) < 0 or sum(b) > self._bound:
+            raise KeyError(b)
+        chain = []  # walk down to a stored row, then fill the rows back up
+        while b not in self:
+            i = next(k for k, x in enumerate(b) if x)
+            p, gather = self._steps[i]
+            chain.append((b, p))
+            c = list(b)
+            c[i] -= 1
+            b = tuple([c[k] for k in gather])
+        row = self[b]
+        for b, p in reversed(chain):
+            row = self[b] = tuple([row[k] for k in p])
+        return row
+
+
+def build_itable(
+    r: PairMap, D: int = 8, sigma: Perm | None = None, *, certify: bool = True
+) -> ITable:
     """Run the inductive construction up to degree bound D >= 2.  Refuses
-    (InputError) a table of more than MAX_TABLE_ROWS rows."""
+    (InputError) a table of more than MAX_TABLE_ROWS rows.
+
+    With certify=False the construction and its checks stop after level 1,
+    the degree-0 compatibility sweep included; each row of degree 2 to
+    D-1 is read on first access from the cocycle, row(c + u_i)[k] =
+    row(P_i(c))[P_i(k)] (see the module notes).  The refusals and the
+    axiom gate are the same."""
     if D < 2:
         raise InputError(f"degree bound must be >= 2, got {D}")
     n = r.n
@@ -173,7 +227,7 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     ids = {sigma.images: 0}  # row -> row id
     rows: dict[ExpVec, tuple[int, ...]] = {expvec_level(n, 0)[0]: sigma.images}
     below = [0]  # the row ids one degree down, in level order
-    for d in range(1, D):
+    for d in range(1, D if certify else 2):
         level = expvec_level(n, d)
         peel, up, _ = level_indices(n, d)
         # per generator j the id of the row of a - u_j, or -1 where a_j = 0:
@@ -235,7 +289,7 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
             swept.add(key)
         rows.update(zip(level, map(distinct.__getitem__, here)))
         below = here
-    return ITable(r, D, sigma, rows)
+    return ITable(r, D, sigma, rows if certify else _CocycleRows(rows, D, sigma))
 
 
 def v_of(t: ITable, a: ExpVec) -> Word:
@@ -325,10 +379,8 @@ def dump_itable(t: ITable) -> str:
     a vector's block joins it with the vector's name, the names coming
     from core.expvec_level_names."""
     sigma = ",".join(str(k) for k in t.sigma.images)
-    parts = {r: ["", *(f" {i} -> {c}\n" for i, c in enumerate(r, 1))] for r in {*t._rows.values()}}
-    blocks = (
-        name.join(parts[t._rows[b]])
-        for d in range(t.D)
-        for b, name in zip(expvec_level(t.n, d), expvec_level_names(t.n, d))
-    )
+    rows = [t._rows[b] for d in range(t.D) for b in expvec_level(t.n, d)]
+    parts = {r: ["", *(f" {i} -> {c}\n" for i, c in enumerate(r, 1))] for r in {*rows}}
+    names = (name for d in range(t.D) for name in expvec_level_names(t.n, d))
+    blocks = map(str.join, names, map(parts.__getitem__, rows))
     return f"itable n={t.n} D={t.D} sigma={sigma}\n" + "".join(blocks)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from itype import Perm, build_r, check_axioms, format_rtable, parse_presentation
 from itype import bieberbach, structuremaps
-from itype.cli import main
+from itype.cli import load_pairmap, main
 
 from conftest import COMM2_TEXT, X2Y2_TEXT, permutation_solution
 
@@ -228,6 +229,42 @@ def test_phi_output_sweep(capsys):
     assert digest.hexdigest() == "d67251f674cdf406f3152bf9ca181d62de1930b75dd7e27906036d4af1167f61"
 
 
+def word_sweep_runs():
+    """argv of normalize and equal on every corpus input at the default
+    --degree, at 2 and at 1 (refused): seeded words of 0 to D letters and
+    one of D + 1 (refused); equal's second word is the first shuffled or
+    a fresh word of the same length."""
+    rng = random.Random(8)
+    inputs = json.loads((CORPUS / "manifest.json").read_text())["inputs"]
+    names = sorted(e["file"] for e in inputs)
+    assert len(names) == 34
+    runs = []
+    for name in names:
+        path = str(CORPUS / name)
+        gens = load_pairmap(path).names
+        for flags, D in (((), 8), (("--degree", "2"), 2), (("--degree", "1"), 1)):
+            for k in range(D + 2):
+                w1 = [rng.choice(gens) for _ in range(k)]
+                shuffled = rng.random() < 0.5
+                w2 = rng.sample(w1, k) if shuffled else [rng.choice(gens) for _ in range(k)]
+                w1, w2 = " ".join(w1) or "1", " ".join(w2) or "1"
+                runs += [("normalize", path, w1, *flags), ("equal", path, w1, w2, *flags)]
+    return runs
+
+
+def test_word_commands_output_sweep(capsys):
+    # one digest of each run's argv, exit code, stdout and stderr
+    digest = hashlib.sha256()
+    runs = word_sweep_runs()
+    assert len(runs) == 34 * 2 * (10 + 4 + 3)
+    for argv in runs:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        argv = (argv[0], Path(argv[1]).name, *argv[2:])
+        digest.update(f"{argv}: exit {code}\n{captured.out}--\n{captured.err}".encode())
+    assert digest.hexdigest() == "eeeb84babd03d734c6c2446c395d3ef49ea91a591bd4564dc3d65defb13dcca7"
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--length", "0"), ("--length", "-2"), ("--radius", "-1"), ("--radius", "-1", "--length", "-2")],
@@ -378,13 +415,38 @@ def test_phi_box_guard_limit(x2y2_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [("build",), ("equal", "x1", "x1"), ("phi",)],
+    [("build",), ("equal", "x1", "x1"), ("phi",), ("normalize", "x1")],
 )
 def test_degree_guard(capsys, argv):
     command, *words = argv
     path = str(CORPUS / "flip5.rtable")
     err = refused(capsys, command, path, *words, "--degree", "60")
-    assert "7624512 rows" in err
+    assert err == (
+        "error: table to degree bound D = 60 on 5 generators would build "
+        "7624512 rows, over the limit of 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("gens x y\n", ()),  # free on two letters: not of I-type
+        ("gens x y\nrtable\nx x -> x x\nx y -> x y\ny x -> y x\ny y -> y y\n", ()),
+        (X2Y2_TEXT, ("--degree", "1")),
+    ],
+)
+def test_word_commands_refuse_what_build_refuses(tmp_path, capsys, text, flags):
+    # the axiom gate and the up-front refusals: same exit code, same stderr
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    outcomes = []
+    for command, *words in (("build",), ("normalize", "x y"), ("equal", "x", "y")):
+        code = main([command, str(f), *words, *flags])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        outcomes.append((code, captured.err))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] == (2 if flags else 1)
 
 
 def test_radius_guard(capsys):

@@ -397,6 +397,55 @@ def test_rows_match_reference_every_sigma(x2y2_r):
             assert t._rows == ref._rows and t.sigma == ref.sigma == sigma
 
 
+def _assert_cocycle_rows_match(r, D, sigma, shuffle):
+    """Rows read from a certify=False table equal the construction's, read
+    in graded-lex order or in the order shuffle leaves the vectors in;
+    past D-1 and off the lattice the reads are refused as a built table's.
+    Returns the number of rows compared."""
+    ref = build_itable(r, D, sigma)
+    t = build_itable(r, D, sigma, certify=False)
+    assert (t.D, t.sigma, len(t._rows)) == (D, ref.sigma, 1 + r.n)  # levels 0 and 1 built
+    keys = list(ref._rows)
+    if shuffle:
+        shuffle(keys)
+    assert [t.row(b) for b in keys] == [ref._rows[b] for b in keys]
+    assert t._rows == ref._rows
+    with pytest.raises(DegreeBoundError, match=f"degree {D} exceeds bound D-1 = {D - 1}$"):
+        t.row((D,) + (0,) * (r.n - 1))
+    with pytest.raises(InputError, match="not an exponent vector"):
+        t.row((-1,) + (1,) * (r.n - 1))
+    return len(keys)
+
+
+@pytest.mark.parametrize("order", ["lex", "random"])
+def test_cocycle_rows_match_the_construction(order):
+    # the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
+    # (flip5 at 8), then every sigma of the solutions with n <= 3 and of
+    # c4_01..c4_09 at D = 9; the memo must not depend on the read order
+    shuffle = random.Random(12).shuffle if order == "random" else None
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
+    maps = [load_pairmap(str(p)) for p in paths]
+    maps += [s for n in (1, 2, 3, 4) for s in enumerate_solutions(n).solutions]
+    assert len(maps) == 34 + 183
+    rows = sum(_assert_cocycle_rows_match(r, 8 if r.n == 5 else 12, None, shuffle) for r in maps)
+    assert rows == 268_473
+    maps = [s for n in (1, 2, 3) for s in enumerate_solutions(n).solutions]
+    maps += [load_pairmap(str(corpus / f"c4_0{k}.rtable")) for k in range(1, 10)]
+    rows = sum(
+        _assert_cocycle_rows_match(r, 9, sigma, shuffle) for r in maps for sigma in all_perms(r.n)
+    )
+    assert rows == 118_989
+
+
+def test_dump_of_a_cocycle_table_reads_every_row():
+    # dump reads each row by its vector, so an unread table dumps whole
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
+        r = load_pairmap(str(corpus / name))
+        assert dump_itable(build_itable(r, certify=False)) == dump_itable(build_itable(r))
+
+
 def test_build_errors_match_reference(monkeypatch):
     # every nondegenerate map on 2 letters and every involutive,
     # nondegenerate map on 3, smuggled past the axiom gate: the maps that

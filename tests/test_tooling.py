@@ -3,12 +3,13 @@ here makes a rename or deletion they depend on fail the test suite."""
 
 import ast
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from itype import cli
+from itype import cli, istructure
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -67,6 +68,38 @@ def test_table_commands_parse_once_and_build_once(capsys, name, words, command, 
     assert tr.group("istructure.build").calls == (0 if command in ("check", "orbits") else 1)
     assert tr.group("presentation.parse").calls == 1 + n_words
     assert tr.hook_failures == {}
+
+
+def test_word_commands_build_no_level_past_one(capsys, monkeypatch):
+    # normalize and equal read the rows past degree 1 from the cocycle: with
+    # the construction's level walk refused past level 1 they still answer
+    # every corpus input byte for byte, and build fails
+    paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    rng = random.Random(5)
+    runs = []
+    for path in paths:
+        word = " ".join(rng.choices(cli.load_pairmap(path).names, k=8))
+        assert cli.main(["normalize", path, word]) == 0
+        canonical = capsys.readouterr().out.split("canonical: ")[1].strip()
+        runs += [["normalize", path, word], ["equal", path, word, canonical]]
+
+    def outcomes():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in runs]
+
+    before = outcomes()
+    assert {code for code, _, _ in before} == {0}
+    real = istructure.level_indices
+
+    def level_indices(n, d):
+        if d >= 2:
+            raise AssertionError(f"level {d} built")
+        return real(n, d)
+
+    monkeypatch.setattr(istructure, "level_indices", level_indices)
+    assert outcomes() == before
+    with pytest.raises(AssertionError, match="level 2 built"):
+        cli.main(["build", paths[0]])
 
 
 def test_package_modules_use_every_name_they_import():
