@@ -19,7 +19,6 @@ from .bieberbach import (
     fixed_points,
     freeness_check,
     fundamental_domain_check,
-    generator_isometry,
     invert,
 )
 from .core import (

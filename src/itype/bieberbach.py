@@ -187,17 +187,13 @@ def fixed_points(g: AffineIso) -> FixedPointSet:
     return FixedPointSet(False, len(cycles), tuple(sample))
 
 
-def generator_isometry(pm: PhiMap, i: int) -> AffineIso:
-    """The affine map of generator i: permutation part phi(u_i), unit
-    shift in coordinate i."""
+def affine_generators(pm: PhiMap) -> list[AffineIso]:
+    """The affine map of each generator i, in order: permutation part
+    phi(u_i), unit shift in coordinate i."""
     if not pm.table.sigma.is_identity():
         raise InputError("the lattice action requires a table built with sigma = id")
-    u = tuple(1 if j == i else 0 for j in range(1, pm.n + 1))
-    return AffineIso(phi_of(pm, u), u)
-
-
-def affine_generators(pm: PhiMap) -> list[AffineIso]:
-    return [generator_isometry(pm, i) for i in range(1, pm.n + 1)]
+    units = [tuple(int(j == i) for j in range(pm.n)) for i in range(pm.n)]
+    return [AffineIso(phi_of(pm, u), u) for u in units]
 
 
 def _generators(pm: PhiMap, generators: list[AffineIso] | None) -> list[AffineIso]:
@@ -282,15 +278,14 @@ def _signed_generators(gens: Sequence[AffineIso]) -> list[tuple[int, AffineIso]]
 
 
 @lru_cache(maxsize=8)  # one build per command: freeness, tiling certificate and search
-def _label_frame(gens: tuple[AffineIso, ...]) -> tuple[list, list, list, list, list]:
+def _label_frame(gens: tuple[AffineIso, ...]) -> tuple[list, list, list]:
     """The part of the translation frame that depends on the generators
     alone: the signed generators (letter, 0-based pi, s) in search order;
-    by label, its permutation part (0-based, and as a Perm) and 0-based
-    cycles; and moves[label], the next label and the translation d per
-    signed generator.  The labels number the closure (core.closure) of
-    the identity under the signed permutation parts, label 0 the
-    identity: for the generator isometries, the group H of
-    structuremaps.kernel_exponents."""
+    by label, its 0-based permutation part; and moves[label], the next
+    label and the translation d per signed generator.  The labels number
+    the closure (core.closure) of the identity under the signed
+    permutation parts, label 0 the identity: for the generator
+    isometries, the group H of structuremaps.kernel_exponents."""
     n = gens[0].n
     signed = [
         (s, tuple([k - 1 for k in g.perm.images]), g.shift)
@@ -302,8 +297,6 @@ def _label_frame(gens: tuple[AffineIso, ...]) -> tuple[list, list, list, list, l
 
     perms = closure([tuple(range(n))], products)
     labels = {sigma: label for label, sigma in enumerate(perms)}
-    group = [Perm(tuple([k + 1 for k in sigma])) for sigma in perms]
-    cycles = [[[k - 1 for k in c] for c in g.cycles()] for g in group]
     moves = [
         [
             (labels[nxt], tuple([c for _, c in sorted(zip(nxt, sh))]))  # d[sigma'(j)] = s[j]
@@ -311,7 +304,7 @@ def _label_frame(gens: tuple[AffineIso, ...]) -> tuple[list, list, list, list, l
         ]
         for sigma in perms
     ]
-    return signed, perms, group, cycles, moves
+    return signed, perms, moves
 
 
 # letter, next label, key delta, then the generator's 0-based pi and its s
@@ -323,7 +316,7 @@ def _frame(n: int, gens: list[AffineIso], L: int) -> list[list[Step]]:
     most L steps: steps[label] lists one Step per signed generator, in
     search order.  Only the key deltas depend on the base B; the rest is
     read from `_label_frame`."""
-    signed, perms, _, _, moves = _label_frame(tuple(gens))
+    signed, perms, moves = _label_frame(tuple(gens))
     base = 2 * L * max([1] + [abs(c) for _, _, sh in signed for c in sh]) + 1
     powers = [base**j for j in range(n)]
     return [
@@ -547,7 +540,7 @@ def _tiles_simply(n: int, gens: list[AffineIso]) -> bool:
     of index |H|.  When they hold, g -> g(0) maps the ball of word length
     L one to one onto the l1 ball of radius L.  The one gate of both
     closed forms, freeness and tiling."""
-    signed, perms, _, _, _ = _label_frame(tuple(gens))
+    signed, perms, _ = _label_frame(tuple(gens))
     units = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
     diagonal = {pi[i] for i, (_, pi, _) in enumerate(signed[:n])}
     if [sh for _, _, sh in signed[:n]] != units or len(diagonal) < n:
@@ -562,7 +555,7 @@ def _translations(gens: tuple[AffineIso, ...]) -> tuple[list[tuple[int, ...]], l
     generators; and an echelon basis of T = G cap Z^n, from the Schreier
     generators q_h + d(h, s) - q_{h s} (module docstring, (c))."""
     n = gens[0].n
-    moves = _label_frame(gens)[4]
+    moves = _label_frame(gens)[2]
     q: list[tuple[int, ...] | None] = [(0,) * n] + [None] * (len(moves) - 1)
     labels = [0]
     schreier = []
@@ -598,25 +591,28 @@ def _torsion(gens: tuple[AffineIso, ...]) -> tuple[AffineIso, Point] | None:
     when G is torsion-free: for each label h != id, [cycle sums | q_h] is
     reduced by an echelon basis of [cycle sums of t | t] over t in T; if
     the cycle sums reach 0, the rest is the q of such an element (module
-    docstring)."""
-    _, perms, group, cycles, _ = _label_frame(gens)
+    docstring).  The Perm and the cycles of a label's permutation part
+    are built here, for the labels tested only."""
+    perms = _label_frame(gens)[1]
     qs, rows = _translations(gens)
     basis = [r for r in rows if r is not None]
     for h in range(1, len(perms)):
+        perm = Perm(tuple([k + 1 for k in perms[h]]))
+        cycles = [[k - 1 for k in c] for c in perm.cycles()]
 
         def lift(q):  # [the cycle sums of q | q]
-            return [sum([q[k] for k in c]) for c in cycles[h]] + list(q)
+            return [sum([q[k] for k in c]) for c in cycles] + list(q)
 
         v = lift(qs[h])
-        for j, r in enumerate(_echelon([lift(b) for b in basis], len(cycles[h]))):
+        for j, r in enumerate(_echelon([lift(b) for b in basis], len(cycles))):
             if r is not None:
                 f = v[j] // r[j]
                 v = [a - f * b for a, b in zip(v, r)]
             if v[j]:
                 break
         else:
-            q = v[len(cycles[h]) :]
-            g = AffineIso(group[h], tuple([q[k] for k in perms[h]]))
+            q = v[len(cycles) :]
+            g = AffineIso(perm, tuple([q[k] for k in perms[h]]))
             point = fixed_points(g).point
             assert act(g, point) == point
             return g, point
@@ -629,39 +625,20 @@ def _box_points(n: int, radius: int):
     return (pt[::-1] for pt in itertools.product(span, repeat=n))
 
 
-@dataclass(frozen=True)
-class Isometry2D:
-    """Classification of a planar isometry with permutation part id or
-    the swap: identity, translation, or glide reflection along the main
-    diagonal direction (a pure reflection is the degenerate glide with
-    zero glide vector)."""
-
-    kind: str  # "identity" | "translation" | "glide-reflection"
-    translation: tuple[int, int] | None = None
-    axis_direction: tuple[int, int] | None = None
-    glide_vector: tuple[Fraction, Fraction] | None = None
-    axis_offset: Fraction | None = None  # the value of a1 - a2 on the axis
-
-
-def classify_isometry_2d(g: AffineIso) -> Isometry2D:
-    """Exact closed forms: a swap-part isometry moves points of the line
-    a1 - a2 = (s1 - s2)/2 along the direction (1,1) by (s1 + s2)/2."""
+def classify_isometry_2d(g: AffineIso) -> str:
+    """The class of a planar isometry with permutation part id or the
+    swap, as `bieberbach` prints it: identity, translation, or the glide
+    reflection moving the line a1 - a2 = (s1 - s2)/2 along (1,1) by
+    (s1 + s2)/2 in each coordinate (a pure reflection glides by 0)."""
     if g.n != 2:
         raise InputError(f"planar classification needs n = 2, got {g.n}")
+    s1, s2 = g.shift
     if g.perm.is_identity():
-        if not any(g.shift):
-            return Isometry2D("identity")
-        return Isometry2D("translation", translation=g.shift)
+        return f"translation ({s1},{s2})" if any(g.shift) else "identity"
     if g.perm.images != (2, 1):
         raise InputError(f"permutation part {g.perm.images} is neither id nor the swap")
-    s1, s2 = g.shift
     glide = Fraction(s1 + s2, 2)
-    return Isometry2D(
-        "glide-reflection",
-        axis_direction=(1, 1),
-        glide_vector=(glide, glide),
-        axis_offset=Fraction(s1 - s2, 2),
-    )
+    return f"glide-reflection axis a1-a2={Fraction(s1 - s2, 2)} glide=({glide},{glide})"
 
 
 def export_affine_group(

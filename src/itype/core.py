@@ -206,11 +206,6 @@ def expvec_level_names(n: int, d: int) -> tuple[str, ...]:
     return tuple(map(format_expvec, expvec_level(n, d)))
 
 
-def expvecs_of_degree(n: int, d: int) -> list[ExpVec]:
-    """expvec_level as a fresh list, the caller's to change."""
-    return list(expvec_level(n, d))
-
-
 def expvecs_up_to(n: int, dmax: int) -> list[ExpVec]:
     """Graded-lex enumeration of all exponent vectors of degree <= dmax."""
     return [e for d in range(dmax + 1) for e in expvec_level(n, d)]

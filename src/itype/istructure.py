@@ -64,7 +64,8 @@ every sigma:
 P_i(c) moving c_k to place P_i(k).  The checks on levels 2 to D-1 catch
 only a bug or a map failing the axioms, so the word problem is decided
 the same.  phi keeps the certified rows: its cocycle check would prove
-nothing on rows computed from the cocycle.
+nothing on rows computed from the cocycle, so structuremaps.PhiMap
+refuses a table whose `certified` is false.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ class ITable:
         self.D = D
         self.sigma = sigma
         self._rows = rows
+        self.certified = not isinstance(rows, _CocycleRows)  # no row read from the cocycle
 
     def row(self, b: ExpVec) -> tuple[int, ...]:
         try:
@@ -121,9 +123,6 @@ class ITable:
             raise DegreeBoundError(
                 f"row {format_expvec(b)} of degree {degree(b)} exceeds bound D-1 = {self.D - 1}"
             ) from None
-
-    def entry(self, b: ExpVec, i: int) -> int:
-        return self.row(b)[i - 1]
 
     def _need(self, d: int):
         if d > self.D:
@@ -354,8 +353,8 @@ def degree2_relations(t: ITable) -> tuple[tuple[Word, Word], ...]:
         for j in range(i + 1, t.n + 1):
             ui = exp_add_gen(unit, i)
             uj = exp_add_gen(unit, j)
-            lhs = (t.entry(ui, j), t.entry(unit, i))
-            rhs = (t.entry(uj, i), t.entry(unit, j))
+            lhs = (t.row(ui)[j - 1], t.row(unit)[i - 1])
+            rhs = (t.row(uj)[i - 1], t.row(unit)[j - 1])
             out.append((lhs, rhs))
     return tuple(out)
 

@@ -70,9 +70,12 @@ MAX_COSET_BOX = 1_000_000
 
 
 class PhiMap:
-    """phi backed by an I-structure table."""
+    """phi backed by a certified I-structure table: the checks on phi
+    would only restate the cocycle its rows were read from."""
 
     def __init__(self, table: ITable):
+        if not table.certified:
+            raise InputError("phi needs a certified table, not rows read from the cocycle")
         self.table = table
         self.n = table.n
         self.D = table.D
@@ -185,10 +188,6 @@ class CosetReport:
     factorization: CheckResult  # phi is trivial on the P0 part of every vector
     product_rule: CheckResult  # v(rep * p) = v(rep) v(p) in the semigroup
     commuting: CheckResult  # the v(u_i^{t_i}) pairwise commute
-
-    @property
-    def t(self) -> tuple[int, ...]:
-        return self.kernel.t
 
     @property
     def ok(self) -> bool:

@@ -6,7 +6,7 @@ ground truth the table-based decision procedure must reproduce.
 
 The I-structure build, the recursive exponent-vector enumeration, the
 cocycle sweep and the braid check below are the straightforward versions
-of `build_itable`, `expvecs_of_degree`, `cocycle_exhaustive` and
+of `build_itable`, `expvec_level`, `cocycle_exhaustive` and
 `check_yb`: keys built through the exponent-vector helpers, one `Perm`
 composition per pair, words rewritten by slicing.  The flat code in
 `itype` must produce the same rows, vectors and results.  `dump_itable_ref`

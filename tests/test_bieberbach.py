@@ -2,7 +2,6 @@ import collections
 import itertools
 import math
 import random
-from fractions import Fraction
 from operator import add
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from itype import (
     fixed_points,
     freeness_check,
     fundamental_domain_check,
-    generator_isometry,
     invert,
     v_inverse,
     v_of,
@@ -33,7 +31,7 @@ from itype import (
 from itype import bieberbach
 from itype.bieberbach import refuse_large_tiling
 from itype.cli import load_pairmap
-from itype.core import Perm, all_perms, expvecs_of_degree, expvecs_up_to
+from itype.core import Perm, all_perms, expvec_level, expvecs_up_to
 from itype.istructure import decode_from
 from itype.structuremaps import kernel_exponents
 
@@ -59,8 +57,7 @@ def flip_pms(flip_tables):
 
 
 def test_generator_isometries_x2y2(x2y2_pm):
-    gx = generator_isometry(x2y2_pm, 1)
-    gy = generator_isometry(x2y2_pm, 2)
+    gx, gy = affine_generators(x2y2_pm)
     assert gx == AffineIso(Perm((2, 1)), (1, 0))
     assert gy == AffineIso(Perm((2, 1)), (0, 1))
     assert act(gx, (3, 5)) == (6, 3)  # (a1,a2) -> (a2+1, a1)
@@ -70,13 +67,13 @@ def test_generator_isometries_x2y2(x2y2_pm):
 def test_generator_isometries_flip(flip_pms):
     for n, pm in flip_pms.items():
         for i in range(1, n + 1):
-            g = generator_isometry(pm, i)
+            g = affine_generators(pm)[i - 1]
             assert g.perm.is_identity()
             assert g.shift == tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 
 def test_act_basics(x2y2_pm):
-    gx = generator_isometry(x2y2_pm, 1)
+    gx = affine_generators(x2y2_pm)[0]
     assert act(AffineIso.identity(2), (4, -1)) == (4, -1)
     assert act(gx, (0, 0)) == (1, 0)
     xx = compose(gx, gx)
@@ -85,8 +82,7 @@ def test_act_basics(x2y2_pm):
 
 
 def test_compose_invert(x2y2_pm):
-    gx = generator_isometry(x2y2_pm, 1)
-    gy = generator_isometry(x2y2_pm, 2)
+    gx, gy = affine_generators(x2y2_pm)
     assert compose(gx, invert(gx)) == AffineIso.identity(2)
     assert compose(invert(gy), gy) == AffineIso.identity(2)
     # right-action law act(g then h, a) = act(h, act(g, a))
@@ -98,8 +94,8 @@ def test_compose_invert(x2y2_pm):
 
 
 def test_isometry_preserves_distance(x2y2_pm):
-    gx = generator_isometry(x2y2_pm, 1)
-    gxy = compose(gx, invert(generator_isometry(x2y2_pm, 2)))
+    gx = affine_generators(x2y2_pm)[0]
+    gxy = compose(gx, invert(affine_generators(x2y2_pm)[1]))
     for g in (gx, gxy):
         for a, b in itertools.product(itertools.product(range(-2, 3), repeat=2), repeat=2):
             ga, gb = act(g, a), act(g, b)
@@ -120,14 +116,14 @@ def test_generator_permutation_is_phi_row(x2y2_pm, flip_pms, census):
         t = pm.table
         for i in range(1, pm.n + 1):
             u = tuple(1 if j == i else 0 for j in range(1, pm.n + 1))
-            assert generator_isometry(pm, i).perm == Perm(t.row(u))
+            assert affine_generators(pm)[i - 1].perm == Perm(t.row(u))
         assert check_action_consistency(pm, pm.D - 1).ok
 
 
 def test_sigma_must_be_identity(x2y2_r):
     t = build_itable(x2y2_r, D=4, sigma=Perm((2, 1)))
     with pytest.raises(InputError, match="sigma"):
-        generator_isometry(PhiMap(t), 1)
+        affine_generators(PhiMap(t))
 
 
 def test_action_consistency(x2y2_pm, flip_pms):
@@ -136,7 +132,7 @@ def test_action_consistency(x2y2_pm, flip_pms):
     # a = 0: both sides give the degree-1 decoding of x_i
     t = x2y2_pm.table
     for i in (1, 2):
-        g = generator_isometry(x2y2_pm, i)
+        g = affine_generators(x2y2_pm)[i - 1]
         assert act(g, (0, 0)) == v_inverse(t, v_of(t, (0, 0)) + (i,))
 
 
@@ -156,7 +152,7 @@ def test_action_consistency_matches_reference():
     for path in paths:
         t = build_itable(load_pairmap(str(path)), D=7)
         for _ in range(4):
-            level = expvecs_of_degree(t.n, rng.randint(1, 6))
+            level = expvec_level(t.n, rng.randint(1, 6))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
             pm = PhiMap(ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))}))
@@ -200,7 +196,7 @@ def test_action_consistency_matches_reference_at_every_bound():
         pm = PhiMap(t)
         for bound in range(t.D):
             for d in sorted({bound, 1}):
-                level = expvecs_of_degree(t.n, d)
+                level = expvec_level(t.n, d)
                 shuffled = [t.row(b) for b in level]
                 rng.shuffle(shuffled)
                 rows = {**t._rows, **dict(zip(level, shuffled))}
@@ -252,8 +248,7 @@ def test_freeness_x2y2(x2y2_pm):
     assert rep.ok
     assert rep.relations  # x^2 y^-2 and friends
     # the word x x y^-1 y^-1 evaluates to the identity isometry
-    gx = generator_isometry(x2y2_pm, 1)
-    gy = generator_isometry(x2y2_pm, 2)
+    gx, gy = affine_generators(x2y2_pm)
     word = [gx, gx, invert(gy), invert(gy)]
     iso = AffineIso.identity(2)
     for g in word:
@@ -410,7 +405,8 @@ def test_frame_labels_are_the_kernel_image_group():
     assert len(paths) == 34
     for path in paths:
         pm = PhiMap(build_itable(load_pairmap(str(path)), D=8))
-        perms = bieberbach._label_frame(tuple(affine_generators(pm)))[2]
+        labels = bieberbach._label_frame(tuple(affine_generators(pm)))[1]
+        perms = [Perm(tuple([k + 1 for k in sigma])) for sigma in labels]
         assert perms[0] == Perm.identity(pm.n) and len(set(perms)) == len(perms)
         assert set(perms) == kernel_exponents(pm).group, path.name
 
@@ -445,30 +441,23 @@ def test_fundamental_domain_catches_duplicates(x2y2_pm):
 
 
 def test_classify_x2y2(x2y2_pm):
-    gx = generator_isometry(x2y2_pm, 1)
-    gy = generator_isometry(x2y2_pm, 2)
-    cx = classify_isometry_2d(gx)
-    cy = classify_isometry_2d(gy)
-    assert cx.kind == cy.kind == "glide-reflection"
-    assert cx.axis_direction == cy.axis_direction == (1, 1)
-    assert cx.glide_vector == cy.glide_vector == (Fraction(1, 2), Fraction(1, 2))
-    # parallel distinct axes at offsets +-1/2: the Klein bottle case
-    assert {cx.axis_offset, cy.axis_offset} == {Fraction(1, 2), Fraction(-1, 2)}
-    cxx = classify_isometry_2d(compose(gx, gx))
-    assert cxx.kind == "translation" and cxx.translation == (1, 1)
+    gx, gy = affine_generators(x2y2_pm)
+    # glide reflections along (1,1) by (1/2,1/2), on the parallel distinct
+    # axes at offsets +-1/2: the Klein bottle case
+    assert classify_isometry_2d(gx) == "glide-reflection axis a1-a2=1/2 glide=(1/2,1/2)"
+    assert classify_isometry_2d(gy) == "glide-reflection axis a1-a2=-1/2 glide=(1/2,1/2)"
+    assert classify_isometry_2d(compose(gx, gx)) == "translation (1,1)"
 
 
 def test_classify_flip_torus(flip_pms):
-    for g in affine_generators(flip_pms[2]):
-        assert classify_isometry_2d(g).kind == "translation"
+    gens = affine_generators(flip_pms[2])
+    assert list(map(classify_isometry_2d, gens)) == ["translation (1,0)", "translation (0,1)"]
 
 
 def test_classify_degenerate_and_errors():
     refl = classify_isometry_2d(AffineIso(Perm((2, 1)), (1, -1)))
-    assert refl.kind == "glide-reflection"
-    assert refl.glide_vector == (Fraction(0), Fraction(0))
-    assert refl.axis_offset == Fraction(1)
-    assert classify_isometry_2d(AffineIso.identity(2)).kind == "identity"
+    assert refl == "glide-reflection axis a1-a2=1 glide=(0,0)"
+    assert classify_isometry_2d(AffineIso.identity(2)) == "identity"
     with pytest.raises(InputError):
         classify_isometry_2d(AffineIso.identity(3))
 

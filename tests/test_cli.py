@@ -208,6 +208,18 @@ def test_bieberbach_output_sweep(capsys, monkeypatch):
     assert digest.hexdigest() == "18bfca05b087ed03d434099a3caf4810975c36904b725bdd9b101684303bb801"
 
 
+def test_bieberbach_machine_class_lines(capsys):
+    # the n = 2 inputs in the machine format, class lines included: one
+    # digest of each run's flags, exit code and stdout
+    flags = ("--format", "machine", "bieberbach")
+    bounds = ("--length", "2", "--radius", "0")
+    digest = hashlib.sha256()
+    for name in ("x2y2.pres", "c2_01.rtable", "c2_02.rtable"):
+        code, out = run(capsys, *flags, str(CORPUS / name), *bounds)
+        digest.update(f"{name} {' '.join(flags + bounds)}: exit {code}\n{out}".encode())
+    assert digest.hexdigest() == "673649d963e824a3d5b6b3f9c7743b61ff51d72d2bec5e2089b23f2ebe1e6194"
+
+
 def phi_sweep_runs():
     """(name, flags) of every corpus input at the default --degree, at 4
     and at 6: m = D in the coset check, and the short-table refusals."""
@@ -447,6 +459,24 @@ def test_word_commands_refuse_what_build_refuses(tmp_path, capsys, text, flags):
         outcomes.append((code, captured.err))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][0] == (2 if flags else 1)
+
+
+def test_alphabet_guard(tmp_path, capsys):
+    # n^3 = 1,000,000 words of degree 3 is the limit: 100 letters are read,
+    # 101 are refused by every file command, --degree 2 included
+    f = tmp_path / "gens.pres"
+    f.write_text("gens " + " ".join(f"g{i}" for i in range(100)) + "\n")
+    code, out = run(capsys, "check", str(f))
+    assert code == 1 and out.endswith("verdict: invalid\n")
+    f.write_text("gens " + " ".join(f"g{i}" for i in range(101)) + "\n")
+    for argv in (
+        ("check",), ("orbits",), ("build", "--degree", "2"), ("normalize", "g0"),
+        ("equal", "g0", "g1"), ("phi",), ("bieberbach",),
+    ):
+        err = refused(capsys, argv[0], str(f), *argv[1:])
+        assert err == (
+            "error: 101 generators make 1030301 words of degree 3, over the limit of 1000000\n"
+        )
 
 
 def test_radius_guard(capsys):

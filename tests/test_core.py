@@ -10,7 +10,7 @@ from itype.core import (
     closure,
     compose_perm,
     exp_sub_gen,
-    expvecs_of_degree,
+    expvec_level,
     expvecs_up_to,
     format_word,
     relabel_expvec,
@@ -76,7 +76,7 @@ def test_perm_cycles():
 
 
 def test_expvec_enumeration_graded_lex():
-    assert expvecs_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert expvec_level(2, 2) == ((0, 2), (1, 1), (2, 0))
     vecs = expvecs_up_to(3, 4)
     assert len(vecs) == len(set(vecs))
     degrees = [sum(v) for v in vecs]

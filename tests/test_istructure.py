@@ -34,7 +34,6 @@ from itype.core import (
     exp_add_gen,
     exp_sub_gen,
     expvec_level,
-    expvecs_of_degree,
     expvecs_up_to,
     sort_word,
     support,
@@ -188,7 +187,7 @@ def test_condition_b(x2y2_table, flip_tables):
         for b in expvecs_up_to(t.n, t.D - 1):
             for i in range(1, t.n + 1):
                 left = v_of(t, exp_add_gen(b, i))
-                assert words_equal(t, left, (t.entry(b, i),) + v_of(t, b))
+                assert words_equal(t, left, (t.row(b)[i - 1],) + v_of(t, b))
 
 
 def test_oracle_equivalence_small(x2y2_r, x2y2_table):
@@ -334,7 +333,7 @@ def _outcome(build, r, D):
 def test_expvecs_match_recursion():
     for n in range(1, 7):
         for d in range(12):
-            assert expvecs_of_degree(n, d) == expvecs_of_degree_ref(n, d)
+            assert list(expvec_level(n, d)) == expvecs_of_degree_ref(n, d)
 
 
 def test_level_indices_match_slicing():
@@ -365,17 +364,6 @@ def test_build_error_is_the_same_with_cold_and_warm_caches(monkeypatch):
     assert ist.level_indices.cache_info().currsize > 0
     assert cold[0] is ConsistencyError
     assert _outcome(build_itable, bad, 5) == cold == _outcome(oracles.build_itable_ref, bad, 5)
-
-
-def test_expvecs_of_degree_list_is_the_callers(x2y2_r):
-    # the level behind the list is cached and keys every table's rows
-    for d in range(6):
-        vecs = expvecs_of_degree(2, d)
-        vecs.reverse()
-        vecs.append((9, 9))
-    assert expvecs_of_degree(2, 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    t, ref = build_itable(x2y2_r, D=6), oracles.build_itable_ref(x2y2_r, D=6)
-    assert t._rows == ref._rows and list(t._rows) == expvecs_up_to(2, 5)
 
 
 def test_rows_match_reference_census(census):

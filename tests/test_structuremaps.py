@@ -29,7 +29,7 @@ from itype.core import (
     all_perms,
     degree,
     exp_add,
-    expvecs_of_degree,
+    expvec_level,
     expvecs_up_to,
     relabel_expvec,
 )
@@ -61,6 +61,15 @@ def test_phi_flip_trivial(flip_pms):
     pm = flip_pms[3]
     for b in expvecs_up_to(3, pm.D - 1):
         assert phi_of(pm, b).is_identity()
+
+
+def test_phi_refuses_a_table_read_from_the_cocycle():
+    # rows computed from the cocycle pass the cocycle, coset and action
+    # checks whatever the map: phi takes certified tables only
+    r = load_pairmap(str(CORPUS / "c4_12.rtable"))
+    with pytest.raises(InputError, match="certified table"):
+        PhiMap(build_itable(r, 8, certify=False))
+    assert PhiMap(build_itable(r, 8)).table.certified
 
 
 def test_phi_degree_bound(x2y2_pm):
@@ -263,7 +272,7 @@ def test_cocycle_matches_reference_on_shuffled_tables():
     for path in paths:
         t = build_itable(load_pairmap(str(path)), D=7)
         for _ in range(9):
-            level = expvecs_of_degree(t.n, rng.randint(1, 5))
+            level = expvec_level(t.n, rng.randint(1, 5))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
             bad = ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))})
@@ -281,7 +290,7 @@ def test_cocycle_reads_the_origin_and_every_top_row(x2y2_r, census):
     tables = [build_itable(x2y2_r, D=6), *(build_itable(s, D=6) for s in census[3].solutions[:6])]
     tables += [build_itable(reps4[12], D=6), build_itable(reps4[19], D=6)]
     for t in tables:
-        for b in [(0,) * t.n, *expvecs_of_degree(t.n, 5)]:
+        for b in [(0,) * t.n, *expvec_level(t.n, 5)]:
             other = next(p for p in all_perms(t.n) if p.images != t.row(b))
             bad = ITable(t.r, t.D, t.sigma, {**t._rows, b: other.images})
             for dmax in (0, 5) if degree(b) == 0 else (5,):
@@ -333,7 +342,7 @@ def test_coset_negative_controls(x2y2_table):
     reports = {b: coset_decomposition(PhiMap(tb), 6) for b, tb in bad.items()}
     for b, rep in reports.items():
         assert rep == coset_decomposition_ref(PhiMap(bad[b]), 6)
-        assert rep.t == (2, 2) and not rep.ok
+        assert rep.kernel.t == (2, 2) and not rep.ok
     assert reports[(2, 1)].product_rule.witness == (
         "v((3,1)) differs from v((1,1))v((2,0)) in the semigroup"
     )
@@ -395,7 +404,7 @@ def test_coset_corruptions_of_the_deepest_rows_match_reference(x2y2_r):
     outcomes = set()
     for D, m in ((8, 6), (7, 7)):
         for t in (build_itable(x2y2_r, D=D), build_itable(c3_05, D=D)):
-            for b in expvecs_of_degree(t.n, m - 1):
+            for b in expvec_level(t.n, m - 1):
                 others = [p.images for p in all_perms(t.n) if p.images != t.row(b)]
                 for images in [*others[:2], (1,) * t.n]:
                     bad = _with_row(t, b, images)

@@ -1,5 +1,9 @@
 """The scripts under bench/ import the package by name; importing them
-here makes a rename or deletion they depend on fail the test suite."""
+here makes a rename or deletion they depend on fail the test suite.
+
+bench/run.py imports the package afresh, so a test that ran it leaves
+new modules in sys.modules: the tests here look `itype.cli` and
+`itype.istructure` up when they run, never at load time."""
 
 import ast
 import importlib.util
@@ -9,11 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from itype import cli, istructure
-
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 MAKE_CORPUS = BENCH / "make_corpus.py"
+
+
+def program(name: str):
+    """The package module `name` as imported now (see the module notes)."""
+    return importlib.import_module(f"itype.{name}")
 
 
 def load_script(path: Path):
@@ -34,6 +41,7 @@ def test_tracer_hooks_bind_their_arguments(capsys):
     # lands in hook_failures and the counter silently reads 0
     tracer = load_script(BENCH / "tracer.py")
     x2y2 = str(BENCH / "corpus" / "x2y2.pres")
+    cli = program("cli")
     with tracer.Tracer() as tr:
         assert cli.main(["enumerate", "--n", "2"]) == 0
         assert cli.main(["bieberbach", x2y2, "--length", "2", "--radius", "0"]) == 0
@@ -62,6 +70,7 @@ def test_table_commands_parse_once_and_build_once(capsys, name, words, command, 
     # table; check and orbits read the pair map alone and build none
     tracer = load_script(BENCH / "tracer.py")
     argv = [command, str(BENCH / "corpus" / name), *words[:n_words], *flags]
+    cli = program("cli")
     with tracer.Tracer() as tr:
         assert cli.main(argv) == 0
     capsys.readouterr()
@@ -74,6 +83,7 @@ def test_word_commands_build_no_level_past_one(capsys, monkeypatch):
     # normalize and equal read the rows past degree 1 from the cocycle: with
     # the construction's level walk refused past level 1 they still answer
     # every corpus input byte for byte, and build fails
+    cli, istructure = program("cli"), program("istructure")
     paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     rng = random.Random(5)
