@@ -26,11 +26,19 @@ the cross-row compatibility
 which also makes v independent of the peeling order.  Violations raise
 ConsistencyError: they mean a bug or an invalid pair map.
 
-A row depends only on the rows it is peeled from, and the sweep at b
-only on the row of b and its n raised rows.  The build interns each
-distinct row as one tuple and memoizes both on the ids of those rows, in
-the order each key is first met in its level; a failure is never stored,
-so the first failing row or b and its message are the unmemoized ones.
+The build interns each distinct row as one tuple with an id, and works
+on steps: step[j][p] is the id of the row that peeling j forces from the
+row with id p, entries i != j by axiom 3 and entry j the letter left
+over.  For every sigma the cocycle phi(b + u_j) = phi(u_{phi(b)(j)}) *
+phi(b) makes the row of b + u_j a function of the row of b and of j, so
+steps are few (at most 32 on the benchmark corpus at D = 8).  A row is
+stepped, and its compatibility swept, once: at the first level where it
+is one degree down.  Each level takes the row of each a from its least
+peel, then checks every peel of every a at once against the steps.  The
+rows rest on that check, not on the theorem: with every step passing
+the row checks, it passes iff no entry depends on the peeled generator.
+A failing level is rebuilt point by point by the per-key construction,
+which raises its first failing row or b with its message.
 
 Two rules read the table, and this module holds the only copy of each.
 v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j).
@@ -74,6 +82,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NoReturn
 
 from .core import (
     AxiomError,
@@ -220,75 +229,114 @@ def build_itable(
     letters = list(range(1, n + 1))
     total = n * (n + 1) // 2
 
-    made: dict[tuple[int, ...], int] = {}  # peeled row ids -> id of the row they force
-    swept: set[tuple[int, ...]] = set()  # (id of row b, ids of raised rows) whose sweep passed
     distinct = [sigma.images]  # row id -> row
     ids = {sigma.images: 0}  # row -> row id
+    step = [[] for _ in range(n)]  # step[j][p]: id of the row peel j forces from row p
     rows: dict[ExpVec, tuple[int, ...]] = {expvec_level(n, 0)[0]: sigma.images}
     below = [0]  # the row ids one degree down, in level order
     for d in range(1, D if certify else 2):
-        level = expvec_level(n, d)
         peel, up, _ = level_indices(n, d)
-        # per generator j the id of the row of a - u_j, or -1 where a_j = 0:
-        # peel's -1 there reads the -1 appended to below
-        get = (below + [-1]).__getitem__
-        keys = list(zip(*[map(get, peel[j::n]) for j in range(n)]))
-        for key in dict.fromkeys(keys):
-            if key in made:
-                continue
-            # (j, row of a - u_j, offset into solve) per generator j present
-            peeled = [
-                (j, distinct[p], (distinct[p][j] - 1) * n - 1) for j, p in enumerate(key) if p >= 0
-            ]
-            power_index = peeled[0][0] if len(peeled) == 1 else None
-            row = [0] * n
-            for i in range(n):
-                if i == power_index:
-                    continue
-                values = {solve[off + brow[i]] for j, brow, off in peeled if j != i}
-                if len(values) != 1:
-                    raise ConsistencyError(
-                        f"entry ({format_expvec(level[keys.index(key)])}, {i + 1}) depends "
-                        f"on the peeled generator: candidates {sorted(values)}"
-                    )
-                row[i] = values.pop()
-            if power_index is not None:
-                others = [c for c in row if c != 0]
-                if len(set(others)) != n - 1:
-                    raise ConsistencyError(
-                        f"row {format_expvec(level[keys.index(key)])}: peeling-case "
-                        f"entries {others} are not pairwise distinct"
-                    )
-                row[power_index] = total - sum(others)
-            if sorted(row) != letters:
-                raise ConsistencyError(
-                    f"row {format_expvec(level[keys.index(key)])} = {tuple(row)} "
-                    "is not a permutation of X"
-                )
-            made[key] = ids.setdefault(tuple(row), len(ids))
+        new = range(len(step[0]), len(distinct))  # rows not stepped yet, all in below
+        stepped = True  # every new step, each used in this level, passes the row checks
+        for p in new:
+            for j, s in enumerate(distinct[p]):
+                row = [solve[(s - 1) * n + c - 1] for c in distinct[p]]
+                row[j] = 0
+                row[j] = total - sum(row)
+                stepped &= sorted(row) == letters
+                step[j].append(ids.setdefault(tuple(row), len(ids)))
         distinct = list(ids)
-        here = list(map(made.__getitem__, keys))
-        # cross-row compatibility for every b one degree further down,
-        # all i, j (i = j included: those pairs must be fixed by r)
-        keys = list(zip(below, *[map(here.__getitem__, up[j::n]) for j in range(n)]))
-        for key in dict.fromkeys(keys):
-            if key in swept:
-                continue
-            brow, *raised = map(distinct.__getitem__, key)
-            for i in range(n):
-                bi, ri = brow[i], raised[i]
-                for j in range(n):
-                    lhs = table[(raised[j][i] - 1) * n + brow[j] - 1]
-                    if lhs[0] != ri[j] or lhs[1] != bi:
-                        b = format_expvec(expvec_level(n, d - 1)[keys.index(key)])
-                        raise ConsistencyError(
-                            f"compatibility fails at b={b}, i={i + 1}, "
-                            f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
-                        )
-            swept.add(key)
-        rows.update(zip(level, map(distinct.__getitem__, here)))
+        # each a from its least peel j: the a with a_0..a_{j-1} = 0 are the
+        # first comb(d+n-j-1, d) in lex order, so j runs as least's blocks do
+        here = []
+        for j in reversed(range(n)):
+            at = peel[len(here) * n + j : comb(d + n - j - 1, d) * n : n]
+            here += map(step[j].__getitem__, map(below.__getitem__, at))
+        # every peel of every a: per j, the rows of b + u_j are the steps of
+        # the rows of b; then the compatibility sweep, for all i, j (i = j
+        # included: those pairs must be fixed by r), once per new row
+        if not (
+            stepped
+            and all(
+                [*map(step[j].__getitem__, below)] == [*map(here.__getitem__, up[j::n])]
+                for j in range(n)
+            )
+            and all(
+                table[(distinct[step[j][p]][i] - 1) * n + distinct[p][j] - 1]
+                == (distinct[step[i][p]][j], distinct[p][i])
+                for p in new
+                for i in range(n)
+                for j in range(n)
+            )
+        ):
+            _raise_level_failure(table, solve, d, below, distinct)
+        rows.update(zip(expvec_level(n, d), map(distinct.__getitem__, here)))
         below = here
     return ITable(r, D, sigma, rows if certify else _CocycleRows(rows, D, sigma))
+
+
+def _raise_level_failure(table, solve, d: int, below: list[int], distinct) -> NoReturn:
+    """Rebuild level d point by point from the row ids below of level d-1,
+    each distinct tuple of peeled rows once, in the order it is first met,
+    then sweep each b of level d-1 the same way; raise the first failure
+    (ConsistencyError).  Only a level failing a step check comes here."""
+    n = len(distinct[0])
+    letters = list(range(1, n + 1))
+    total = n * (n + 1) // 2
+    level = expvec_level(n, d)
+    peel, up, _ = level_indices(n, d)
+    # per generator j the id of the row of a - u_j, or -1 where a_j = 0:
+    # peel's -1 there reads the -1 appended to below
+    get = (below + [-1]).__getitem__
+    keys = list(zip(*[map(get, peel[j::n]) for j in range(n)]))
+    made = {}
+    for key in dict.fromkeys(keys):
+        # (j, row of a - u_j, offset into solve) per generator j present
+        peeled = [
+            (j, distinct[p], (distinct[p][j] - 1) * n - 1) for j, p in enumerate(key) if p >= 0
+        ]
+        power_index = peeled[0][0] if len(peeled) == 1 else None
+        row = [0] * n
+        for i in range(n):
+            if i == power_index:
+                continue
+            values = {solve[off + brow[i]] for j, brow, off in peeled if j != i}
+            if len(values) != 1:
+                raise ConsistencyError(
+                    f"entry ({format_expvec(level[keys.index(key)])}, {i + 1}) depends "
+                    f"on the peeled generator: candidates {sorted(values)}"
+                )
+            row[i] = values.pop()
+        if power_index is not None:
+            others = [c for c in row if c != 0]
+            if len(set(others)) != n - 1:
+                raise ConsistencyError(
+                    f"row {format_expvec(level[keys.index(key)])}: peeling-case "
+                    f"entries {others} are not pairwise distinct"
+                )
+            row[power_index] = total - sum(others)
+        if sorted(row) != letters:
+            raise ConsistencyError(
+                f"row {format_expvec(level[keys.index(key)])} = {tuple(row)} "
+                "is not a permutation of X"
+            )
+        made[key] = tuple(row)
+    here = list(map(made.__getitem__, keys))
+    lower = map(distinct.__getitem__, below)
+    keys = list(zip(lower, *[map(here.__getitem__, up[j::n]) for j in range(n)]))
+    for key in dict.fromkeys(keys):
+        brow, *raised = key
+        for i in range(n):
+            bi, ri = brow[i], raised[i]
+            for j in range(n):
+                lhs = table[(raised[j][i] - 1) * n + brow[j] - 1]
+                if lhs[0] != ri[j] or lhs[1] != bi:
+                    b = format_expvec(expvec_level(n, d - 1)[keys.index(key)])
+                    raise ConsistencyError(
+                        f"compatibility fails at b={b}, i={i + 1}, "
+                        f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
+                    )
+    raise AssertionError(f"level {d} failed a step check, yet its construction holds")
 
 
 def v_of(t: ITable, a: ExpVec) -> Word:

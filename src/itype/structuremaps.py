@@ -113,7 +113,7 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
     levels = [expvec_level(n, d) for d in range(dmax + 1)]
     here = [list(map(rows.__getitem__, level)) for level in levels]
     inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
-    images = {r: tuple([inv[c - 1] for c in r]) for rs in here for r in rs}
+    images = {r: tuple([inv[c - 1] for c in r]) for r in dict.fromkeys(itertools.chain(*here))}
     for p in images.values():
         Perm(p)  # a row that is no permutation raises, as phi_of did
     ident = tuple(range(1, n + 1))

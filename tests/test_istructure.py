@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from itype.core import (
 )
 
 import oracles
+from conftest import permutation_solution
 from oracles import (
     build_itable_ref,
     class_index,
@@ -460,14 +463,38 @@ def test_build_errors_match_reference(monkeypatch):
     assert failures == {"entry", "row", "compatibility"}
 
 
-def _mutants4(rng, count):
-    """Nondegenerate maps on 4 letters near the solutions: two r-orbits
-    of a solution re-paired (still involutive), or one of its row maps
-    c -> r(a, c)_1 or column maps c -> r(c, b)_2 replaced by a random
-    permutation."""
-    sols = enumerate_solutions(4).solutions
-    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
-    perms = list(itertools.permutations(range(1, 5)))
+def test_build_errors_on_degenerate_maps_are_pinned(monkeypatch):
+    # the 240 degenerate maps on 2 letters, certified and to level 1, and
+    # the 2,404 involutive degenerate maps on 3, smuggled past the axiom
+    # gate: build_itable_ref raises KeyError on them, so the type and text
+    # of each failure are pinned by a digest of the per-key construction's
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    pairs2 = [(a, b) for a in (1, 2) for b in (1, 2)]
+    pairs3 = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    maps2 = [PairMap(2, images) for images in itertools.product(pairs2, repeat=4)]
+    maps3 = [PairMap.from_entries(3, inv) for inv in _involutions(pairs3)]
+    cases = [(r, c) for r in maps2 if not check_nondegenerate(r).ok for c in (True, False)]
+    cases += [(r, True) for r in maps3 if not check_nondegenerate(r).ok]
+    assert len(cases) == 2 * 240 + 2404
+    lines = []
+    for r, certify in cases:
+        kind, text = _outcome(lambda r, D: build_itable(r, D, certify=certify), r, 6)
+        assert kind is ConsistencyError
+        lines.append(f"{kind.__name__}: {text}")
+    assert {line.split()[1] for line in lines} == {"row", "compatibility"}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b0481c69e88bdf09a517a280f0f5afd354758f1000a81d0652716c1d041ce814"
+    )
+
+
+def _mutants(sols, rng, count):
+    """Nondegenerate maps near the solutions sols, all on n letters: two
+    r-orbits of a solution re-paired (still involutive), or one of its
+    row maps c -> r(a, c)_1 or column maps c -> r(c, b)_2 replaced by a
+    random permutation."""
+    n = sols[0].n
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    perms = list(itertools.permutations(range(1, n + 1)))
     out = []
     while len(out) < count:
         m = {p: img for p, img in rng.choice(sols).pairs()}
@@ -478,13 +505,13 @@ def _mutants4(rng, count):
                 continue
             m.update({p: rq, rq: p, q: rp, rp: q})
         else:
-            k, new = rng.randrange(1, 5), rng.choice(perms)
-            for c in range(1, 5):
+            k, new = rng.randrange(1, n + 1), rng.choice(perms)
+            for c in range(1, n + 1):
                 if len(out) % 4:
                     m[k, c] = (new[c - 1], m[k, c][1])
                 else:
                     m[c, k] = (m[c, k][0], new[c - 1])
-        r = PairMap.from_entries(4, m)
+        r = PairMap.from_entries(n, m)
         if check_nondegenerate(r).ok:
             out.append(r)
     return out
@@ -492,16 +519,31 @@ def _mutants4(rng, count):
 
 def test_build_errors_match_reference_on_four_letters(monkeypatch):
     # a few hundred seeded mutants of the n = 4 solutions, smuggled past
-    # the axiom gate: each memo hit reuses a row or a sweep on the same
-    # values, so the first failure and its message are the reference's
+    # the axiom gate: the first failure and its message are the reference's
     monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
     monkeypatch.setattr(oracles, "check_axioms", lambda r: CheckResult.passed())
     kinds = []
-    for r in _mutants4(random.Random(4), 300):
+    for r in _mutants(enumerate_solutions(4).solutions, random.Random(4), 300):
         got = _outcome(build_itable, r, 6)
         assert got == _outcome(build_itable_ref, r, 6)
         kinds.append(got[1].split()[0] if got[0] is ConsistencyError else "built")
     assert {"entry", "compatibility", "built"} <= set(kinds)
+
+
+def test_build_errors_match_reference_on_five_letters(monkeypatch):
+    # the same at n = 5, near flip5 and the other solutions r(a, b) =
+    # (sigma(b), sigma^-1(a)), flip5 being sigma = id: flip5's own mutants
+    # build or fail the level-1 sweep, never at an entry
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    monkeypatch.setattr(oracles, "check_axioms", lambda r: CheckResult.passed())
+    sols = [permutation_solution(sigma) for sigma in all_perms(5)]
+    assert sols[0].table == PairMap.flip(5).table
+    kinds = []
+    for r in _mutants(sols, random.Random(5), 200):
+        got = _outcome(build_itable, r, 6)
+        assert got == _outcome(build_itable_ref, r, 6)
+        kinds.append(got[1].split()[0] if got[0] is ConsistencyError else "built")
+    assert {"entry", "compatibility"} <= set(kinds)
 
 
 def test_rows_match_reference_decode_sized_tables(x2y2_r):
@@ -511,6 +553,32 @@ def test_rows_match_reference_decode_sized_tables(x2y2_r):
     for r, D in ((x2y2_r, 24), (PairMap.flip(5), 10), (c4_20, 16)):
         t, ref = build_itable(r, D), build_itable_ref(r, D)
         assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
+
+
+def test_valid_builds_take_no_witness_path(monkeypatch):
+    # with the per-key witness refused, every corpus input at D = 8 and at
+    # the decode degrees, the 183 solutions with n <= 4 at D = 8 and every
+    # sigma of those with n <= 3 at D = 6 build the reference's rows, both
+    # certified and to level 1
+    def refuse(*args):
+        raise AssertionError("witness path taken")
+
+    monkeypatch.setattr(ist, "_raise_level_failure", refuse)
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
+    named = {p.name: load_pairmap(str(p)) for p in paths}
+    cases = [(r, 8, None) for r in named.values()]
+    cases += [(named[k], D, None) for k, D in (("x2y2.pres", 24), ("flip5.rtable", 10))]
+    cases += [(named["c4_20.rtable"], 16, None)]
+    cases += [(s, 8, None) for n in (1, 2, 3, 4) for s in enumerate_solutions(n).solutions]
+    sols = [s for n in (1, 2, 3) for s in enumerate_solutions(n).solutions]
+    cases += [(s, 6, sigma) for s in sols for sigma in all_perms(s.n)]
+    assert len(cases) == 34 + 3 + 183 + sum(math.factorial(s.n) for s in sols)
+    for r, D, sigma in cases:
+        ref = build_itable_ref(r, D, sigma)._rows
+        assert build_itable(r, D, sigma)._rows == ref
+        lean = build_itable(r, D, sigma, certify=False)._rows
+        assert len(lean) == 1 + r.n and dict(lean) == {b: ref[b] for b in lean}
 
 
 def test_equal_rows_are_one_tuple():
