@@ -24,6 +24,20 @@ module certifies, within bounds or in closed form, that
 and classifies the n = 2 isometries into translations and glide
 reflections.  All arithmetic is exact (integers and rationals).
 
+The action check is decided on few states.  Let gamma_i be generator
+i's map, pi_i its permutation part.  With a = b + u_j, j the least index
+present in a, the instance at (a, i) reads only the letter row(b)[j],
+the row of gamma_i(b) and j, and gamma_i(b + u_j) = gamma_i(b) +
+u_{pi_i^-1(j)}.  A certified table's steps give row(c + u_m) =
+distinct[step[m][id of row(c)]] for every c of degree <= D-2
+(istructure).  So the state (row id of b, row ids of the gamma_i(b),
+least index present in b; at the origin every j is allowed) fixes every
+instance at and above b, the next state being (step[j][p],
+(step[pi_i^-1(j)][q_i])_i, j).  A breadth-first sweep checks each
+distinct state once, at the least depth it is met, which covers every
+later meeting.  The point walk runs only to word a failure, and on a
+table without steps.
+
 Inside the searches an element is written (sigma, a): sigma its 0-based
 permutation part, a = g(0) its shift.  Put q = a o sigma^-1, so
 q[sigma(j)] = a[j].  A signed generator h = (pi, s) sends sigma to
@@ -223,48 +237,95 @@ def check_action_consistency(
     the first failure ends the check, so at a = b + u_j, v(a) = x v(b),
     v(b) x_i decodes to c = gamma_i(b) and v(a) x_i to c + u_m, m the
     place of x in the row of c: gamma_i(a) = c + u_m iff m = pi_i^-1(j).
-    The walk holds each gamma_i(b) as its index in level deg b + 1, so
-    gamma_i(a) is the `up` entry of c + u_m (istructure.level_indices),
-    and builds points only to word a failure."""
+
+    That instance reads only the rows of b and of the gamma_i(b), and j,
+    and gamma_i(b + u_j) = gamma_i(b) + u_{pi_i^-1(j)}.  So on a table
+    with the build's steps (istructure), `_sweep` decides a pass on the
+    states (row id of b, row ids of the gamma_i(b), least index in b),
+    each once at the least degree it is met (module docstring), not on
+    the C(n+bound, n) points.  The point walk `_walk` decides for a table
+    without steps and words a failure; a sweep failure that the walk
+    does not confirm is a bug (AssertionError)."""
     if bound < 0:
         raise InputError(f"consistency bound must be >= 0, got {bound}")
     if bound + 1 > pm.D:
         raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
     gens = _generators(pm, generators)
     n, t = pm.n, pm.table
-    want = [[g.perm.images.index(j + 1) for g in gens] for j in range(n)]  # pi_i^-1(j), 0-based
-
-    def compare(a: Point, right: list[Point]) -> CheckResult:
-        for i, (g, algebraic) in enumerate(zip(gens, right), start=1):
-            geometric = act(g, a)
-            if geometric != algebraic:
-                return CheckResult.failed(
-                    f"at a={format_expvec(a)}, generator {i}: affine image "
-                    f"{geometric} but right multiplication gives {algebraic}"
-                )
-        return CheckResult.passed()
-
     origin = expvec_level(n, 0)[0]  # v(0) x_i is the one letter x_i
-    at_origin = compare(origin, [decode_from(t, origin, (i,)) for i in range(1, n + 1)])
+    at_origin = _compare(gens, origin, [decode_from(t, origin, (i,)) for i in range(1, n + 1)])
     if not at_origin or bound == 0:
         return at_origin
-    # images[k][i]: the level-d index of gamma_i(b), b the k-th point of level d-1
-    images = [[level_indices(n, 1)[1][g.shift.index(1)] for g in gens]]
-    below = [t._rows[origin]]  # the rows of level d-1
+    if t.steps is not None and _sweep(t.steps, gens, bound):
+        return CheckResult.passed()
+    result = _walk(t, gens, bound)
+    if result and t.steps is not None:
+        raise AssertionError("the consistency sweep failed, yet the point walk holds")
+    return result
+
+
+def _compare(gens: list[AffineIso], a: Point, right: list[Point]) -> CheckResult:
+    """The affine images of a against the decodings of v(a) x_i."""
+    for i, (g, algebraic) in enumerate(zip(gens, right), start=1):
+        geometric = act(g, a)
+        if geometric != algebraic:
+            return CheckResult.failed(
+                f"at a={format_expvec(a)}, generator {i}: affine image "
+                f"{geometric} but right multiplication gives {algebraic}"
+            )
+    return CheckResult.passed()
+
+
+def _sweep(steps, gens: list[AffineIso], bound: int) -> bool:
+    """Whether every instance of `check_action_consistency` to degree
+    bound >= 1 holds, breadth first over the states of the build's steps:
+    from the state of b, each j <= its least index is the instance at
+    b + u_j and, below the bound, steps to the state of b + u_j.  The
+    origin passed, so gamma_i(0) = u_k with k the place of 1 in g_i's
+    shift."""
+    distinct, step = steps
+    want = [[g.perm.images.index(j + 1) for g in gens] for j in range(len(gens))]  # pi_i^-1(j)
+    start = (0, tuple([step[g.shift.index(1)][0] for g in gens]), len(gens) - 1)
+    seen = {start}
+    states = [start]
+    for depth in range(bound):
+        deeper = depth + 1 < bound
+        nxt = []
+        for p, qs, least in states:
+            row = distinct[p]
+            for j in range(least + 1):
+                x, m = row[j], want[j]
+                if [distinct[q].index(x) for q in qs] != m:
+                    return False
+                if deeper:
+                    state = (step[j][p], tuple([step[mi][q] for q, mi in zip(qs, m)]), j)
+                    if state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+        states = nxt
+    return True
+
+
+def _walk(t, gens: list[AffineIso], bound: int) -> CheckResult:
+    """`check_action_consistency` past the origin, point by point in
+    graded-lex order: with a = b + u_j, j the least index present in a,
+    the decodings of v(a) x_i are those of v(b) x_i, each one step on by
+    the letter x[b, j], and the first point whose affine images differ
+    is the witness."""
+    n = t.n
+    below = expvec_level(n, 0)
+    right = [[decode_from(t, below[0], (i,)) for i in range(1, n + 1)]]  # per point of below
     for d in range(1, bound + 1):
         level = expvec_level(n, d)
-        here = [t._rows[a] for a in level]
         peel, _, least = level_indices(n, d)
-        up = level_indices(n, d + 1)[1] if d < bound else ()
         nxt = []
-        for k, j in enumerate(least):  # the k-th a of level d is b + u_j
+        for k, j in enumerate(least):
             kb = peel[k * n + j]
-            x, cs, m = below[kb][j], images[kb], want[j]
-            if [here[c].index(x) for c in cs] != m:
-                return compare(level[k], [decode_from(t, level[c], (x,)) for c in cs])
-            if up:
-                nxt.append([up[c * n + mi] for c, mi in zip(cs, m)])
-        images, below = nxt, here
+            x = t._rows[below[kb]][j]
+            nxt.append([decode_from(t, c, (x,)) for c in right[kb]])
+            if not (result := _compare(gens, level[k], nxt[-1])):
+                return result
+        right, below = nxt, level
     return CheckResult.passed()
 
 

@@ -40,6 +40,14 @@ the row checks, it passes iff no entry depends on the peeled generator.
 A failing level is rebuilt point by point by the per-key construction,
 which raises its first failing row or b with its message.
 
+A certified table keeps that automaton as `steps = (distinct, step)`:
+distinct[p] is the row with id p, id 0 the origin's (sigma), and
+step[j][p] is set for every row p of a vector of degree <= D-2, with
+row(c + u_j) = distinct[step[j][id of row(c)]] for every such c, as the
+whole-level check proves.  Only build_itable(..., certify=True) sets it;
+certify=False tables and tables made by hand from rows carry None.  The
+lattice consistency check of bieberbach sweeps it.
+
 Two rules read the table, and this module holds the only copy of each.
 v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j).
 Decoding reads a word right to left, each letter in the row of the
@@ -115,13 +123,16 @@ class ITable:
     exponent vectors of degree <= D-1, hence canonical words and decoding
     for all degrees <= D.  Immutable after construction."""
 
-    def __init__(self, r: PairMap, D: int, sigma: Perm, rows: dict[ExpVec, tuple[int, ...]]):
+    def __init__(
+        self, r: PairMap, D: int, sigma: Perm, rows: dict[ExpVec, tuple[int, ...]], steps=None
+    ):
         self.r = r
         self.n = r.n
         self.D = D
         self.sigma = sigma
         self._rows = rows
         self.certified = not isinstance(rows, _CocycleRows)  # no row read from the cocycle
+        self.steps = steps  # (distinct rows, step) of a certified build, else None
 
     def row(self, b: ExpVec) -> tuple[int, ...]:
         try:
@@ -272,7 +283,9 @@ def build_itable(
             _raise_level_failure(table, solve, d, below, distinct)
         rows.update(zip(expvec_level(n, d), map(distinct.__getitem__, here)))
         below = here
-    return ITable(r, D, sigma, rows if certify else _CocycleRows(rows, D, sigma))
+    if not certify:
+        return ITable(r, D, sigma, _CocycleRows(rows, D, sigma))
+    return ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
 
 
 def _raise_level_failure(table, solve, d: int, below: list[int], distinct) -> NoReturn:

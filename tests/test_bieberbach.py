@@ -140,15 +140,31 @@ def test_action_consistency_full_bound(x2y2_pm):
     assert check_action_consistency(x2y2_pm, x2y2_pm.D - 1).ok
 
 
-def test_action_consistency_matches_reference():
+def record_consistency_paths(monkeypatch) -> list[str]:
+    """The names of the sweep and walk calls that each consistency check
+    makes from now on, in order, appended to the list returned."""
+    calls = []
+    for name in ("_sweep", "_walk"):
+        real = getattr(bieberbach, name)
+        monkeypatch.setattr(
+            bieberbach, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    return calls
+
+
+def test_action_consistency_matches_reference(monkeypatch):
     # the affine-image comparison against one decoding per point and
     # generator, witness text included: each corpus table at D = 7 with
     # the rows of one degree from 1 to 6 shuffled, then its true table
-    # with one generator's permutation or shift replaced
+    # with one generator's permutation or shift replaced.  Failures come
+    # from both paths: hand-built tables carry no steps and are walked,
+    # built ones are swept and then walked to word the failure
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     rng = random.Random(5)
     verdicts = set()
+    calls = record_consistency_paths(monkeypatch)
+    failed_by = set()
     for path in paths:
         t = build_itable(load_pairmap(str(path)), D=7)
         for _ in range(4):
@@ -156,9 +172,12 @@ def test_action_consistency_matches_reference():
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
             pm = PhiMap(ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))}))
+            calls.clear()
             got = check_action_consistency(pm, 6)
             assert got == check_action_consistency_ref(pm, 6)
             verdicts.add(got.ok)
+            if not got.ok:
+                failed_by.add(tuple(calls))
         pm = PhiMap(t)
         for _ in range(4):
             gens = affine_generators(pm)
@@ -169,24 +188,33 @@ def test_action_consistency_matches_reference():
             else:
                 shift[rng.randrange(pm.n)] += rng.choice((-1, 1))
             gens[i] = AffineIso(perm, tuple(shift))
+            calls.clear()
             got = check_action_consistency(pm, 6, generators=gens)
             assert got == check_action_consistency_ref(pm, 6, generators=gens)
             verdicts.add(got.ok)
+            if not got.ok:
+                failed_by.add(tuple(calls))
     assert verdicts == {True, False}
+    assert {("_walk",), ("_sweep", "_walk")} <= failed_by
 
 
-def test_action_consistency_matches_reference_at_every_bound():
-    # bound 0 checks the origin alone and the top level reads no `up`
-    # table, so each bound from 0 to D - 1 is compared: the rows of the
-    # bound's own level or of level 1 shuffled, and corrupted generators
+def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
+    # bound 0 checks the origin alone and the top level steps no further,
+    # so each bound from 0 to D - 1 is compared: the rows of the
+    # bound's own level or of level 1 shuffled (walked), and corrupted
+    # generators (swept, then walked)
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     rng = random.Random(14)
     top = set()  # the bounds at which a point of degree bound was the witness
+    calls = record_consistency_paths(monkeypatch)
+    failed_by = set()
 
     def compare(pm, bound, gens=None):
+        calls.clear()
         got = check_action_consistency(pm, bound, generators=gens)
         assert got == check_action_consistency_ref(pm, bound, generators=gens)
         if not got.ok:
+            failed_by.add(tuple(calls))
             a = got.witness.split("a=(")[1].split(")")[0]
             if sum(map(int, a.split(","))) == bound:
                 top.add(bound)
@@ -211,6 +239,88 @@ def test_action_consistency_matches_reference_at_every_bound():
                 gens[i] = AffineIso(gens[i].perm, tuple(shift))
             compare(pm, bound, gens)
     assert top == set(range(7))
+    assert {(), ("_walk",), ("_sweep", "_walk")} <= failed_by
+
+
+def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
+    """The rows and steps of t with the degree joined to each row id,
+    (row id p, degree d) numbered d * R + p: the steps still describe the
+    rows, and states of equal row met at different degrees stay apart.
+    The row of id (p_bad, d_bad) is replaced by `bad`."""
+    distinct, step = t.steps
+    R = len(distinct)
+    graded = [
+        bad if (p, d) == (p_bad, d_bad) else row
+        for d in range(t.D)
+        for p, row in enumerate(distinct)
+    ]
+    # a row seen only at degree D - 1 has no step: -1 in its place
+    raised = [
+        [(d + 1) * R + s_j[p] if p < len(s_j) else -1 for d in range(t.D - 1) for p in range(R)]
+        for s_j in step
+    ]
+    ids = {row: p for p, row in enumerate(distinct)}
+    rows = {b: graded[sum(b) * R + ids[row]] for b, row in t._rows.items()}
+    return rows, (tuple(graded), tuple(map(tuple, raised)))
+
+
+def test_consistency_sweep_matches_reference_on_graded_steps(monkeypatch):
+    # on tables whose steps carry one wrong row at one degree, failures sit
+    # past degree 1 and at few instances, so the sweep's bounds, start and
+    # seen states decide: each corpus table at D = 7, two entries of one
+    # (row, degree) swapped, against the reference, witness included
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    rng = random.Random(26)
+    calls = record_consistency_paths(monkeypatch)
+    verdicts = collections.Counter()
+    for path in paths:
+        t = build_itable(load_pairmap(str(path)), D=7)
+        if t.n == 1:
+            continue
+        distinct = t.steps[0]
+        for _ in range(6):
+            d = rng.randint(1, 6)
+            p = distinct.index(t.row(rng.choice(expvec_level(t.n, d))))
+            bad = list(distinct[p])
+            i, j = rng.sample(range(t.n), 2)
+            bad[i], bad[j] = bad[j], bad[i]
+            rows, steps = graded_steps(t, p, d, tuple(bad))
+            pm = PhiMap(ITable(t.r, t.D, t.sigma, rows, steps))
+            calls.clear()
+            got = check_action_consistency(pm, 6)
+            assert got == check_action_consistency_ref(pm, 6)
+            verdicts[got.ok, tuple(calls)] += 1
+    assert set(verdicts) == {(True, ("_sweep",)), (False, ("_sweep", "_walk"))}
+
+
+def test_unconfirmed_sweep_failure_raises(x2y2_pm):
+    # steps that do not describe the rows: the sweep fails on a wrong row
+    # the walk never reads, and the check refuses to pass silently
+    t = x2y2_pm.table
+    p = t.steps[0].index(t.row((1, 0)))
+    _, steps = graded_steps(t, p, 1, t.row((1, 0))[::-1])
+    pm = PhiMap(ITable(t.r, t.D, t.sigma, t._rows, steps))
+    assert check_action_consistency_ref(pm, t.D - 1).ok
+    with pytest.raises(AssertionError, match="the point walk holds"):
+        check_action_consistency(pm, t.D - 1)
+
+
+def test_valid_tables_pass_consistency_without_the_walk(monkeypatch):
+    # with the point walk refused, every corpus input at D = 8, x2y2 at
+    # D = 24, flip5 at D = 10 and the 183 solutions with n <= 4 at D = 8
+    # pass consistency at bound D - 1 on the build's steps alone
+    def refuse(*args):
+        raise AssertionError("point walk taken")
+
+    monkeypatch.setattr(bieberbach, "_walk", refuse)
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    named = {p.name: load_pairmap(str(p)) for p in paths}
+    cases = [(r, 8) for r in named.values()]
+    cases += [(named["x2y2.pres"], 24), (named["flip5.rtable"], 10)]
+    cases += [(s, 8) for n in (1, 2, 3, 4) for s in enumerate_solutions(n).solutions]
+    assert len(cases) == 34 + 2 + 183
+    for r, D in cases:
+        assert check_action_consistency(PhiMap(build_itable(r, D)), D - 1).ok
 
 
 def test_wrong_convention_fails_at_n3(census):

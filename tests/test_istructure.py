@@ -592,6 +592,31 @@ def test_equal_rows_are_one_tuple():
         assert len({id(row) for row in rows}) == len(set(rows))
 
 
+def test_build_steps_describe_the_rows():
+    # every corpus input at D = 8 and every sigma of the solutions with
+    # n <= 3 at D = 6: the distinct rows are the table's, the origin's
+    # first, and the step from the row of b by j is the row of b + u_j for
+    # every b of degree <= D - 2; only a certified build keeps steps
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
+    cases = [(load_pairmap(str(p)), 8, None) for p in paths]
+    sols = [s for n in (1, 2, 3) for s in enumerate_solutions(n).solutions]
+    cases += [(s, 6, sigma) for s in sols for sigma in all_perms(s.n)]
+    assert len(cases) == 34 + sum(math.factorial(s.n) for s in sols)
+    for r, D, sigma in cases:
+        t = build_itable(r, D, sigma)
+        distinct, step = t.steps
+        assert distinct[0] == t.sigma.images
+        assert sorted(distinct) == sorted(set(t._rows.values()))
+        ids = {row: p for p, row in enumerate(distinct)}
+        for b in expvecs_up_to(r.n, D - 2):
+            p = ids[t.row(b)]
+            for j in range(r.n):
+                assert t.row(exp_add_gen(b, j + 1)) == distinct[step[j][p]]
+        assert build_itable(r, D, sigma, certify=False).steps is None
+        assert ist.ITable(t.r, t.D, t.sigma, dict(t._rows)).steps is None
+
+
 def test_build_refuses_oversized_table(monkeypatch):
     # C(5+60-1, 5) = 7,624,512 rows; refused before any work
     with pytest.raises(InputError, match="7624512 rows"):
