@@ -204,19 +204,21 @@ def fixed_points(g: AffineIso) -> FixedPointSet:
 def affine_generators(pm: PhiMap) -> list[AffineIso]:
     """The affine map of each generator i, in order: permutation part
     phi(u_i), unit shift in coordinate i."""
-    if not pm.table.sigma.is_identity():
-        raise InputError("the lattice action requires a table built with sigma = id")
-    units = [tuple(int(j == i) for j in range(pm.n)) for i in range(pm.n)]
-    return [AffineIso(phi_of(pm, u), u) for u in units]
+    return _generators(pm, None)
 
 
 def _generators(pm: PhiMap, generators: list[AffineIso] | None) -> list[AffineIso]:
     """The generator isometries, or `generators` in their place: one per
-    generator, in order, each of dimension n."""
-    gens = affine_generators(pm) if generators is None else generators
-    if len(gens) != pm.n or any(g.n != pm.n for g in gens):
+    generator, in order, each of dimension n.  Either way the table must
+    be built with sigma = id, the frame the lattice action lives in."""
+    if not pm.table.sigma.is_identity():
+        raise InputError("the lattice action requires a table built with sigma = id")
+    if generators is None:
+        units = [tuple(int(j == i) for j in range(pm.n)) for i in range(pm.n)]
+        return [AffineIso(phi_of(pm, u), u) for u in units]
+    if len(generators) != pm.n or any(g.n != pm.n for g in generators):
         raise InputError("dimension mismatch")
-    return gens
+    return generators
 
 
 def resolve_convention() -> str:

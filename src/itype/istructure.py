@@ -26,19 +26,21 @@ the cross-row compatibility
 which also makes v independent of the peeling order.  Violations raise
 ConsistencyError: they mean a bug or an invalid pair map.
 
-The build interns each distinct row as one tuple with an id, and works
-on steps: step[j][p] is the id of the row that peeling j forces from the
-row with id p, entries i != j by axiom 3 and entry j the letter left
-over.  For every sigma the cocycle phi(b + u_j) = phi(u_{phi(b)(j)}) *
-phi(b) makes the row of b + u_j a function of the row of b and of j, so
-steps are few (at most 32 on the benchmark corpus at D = 8).  A row is
-stepped, and its compatibility swept, once: at the first level where it
-is one degree down.  Each level takes the row of each a from its least
-peel, then checks every peel of every a at once against the steps.  The
-rows rest on that check, not on the theorem: with every step passing
-the row checks, it passes iff no entry depends on the peeled generator.
-A failing level is rebuilt point by point by the per-key construction,
-which raises its first failing row or b with its message.
+One rule forces every row past degree 0, the closure forced(row, j) in
+build_itable: peeling j from the row of a - u_j gives the entries i != j
+by axiom 3 and entry j the letter left over.  The build interns each
+distinct row as one tuple with an id, and works on steps: step[j][p] is
+the id of forced(row p, j).  For every sigma the cocycle phi(b + u_j) =
+phi(u_{phi(b)(j)}) * phi(b) makes the row of b + u_j a function of the
+row of b and of j, so steps are few (at most 32 on the benchmark corpus
+at D = 8).  A row is stepped, and its compatibility swept, once: at the
+first level where it is one degree down.  Each level takes the row of
+each a from its least peel, then checks every peel of every a at once
+against the steps.  The rows rest on that check, not on the theorem:
+with every step passing the row checks, it passes iff no entry depends
+on the peeled generator.  A failing level is worded from the same steps,
+each a and then each b in lex order, raising the first failing row or b
+with its message.
 
 A certified table keeps that automaton as `steps = (distinct, step)`:
 distinct[p] is the row with id p, id 0 the origin's (sigma), and
@@ -70,18 +72,14 @@ MAX_TABLE_ROWS rows is refused before any work, with its row count.
 
 build_itable(..., certify=False), which normalize and equal use, makes
 the same refusals and axiom check but builds and checks levels 0 and 1
-only.  Every other row is read on first access, and kept, from the
-twisted cocycle phi(c + u_i) = phi(P_i(c)) * P_i with P_i = phi(u_i) =
-sigma^-1 * row(u_i), which every map passing the axioms obeys, for
-every sigma:
-
-    row(c + u_i)[k] = row(P_i(c))[P_i(k)],  i the least index present,
-
-P_i(c) moving c_k to place P_i(k).  The checks on levels 2 to D-1 catch
-only a bug or a map failing the axioms, so the word problem is decided
-the same.  phi keeps the certified rows: its cocycle check would prove
-nothing on rows computed from the cocycle, so structuremaps.PhiMap
-refuses a table whose `certified` is false.
+only.  Every other row is forced on first access, and kept, from the row
+of its least peel: the peel the certified build takes, so each row is
+the certified build's wherever that build passes, and it passes for
+every map passing the axioms.  The checks on levels 2 to D-1 catch only
+a bug or a map failing the axioms, so the word problem is decided the
+same.  phi keeps the certified rows: its checks report on rows the
+build has checked, so structuremaps.PhiMap refuses a table whose
+`certified` is false.
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ class ITable:
         self.D = D
         self.sigma = sigma
         self._rows = rows
-        self.certified = not isinstance(rows, _CocycleRows)  # no row read from the cocycle
+        self.certified = not isinstance(rows, _LazyRows)  # every row checked by the build
         self.steps = steps  # (distinct rows, step) of a certified build, else None
 
     def row(self, b: ExpVec) -> tuple[int, ...]:
@@ -169,35 +167,29 @@ def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
     return tuple(memoryview(m).toreadonly() for m in (peel, up, least))
 
 
-class _CocycleRows(dict):
+class _LazyRows(dict):
     """The rows of a certify=False table: levels 0 and 1 as built, and each
-    other row of degree <= D-1 read from the cocycle on first access and
-    kept (see the module notes).  Any other key raises KeyError, as a row
-    missing from a built table does."""
+    other row of degree <= D-1 forced on first access, and kept, from the
+    row of its least peel (see the module notes).  Any other key raises
+    KeyError, as a row missing from a built table does."""
 
-    def __init__(self, rows: dict[ExpVec, tuple[int, ...]], D: int, sigma: Perm):
+    def __init__(self, rows: dict[ExpVec, tuple[int, ...]], n: int, D: int, forced):
         super().__init__(rows)
-        inv = sigma.inverse().images
+        self._n = n
         self._bound = D - 1
-        self._steps = []  # per i: P_i 0-based, and where each place of P_i(c) reads c
-        for i in range(1, sigma.n + 1):
-            p = [inv[c - 1] - 1 for c in rows[exp_add_gen(exp_unit(sigma.n), i)]]
-            self._steps.append((p, sorted(range(sigma.n), key=p.__getitem__)))
+        self._forced = forced
 
     def __missing__(self, b: ExpVec) -> tuple[int, ...]:
-        if len(b) != len(self._steps) or min(b) < 0 or sum(b) > self._bound:
+        if len(b) != self._n or min(b) < 0 or sum(b) > self._bound:
             raise KeyError(b)
-        chain = []  # walk down to a stored row, then fill the rows back up
+        chain = []  # walk down the least index to a stored row, then fill back up
         while b not in self:
-            i = next(k for k, x in enumerate(b) if x)
-            p, gather = self._steps[i]
-            chain.append((b, p))
-            c = list(b)
-            c[i] -= 1
-            b = tuple([c[k] for k in gather])
+            j = next(k for k, x in enumerate(b) if x)
+            chain.append((b, j))
+            b = b[:j] + (b[j] - 1,) + b[j + 1 :]
         row = self[b]
-        for b, p in reversed(chain):
-            row = self[b] = tuple([row[k] for k in p])
+        for b, j in reversed(chain):
+            row = self[b] = self._forced(row, j)
         return row
 
 
@@ -209,8 +201,8 @@ def build_itable(
 
     With certify=False the construction and its checks stop after level 1,
     the degree-0 compatibility sweep included; each row of degree 2 to
-    D-1 is read on first access from the cocycle, row(c + u_i)[k] =
-    row(P_i(c))[P_i(k)] (see the module notes).  The refusals and the
+    D-1 is forced on first access from the row of its least peel, by the
+    build's one step rule (see the module notes).  The refusals and the
     axiom gate are the same."""
     if D < 2:
         raise InputError(f"degree bound must be >= 2, got {D}")
@@ -237,9 +229,17 @@ def build_itable(
     for c in range(1, n + 1):
         for s in range(1, n + 1):
             solve[(s - 1) * n + table[(c - 1) * n + s - 1][1] - 1] = c
-    letters = list(range(1, n + 1))
     total = n * (n + 1) // 2
 
+    def forced(row: tuple[int, ...], j: int) -> tuple[int, ...]:
+        # the one row rule: entry i != j solves r(c, row[j]) = (*, row[i])
+        off = (row[j] - 1) * n - 1
+        out = [solve[off + c] for c in row]
+        out[j] = 0
+        out[j] = total - sum(out)
+        return tuple(out)
+
+    letters = list(range(1, n + 1))
     distinct = [sigma.images]  # row id -> row
     ids = {sigma.images: 0}  # row -> row id
     step = [[] for _ in range(n)]  # step[j][p]: id of the row peel j forces from row p
@@ -250,12 +250,10 @@ def build_itable(
         new = range(len(step[0]), len(distinct))  # rows not stepped yet, all in below
         stepped = True  # every new step, each used in this level, passes the row checks
         for p in new:
-            for j, s in enumerate(distinct[p]):
-                row = [solve[(s - 1) * n + c - 1] for c in distinct[p]]
-                row[j] = 0
-                row[j] = total - sum(row)
+            for j in range(n):
+                row = forced(distinct[p], j)
                 stepped &= sorted(row) == letters
-                step[j].append(ids.setdefault(tuple(row), len(ids)))
+                step[j].append(ids.setdefault(row, len(ids)))
         distinct = list(ids)
         # each a from its least peel j: the a with a_0..a_{j-1} = 0 are the
         # first comb(d+n-j-1, d) in lex order, so j runs as least's blocks do
@@ -280,74 +278,56 @@ def build_itable(
                 for j in range(n)
             )
         ):
-            _raise_level_failure(table, solve, d, below, distinct)
+            _raise_level_failure(table, d, below, distinct, step)
         rows.update(zip(expvec_level(n, d), map(distinct.__getitem__, here)))
         below = here
     if not certify:
-        return ITable(r, D, sigma, _CocycleRows(rows, D, sigma))
+        return ITable(r, D, sigma, _LazyRows(rows, n, D, forced))
     return ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
 
 
-def _raise_level_failure(table, solve, d: int, below: list[int], distinct) -> NoReturn:
-    """Rebuild level d point by point from the row ids below of level d-1,
-    each distinct tuple of peeled rows once, in the order it is first met,
-    then sweep each b of level d-1 the same way; raise the first failure
-    (ConsistencyError).  Only a level failing a step check comes here."""
+def _raise_level_failure(table, d: int, below: list[int], distinct, step) -> NoReturn:
+    """Raise the first failure of level d (ConsistencyError), read off the
+    steps of the row ids below of level d-1: each a in lex order, its row
+    the step of its one peel or the letters its peels j != i agree on,
+    then each b swept with its steps.  Only a failing level comes here."""
     n = len(distinct[0])
     letters = list(range(1, n + 1))
-    total = n * (n + 1) // 2
-    level = expvec_level(n, d)
-    peel, up, _ = level_indices(n, d)
-    # per generator j the id of the row of a - u_j, or -1 where a_j = 0:
-    # peel's -1 there reads the -1 appended to below
-    get = (below + [-1]).__getitem__
-    keys = list(zip(*[map(get, peel[j::n]) for j in range(n)]))
-    made = {}
-    for key in dict.fromkeys(keys):
-        # (j, row of a - u_j, offset into solve) per generator j present
-        peeled = [
-            (j, distinct[p], (distinct[p][j] - 1) * n - 1) for j, p in enumerate(key) if p >= 0
-        ]
-        power_index = peeled[0][0] if len(peeled) == 1 else None
-        row = [0] * n
-        for i in range(n):
-            if i == power_index:
-                continue
-            values = {solve[off + brow[i]] for j, brow, off in peeled if j != i}
-            if len(values) != 1:
-                raise ConsistencyError(
-                    f"entry ({format_expvec(level[keys.index(key)])}, {i + 1}) depends "
-                    f"on the peeled generator: candidates {sorted(values)}"
-                )
-            row[i] = values.pop()
-        if power_index is not None:
-            others = [c for c in row if c != 0]
+    peel = level_indices(n, d)[0]
+    for k, a in enumerate(expvec_level(n, d)):
+        peeled = {j: distinct[step[j][below[p]]] for j in range(n) if (p := peel[k * n + j]) >= 0}
+        if len(peeled) == 1:
+            [(j, row)] = peeled.items()
+            others = [c for i, c in enumerate(row) if i != j and c != 0]
             if len(set(others)) != n - 1:
                 raise ConsistencyError(
-                    f"row {format_expvec(level[keys.index(key)])}: peeling-case "
-                    f"entries {others} are not pairwise distinct"
+                    f"row {format_expvec(a)}: peeling-case entries {others} "
+                    "are not pairwise distinct"
                 )
-            row[power_index] = total - sum(others)
+        else:
+            row = []
+            for i in range(n):
+                values = {s[i] for j, s in peeled.items() if j != i}
+                if len(values) != 1:
+                    raise ConsistencyError(
+                        f"entry ({format_expvec(a)}, {i + 1}) depends on the peeled "
+                        f"generator: candidates {sorted(values)}"
+                    )
+                row += values
         if sorted(row) != letters:
             raise ConsistencyError(
-                f"row {format_expvec(level[keys.index(key)])} = {tuple(row)} "
-                "is not a permutation of X"
+                f"row {format_expvec(a)} = {tuple(row)} is not a permutation of X"
             )
-        made[key] = tuple(row)
-    here = list(map(made.__getitem__, keys))
-    lower = map(distinct.__getitem__, below)
-    keys = list(zip(lower, *[map(here.__getitem__, up[j::n]) for j in range(n)]))
-    for key in dict.fromkeys(keys):
-        brow, *raised = key
+    for b, p in zip(expvec_level(n, d - 1), below):
+        brow = distinct[p]
+        raised = [distinct[step[j][p]] for j in range(n)]
         for i in range(n):
-            bi, ri = brow[i], raised[i]
             for j in range(n):
                 lhs = table[(raised[j][i] - 1) * n + brow[j] - 1]
-                if lhs[0] != ri[j] or lhs[1] != bi:
-                    b = format_expvec(expvec_level(n, d - 1)[keys.index(key)])
+                if lhs != (raised[i][j], brow[i]):
                     raise ConsistencyError(
-                        f"compatibility fails at b={b}, i={i + 1}, "
-                        f"j={j + 1}: r{lhs} != {(ri[j], bi)}"
+                        f"compatibility fails at b={format_expvec(b)}, i={i + 1}, "
+                        f"j={j + 1}: r{lhs} != {(raised[i][j], brow[i])}"
                     )
     raise AssertionError(f"level {d} failed a step check, yet its construction holds")
 

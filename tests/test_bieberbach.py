@@ -126,6 +126,19 @@ def test_sigma_must_be_identity(x2y2_r):
         affine_generators(PhiMap(t))
 
 
+def test_sigma_must_be_identity_with_a_generator_list(x2y2_r, x2y2_pm):
+    # a generator list in place of the table's does not lift the refusal
+    pm = PhiMap(build_itable(x2y2_r, D=4, sigma=Perm((2, 1))))
+    gens = affine_generators(x2y2_pm)
+    for call in (
+        lambda: check_action_consistency(pm, 2, generators=gens),
+        lambda: freeness_check(pm, 3, generators=gens),
+        lambda: fundamental_domain_check(pm, 1, 3, generators=gens),
+    ):
+        with pytest.raises(InputError, match="sigma"):
+            call()
+
+
 def test_action_consistency(x2y2_pm, flip_pms):
     assert check_action_consistency(x2y2_pm, 4).ok
     assert check_action_consistency(flip_pms[3], 4).ok

@@ -389,10 +389,10 @@ def test_rows_match_reference_every_sigma(x2y2_r):
 
 
 def _assert_cocycle_rows_match(r, D, sigma, shuffle):
-    """Rows read from a certify=False table equal the construction's, read
-    in graded-lex order or in the order shuffle leaves the vectors in;
-    past D-1 and off the lattice the reads are refused as a built table's.
-    Returns the number of rows compared."""
+    """Rows a certify=False table forces on first access equal the
+    certified construction's, read in graded-lex order or in the order
+    shuffle leaves the vectors in; past D-1 and off the lattice the reads
+    are refused as a built table's.  Returns the number of rows compared."""
     ref = build_itable(r, D, sigma)
     t = build_itable(r, D, sigma, certify=False)
     assert (t.D, t.sigma, len(t._rows)) == (D, ref.sigma, 1 + r.n)  # levels 0 and 1 built
@@ -410,7 +410,8 @@ def _assert_cocycle_rows_match(r, D, sigma, shuffle):
 
 @pytest.mark.parametrize("order", ["lex", "random"])
 def test_cocycle_rows_match_the_construction(order):
-    # the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
+    # the lazy rows of a certify=False table, forced by the build's step
+    # rule: the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
     # (flip5 at 8), then every sigma of the solutions with n <= 3 and of
     # c4_01..c4_09 at D = 9; the memo must not depend on the read order
     shuffle = random.Random(12).shuffle if order == "random" else None
@@ -430,7 +431,8 @@ def test_cocycle_rows_match_the_construction(order):
 
 
 def test_dump_of_a_cocycle_table_reads_every_row():
-    # dump reads each row by its vector, so an unread table dumps whole
+    # dump reads each row by its vector, so an unread certify=False table
+    # forces every lazy row and dumps whole
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = load_pairmap(str(corpus / name))
@@ -526,6 +528,22 @@ def test_build_errors_match_reference_on_four_letters(monkeypatch):
     for r in _mutants(enumerate_solutions(4).solutions, random.Random(4), 300):
         got = _outcome(build_itable, r, 6)
         assert got == _outcome(build_itable_ref, r, 6)
+        kinds.append(got[1].split()[0] if got[0] is ConsistencyError else "built")
+    assert {"entry", "compatibility", "built"} <= set(kinds)
+
+
+def test_build_errors_match_reference_with_an_origin_sigma(monkeypatch):
+    # seeded mutants of the n = 4 solutions, each built with a seeded sigma
+    # != id as the origin's row, by the build and the reference alike
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    monkeypatch.setattr(oracles, "check_axioms", lambda r: CheckResult.passed())
+    rng = random.Random(44)
+    sigmas = [s for s in all_perms(4) if not s.is_identity()]
+    kinds = []
+    for r in _mutants(enumerate_solutions(4).solutions, rng, 300):
+        sigma = rng.choice(sigmas)
+        got = _outcome(lambda r, D: build_itable(r, D, sigma), r, 6)
+        assert got == _outcome(lambda r, D: build_itable_ref(r, D, sigma), r, 6)
         kinds.append(got[1].split()[0] if got[0] is ConsistencyError else "built")
     assert {"entry", "compatibility", "built"} <= set(kinds)
 
