@@ -314,7 +314,7 @@ def _walk(t, gens: list[AffineIso], bound: int) -> CheckResult:
     the decodings of v(a) x_i are those of v(b) x_i, each one step on by
     the letter x[b, j], and the first point whose affine images differ
     is the witness."""
-    n = t.n
+    n, rows = t.n, t.all_rows()
     below = expvec_level(n, 0)
     right = [[decode_from(t, below[0], (i,)) for i in range(1, n + 1)]]  # per point of below
     for d in range(1, bound + 1):
@@ -323,7 +323,7 @@ def _walk(t, gens: list[AffineIso], bound: int) -> CheckResult:
         nxt = []
         for k, j in enumerate(least):
             kb = peel[k * n + j]
-            x = t._rows[below[kb]][j]
+            x = rows[below[kb]][j]
             nxt.append([decode_from(t, c, (x,)) for c in right[kb]])
             if not (result := _compare(gens, level[k], nxt[-1])):
                 return result

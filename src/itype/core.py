@@ -147,11 +147,6 @@ def degree(e: ExpVec) -> int:
     return sum(e)
 
 
-def support(e: ExpVec) -> tuple[int, ...]:
-    """Generator indices with a positive exponent, ascending."""
-    return tuple(i for i, k in enumerate(e, start=1) if k > 0)
-
-
 def exp_unit(n: int) -> ExpVec:
     return (0,) * n
 
@@ -162,12 +157,6 @@ def exp_add(a: ExpVec, b: ExpVec) -> ExpVec:
 
 def exp_add_gen(e: ExpVec, i: int) -> ExpVec:
     return e[: i - 1] + (e[i - 1] + 1,) + e[i:]
-
-
-def exp_sub_gen(e: ExpVec, i: int) -> ExpVec:
-    if e[i - 1] <= 0:
-        raise InputError(f"generator {i} absent from {e}")
-    return e[: i - 1] + (e[i - 1] - 1,) + e[i:]
 
 
 def relabel_expvec(e: ExpVec, p: Perm) -> ExpVec:
@@ -204,11 +193,6 @@ def expvec_level_names(n: int, d: int) -> tuple[str, ...]:
     """format_expvec of each vector of expvec_level(n, d), in order:
     table dumps over the same alphabet share them."""
     return tuple(map(format_expvec, expvec_level(n, d)))
-
-
-def expvecs_up_to(n: int, dmax: int) -> list[ExpVec]:
-    """Graded-lex enumeration of all exponent vectors of degree <= dmax."""
-    return [e for d in range(dmax + 1) for e in expvec_level(n, d)]
 
 
 def all_words(n: int, m: int):

@@ -33,22 +33,46 @@ distinct row as one tuple with an id, and works on steps: step[j][p] is
 the id of forced(row p, j).  For every sigma the cocycle phi(b + u_j) =
 phi(u_{phi(b)(j)}) * phi(b) makes the row of b + u_j a function of the
 row of b and of j, so steps are few (at most 32 on the benchmark corpus
-at D = 8).  A row is stepped, and its compatibility swept, once: at the
-first level where it is one degree down.  Each level takes the row of
-each a from its least peel, then checks every peel of every a at once
-against the steps.  The rows rest on that check, not on the theorem:
-with every step passing the row checks, it passes iff no entry depends
-on the peeled generator.  A failing level is worded from the same steps,
-each a and then each b in lex order, raising the first failing row or b
-with its message.
+at D = 8).  The build works on the states of each level, the distinct
+row ids of its vectors, never on the vectors: level d's states are the
+steps of level d-1's.  A row is stepped, and its compatibility swept,
+once: at the first level where it is one degree down.  The rows rest on
+one more check per level, not on the theorem.  With every step passing
+the row checks, no entry of level d depends on the peeled generator iff
+every peel of every a of level d gives one row, and given that the
+levels below d pass, that holds iff the steps commute on the states of
+level d-2:
+
+    step[i][step[j][p]] = step[j][step[i][p]]   for every such p, i < j.
+
+By induction on d: the levels below passing, each c of degree d-1 has
+one row, the step of the row of any of its peels.  An a of level d with
+a_i, a_j > 0 peels i to c + u_j and j to c + u_i, c = a - u_i - u_j of
+degree d-2, so those peels give step[i][step[j][p]] and
+step[j][step[i][p]], p the id of row(c).  Any two peels of a are such a
+pair, and each state p and i < j is met at a = c + u_i + u_j for a c
+with row id p.  So the check fails at exactly the levels where checking
+every peel of every vector does.  A failing level gathers the row id of
+each vector one degree down and is worded from the same steps, each a
+and then each b in lex order, raising the first failing row or b with
+its message.
 
 A certified table keeps that automaton as `steps = (distinct, step)`:
 distinct[p] is the row with id p, id 0 the origin's (sigma), and
 step[j][p] is set for every row p of a vector of degree <= D-2, with
 row(c + u_j) = distinct[step[j][id of row(c)]] for every such c, as the
-whole-level check proves.  Only build_itable(..., certify=True) sets it;
+per-level check proves.  Only build_itable(..., certify=True) sets it;
 certify=False tables and tables made by hand from rows carry None.  The
 lattice consistency check of bieberbach sweeps it.
+
+The certified build stores the rows of levels 0 and 1 only.  The deeper
+levels are gathered from its steps into the same plain dict the first
+time a reader needs one of them: ITable.row and decode_from on a missing
+key, and the bulk readers (v_of, dump_itable, the phi calculus of
+structuremaps, bieberbach's point walk) up front, through
+ITable.all_rows.  The lookups stay on a plain dict: a dict subclass with
+__missing__ loses CPython's fast path on every read.  A table made by
+hand keeps the rows it was given.
 
 Two rules read the table, and this module holds the only copy of each.
 v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j).
@@ -61,14 +85,14 @@ and action checks walk so.  Two words are equal in the semigroup iff
 they decode to the same exponent vector, which decides the word problem.
 
 Rows are plain tuples of letters in a dict keyed by exponent vector.
-The build holds each level as a list of row ids in graded-lex order:
-level_indices(n, d) gives, flat, the index of each a - u_j one level down
-and of each b + u_j one level up, and the least index present in each a,
-the j that v peels.  Those and the levels (core.expvec_level)
-are cached per (n, d); a level's keys are gathered with one map per j,
-and Python work is done per distinct key only.  v_of and decode_from step
-a list of exponents and look up its tuple.  A table of more than
-MAX_TABLE_ROWS rows is refused before any work, with its row count.
+A gather holds each level as a list of row ids in graded-lex order,
+each a from its least peel: level_indices(n, d) gives, flat, the index
+of each a - u_j one level down and of each b + u_j one level up, and the
+least index present in each a, the j that v peels.  Those and the levels
+(core.expvec_level) are cached per (n, d); a level's ids are gathered
+with one map per j.  v_of and decode_from step a list of exponents and
+look up its tuple.  A table of more than MAX_TABLE_ROWS rows is refused
+before any work, with its row count.
 
 build_itable(..., certify=False), which normalize and equal use, makes
 the same refusals and axiom check but builds and checks levels 0 and 1
@@ -119,7 +143,8 @@ MAX_TABLE_ROWS = 1_000_000
 class ITable:
     """The materialized letter table up to a degree bound D: rows for all
     exponent vectors of degree <= D-1, hence canonical words and decoding
-    for all degrees <= D.  Immutable after construction."""
+    for all degrees <= D.  Immutable after construction, but for the
+    gather of a certified build's rows past degree 1 (module notes)."""
 
     def __init__(
         self, r: PairMap, D: int, sigma: Perm, rows: dict[ExpVec, tuple[int, ...]], steps=None
@@ -131,11 +156,27 @@ class ITable:
         self._rows = rows
         self.certified = not isinstance(rows, _LazyRows)  # every row checked by the build
         self.steps = steps  # (distinct rows, step) of a certified build, else None
+        self._deferred = False  # rows past degree 1 still in steps; only the build defers
+
+    def all_rows(self) -> dict[ExpVec, tuple[int, ...]]:
+        """The rows by exponent vector, a certified build's deferred
+        levels gathered first (a certify=False table forces each row on
+        access).  The caller does not change it."""
+        if self._deferred:
+            self._gather()
+        return self._rows
+
+    def _gather(self) -> None:
+        _gather_rows(self._rows, self.n, self.D - 1, *self.steps)
+        self._deferred = False
 
     def row(self, b: ExpVec) -> tuple[int, ...]:
         try:
             return self._rows[b]
         except KeyError:
+            if self._deferred:
+                self._gather()
+                return self.row(b)
             if len(b) != self.n or any(k < 0 for k in b):
                 raise InputError(f"not an exponent vector over 1..{self.n}: {b}") from None
             raise DegreeBoundError(
@@ -196,8 +237,10 @@ class _LazyRows(dict):
 def build_itable(
     r: PairMap, D: int = 8, sigma: Perm | None = None, *, certify: bool = True
 ) -> ITable:
-    """Run the inductive construction up to degree bound D >= 2.  Refuses
-    (InputError) a table of more than MAX_TABLE_ROWS rows.
+    """Run the inductive construction up to degree bound D >= 2, checking
+    every level, and store the rows of degree <= 1; the others are
+    gathered from the steps when first read.  Refuses (InputError) a
+    table of more than MAX_TABLE_ROWS rows.
 
     With certify=False the construction and its checks stop after level 1,
     the degree-0 compatibility sweep included; each row of degree 2 to
@@ -243,11 +286,9 @@ def build_itable(
     distinct = [sigma.images]  # row id -> row
     ids = {sigma.images: 0}  # row -> row id
     step = [[] for _ in range(n)]  # step[j][p]: id of the row peel j forces from row p
-    rows: dict[ExpVec, tuple[int, ...]] = {expvec_level(n, 0)[0]: sigma.images}
-    below = [0]  # the row ids one degree down, in level order
+    lower, states = set(), {0}  # the row ids of levels d-2 and d-1
     for d in range(1, D if certify else 2):
-        peel, up, _ = level_indices(n, d)
-        new = range(len(step[0]), len(distinct))  # rows not stepped yet, all in below
+        new = range(len(step[0]), len(distinct))  # rows not stepped yet, all in states
         stepped = True  # every new step, each used in this level, passes the row checks
         for p in new:
             for j in range(n):
@@ -255,20 +296,17 @@ def build_itable(
                 stepped &= sorted(row) == letters
                 step[j].append(ids.setdefault(row, len(ids)))
         distinct = list(ids)
-        # each a from its least peel j: the a with a_0..a_{j-1} = 0 are the
-        # first comb(d+n-j-1, d) in lex order, so j runs as least's blocks do
-        here = []
-        for j in reversed(range(n)):
-            at = peel[len(here) * n + j : comb(d + n - j - 1, d) * n : n]
-            here += map(step[j].__getitem__, map(below.__getitem__, at))
-        # every peel of every a: per j, the rows of b + u_j are the steps of
-        # the rows of b; then the compatibility sweep, for all i, j (i = j
-        # included: those pairs must be fixed by r), once per new row
+        # every peel of every a of level d agrees iff the steps commute on
+        # the states of level d-2 (see the module notes); then the
+        # compatibility sweep, for all i, j (i = j included: those pairs
+        # must be fixed by r), once per new row
         if not (
             stepped
             and all(
-                [*map(step[j].__getitem__, below)] == [*map(here.__getitem__, up[j::n])]
-                for j in range(n)
+                step[i][step[j][p]] == step[j][step[i][p]]
+                for p in lower
+                for i in range(n)
+                for j in range(i)
             )
             and all(
                 table[(distinct[step[j][p]][i] - 1) * n + distinct[p][j] - 1]
@@ -278,12 +316,39 @@ def build_itable(
                 for j in range(n)
             )
         ):
+            *_, below = _level_ids(n, step, d - 1)
             _raise_level_failure(table, d, below, distinct, step)
-        rows.update(zip(expvec_level(n, d), map(distinct.__getitem__, here)))
-        below = here
+        lower, states = states, {s[p] for s in step for p in states}
+    rows: dict[ExpVec, tuple[int, ...]] = {}
+    _gather_rows(rows, n, 1, distinct, step)
     if not certify:
         return ITable(r, D, sigma, _LazyRows(rows, n, D, forced))
-    return ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
+    t = ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
+    t._deferred = D > 2
+    return t
+
+
+def _level_ids(n: int, step, top: int):
+    """The row id of each vector of levels 0 to top, one list per level in
+    lex order, each a from its least peel j: the a with a_0..a_{j-1} = 0
+    are the first comb(d+n-j-1, d) in lex order, so j runs as the blocks
+    of level_indices' least do."""
+    below = [0]
+    yield below
+    for d in range(1, top + 1):
+        peel = level_indices(n, d)[0]
+        here = []
+        for j in reversed(range(n)):
+            at = peel[len(here) * n + j : comb(d + n - j - 1, d) * n : n]
+            here += map(step[j].__getitem__, map(below.__getitem__, at))
+        yield here
+        below = here
+
+
+def _gather_rows(rows: dict, n: int, top: int, distinct, step) -> None:
+    """Put in rows the row of every vector of degree <= top, read off the steps."""
+    for d, here in enumerate(_level_ids(n, step, top)):
+        rows.update(zip(expvec_level(n, d), map(distinct.__getitem__, here)))
 
 
 def _raise_level_failure(table, d: int, below: list[int], distinct, step) -> NoReturn:
@@ -340,7 +405,7 @@ def v_of(t: ITable, a: ExpVec) -> Word:
     if len(a) != t.n or any(k < 0 for k in a):
         raise InputError(f"not an exponent vector over 1..{t.n}: {a}")
     t._need(sum(a))
-    rows = t._rows
+    rows = t.all_rows()
     b = list(a)
     letters = []
     for i, k in enumerate(a):
@@ -364,8 +429,14 @@ def decode_from(t: ITable, d: ExpVec, w: Word) -> ExpVec:
     caller keeps deg d + len(w) <= D."""
     rows = t._rows
     b = list(d)
-    for letter in reversed(w):
-        b[rows[tuple(b)].index(letter)] += 1
+    try:
+        for letter in reversed(w):
+            b[rows[tuple(b)].index(letter)] += 1
+    except KeyError:
+        if not t._deferred:
+            raise
+        t._gather()  # the miss is handled here, off the plain dict's lookups
+        return decode_from(t, d, w)
     return tuple(b)
 
 
@@ -419,7 +490,8 @@ def dump_itable(t: ITable) -> str:
     a vector's block joins it with the vector's name, the names coming
     from core.expvec_level_names."""
     sigma = ",".join(str(k) for k in t.sigma.images)
-    rows = [t._rows[b] for d in range(t.D) for b in expvec_level(t.n, d)]
+    table = t.all_rows()
+    rows = [table[b] for d in range(t.D) for b in expvec_level(t.n, d)]
     parts = {r: ["", *(f" {i} -> {c}\n" for i, c in enumerate(r, 1))] for r in {*rows}}
     names = (name for d in range(t.D) for name in expvec_level_names(t.n, d))
     blocks = map(str.join, names, map(parts.__getitem__, rows))

@@ -110,7 +110,7 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
     a failure sweeps all pairs in order, to format the first failing one."""
     if dmax > pm.D - 1:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
-    n, rows = pm.n, pm.table._rows
+    n, rows = pm.n, pm.table.all_rows()
     levels = [expvec_level(n, d) for d in range(dmax + 1)]
     here = [list(map(rows.__getitem__, level)) for level in levels]
     inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
@@ -159,7 +159,7 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
     multiplication by them (core.closure): by the cocycle identity every
     phi(b) is a product of the phi(u_i).  bieberbach._label_frame closes
     the same images, with their inverses, into the same H."""
-    n, rows, ident = pm.n, pm.table._rows, pm.table.sigma.images
+    n, rows, ident = pm.n, pm.table.all_rows(), pm.table.sigma.images
     t = []
     for i in range(1, n + 1):
         for k in range(1, pm.D):
@@ -217,7 +217,7 @@ def _coset_split(n: int, m: int, t: tuple[int, ...]) -> list[dict[int, tuple[int
 def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, CheckResult]:
     """Factorization and product rule at every e of degree <= m in
     graded-lex order, up to the first failure (see the module notes)."""
-    n, rows, ident = pm.n, pm.table._rows, pm.table.sigma.images
+    n, rows, ident = pm.n, pm.table.all_rows(), pm.table.sigma.images
     passed = CheckResult.passed()
 
     def nontrivial(p: ExpVec) -> CheckResult:  # a P0 point is its own P0 part

@@ -54,13 +54,10 @@ from itype.core import (
     all_words,
     degree,
     exp_add_gen,
-    exp_sub_gen,
     exp_unit,
     expvec_level,
-    expvecs_up_to,
     format_expvec,
     format_word,
-    support,
 )
 from itype.istructure import decode_from, level_indices, v_of, words_equal
 from itype.structuremaps import CosetReport, check_cocycle, kernel_exponents, phi_of
@@ -84,6 +81,22 @@ def expvecs_of_degree_ref(n: int, d: int) -> list:
     for first in range(d + 1):
         out.extend((first,) + rest for rest in expvecs_of_degree_ref(n - 1, d - first))
     return out
+
+
+def support(e: tuple) -> tuple[int, ...]:
+    """Generator indices with a positive exponent, ascending."""
+    return tuple(i for i, k in enumerate(e, start=1) if k > 0)
+
+
+def exp_sub_gen(e: tuple, i: int) -> tuple:
+    if e[i - 1] <= 0:
+        raise InputError(f"generator {i} absent from {e}")
+    return e[: i - 1] + (e[i - 1] - 1,) + e[i:]
+
+
+def expvecs_up_to(n: int, dmax: int) -> list:
+    """Graded-lex enumeration of all exponent vectors of degree <= dmax."""
+    return [e for d in range(dmax + 1) for e in expvec_level(n, d)]
 
 
 def build_itable_ref(r, D: int = 8, sigma: Perm | None = None) -> ITable:
@@ -163,7 +176,7 @@ def dump_itable_ref(t: ITable) -> str:
     lines = [f"itable n={t.n} D={t.D} sigma={sigma}"]
     for b in expvecs_up_to(t.n, t.D - 1):
         name = format_expvec(b)
-        lines.extend(f"{name} {i} -> {c}" for i, c in enumerate(t._rows[b], start=1))
+        lines.extend(f"{name} {i} -> {c}" for i, c in enumerate(t.row(b), start=1))
     return "\n".join(lines) + "\n"
 
 
@@ -405,7 +418,7 @@ def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
     (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
     present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
     t._need(m)
-    rows, n = t._rows, t.n
+    rows, n = t.all_rows(), t.n
     yield expvec_level(n, 0)[0], None, 0
     for d in range(1, m + 1):
         lower = expvec_level(n, d - 1)

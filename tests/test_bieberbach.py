@@ -31,12 +31,13 @@ from itype import (
 from itype import bieberbach
 from itype.bieberbach import refuse_large_tiling
 from itype.cli import load_pairmap
-from itype.core import Perm, all_perms, expvec_level, expvecs_up_to
+from itype.core import Perm, all_perms, expvec_level
 from itype.istructure import decode_from
 from itype.structuremaps import kernel_exponents
 
 from oracles import (
     check_action_consistency_ref,
+    expvecs_up_to,
     freeness_check_bf,
     fundamental_domain_check_bf,
     image_group_ref,
@@ -184,7 +185,7 @@ def test_action_consistency_matches_reference(monkeypatch):
             level = expvec_level(t.n, rng.randint(1, 6))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
-            pm = PhiMap(ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))}))
+            pm = PhiMap(ITable(t.r, t.D, t.sigma, {**t.all_rows(), **dict(zip(level, shuffled))}))
             calls.clear()
             got = check_action_consistency(pm, 6)
             assert got == check_action_consistency_ref(pm, 6)
@@ -240,7 +241,7 @@ def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
                 level = expvec_level(t.n, d)
                 shuffled = [t.row(b) for b in level]
                 rng.shuffle(shuffled)
-                rows = {**t._rows, **dict(zip(level, shuffled))}
+                rows = {**t.all_rows(), **dict(zip(level, shuffled))}
                 compare(PhiMap(ITable(t.r, t.D, t.sigma, rows)), bound)
             gens = affine_generators(pm)
             i = rng.randrange(pm.n)
@@ -273,7 +274,7 @@ def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
         for s_j in step
     ]
     ids = {row: p for p, row in enumerate(distinct)}
-    rows = {b: graded[sum(b) * R + ids[row]] for b, row in t._rows.items()}
+    rows = {b: graded[sum(b) * R + ids[row]] for b, row in t.all_rows().items()}
     return rows, (tuple(graded), tuple(map(tuple, raised)))
 
 
@@ -312,7 +313,7 @@ def test_unconfirmed_sweep_failure_raises(x2y2_pm):
     t = x2y2_pm.table
     p = t.steps[0].index(t.row((1, 0)))
     _, steps = graded_steps(t, p, 1, t.row((1, 0))[::-1])
-    pm = PhiMap(ITable(t.r, t.D, t.sigma, t._rows, steps))
+    pm = PhiMap(ITable(t.r, t.D, t.sigma, t.all_rows(), steps))
     assert check_action_consistency_ref(pm, t.D - 1).ok
     with pytest.raises(AssertionError, match="the point walk holds"):
         check_action_consistency(pm, t.D - 1)

@@ -9,13 +9,13 @@ from itype.core import (
     all_perms,
     closure,
     compose_perm,
-    exp_sub_gen,
     expvec_level,
-    expvecs_up_to,
     format_word,
     relabel_expvec,
     sort_word,
 )
+
+from oracles import exp_sub_gen, expvecs_up_to
 
 
 def test_abelianize():

@@ -34,11 +34,8 @@ from itype.core import (
     all_words,
     degree,
     exp_add_gen,
-    exp_sub_gen,
     expvec_level,
-    expvecs_up_to,
     sort_word,
-    support,
 )
 
 import oracles
@@ -47,8 +44,11 @@ from oracles import (
     build_itable_ref,
     class_index,
     dump_itable_ref,
+    exp_sub_gen,
     expvecs_of_degree_ref,
+    expvecs_up_to,
     relations_of_pairmap,
+    support,
     words_equal_bf,
 )
 
@@ -330,7 +330,7 @@ def _outcome(build, r, D):
         t = build(r, D)
     except Exception as exc:  # the outcome under comparison
         return type(exc), str(exc)
-    return t.D, t.sigma, t._rows
+    return t.D, t.sigma, t.all_rows()
 
 
 def test_expvecs_match_recursion():
@@ -378,14 +378,14 @@ def test_rows_match_reference_census(census):
     assert len(classes) == 31
     for r, D in (*maps, *classes, (PairMap.flip(5), 9)):
         t, ref = build_itable(r, D), build_itable_ref(r, D)
-        assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
+        assert (t.D, t.sigma, t.all_rows()) == (ref.D, ref.sigma, ref._rows)
 
 
 def test_rows_match_reference_every_sigma(x2y2_r):
     for r in (x2y2_r, PairMap.flip(3)):
         for sigma in all_perms(r.n):
             t, ref = build_itable(r, 8, sigma), build_itable_ref(r, 8, sigma)
-            assert t._rows == ref._rows and t.sigma == ref.sigma == sigma
+            assert t.all_rows() == ref._rows and t.sigma == ref.sigma == sigma
 
 
 def _assert_cocycle_rows_match(r, D, sigma, shuffle):
@@ -396,11 +396,11 @@ def _assert_cocycle_rows_match(r, D, sigma, shuffle):
     ref = build_itable(r, D, sigma)
     t = build_itable(r, D, sigma, certify=False)
     assert (t.D, t.sigma, len(t._rows)) == (D, ref.sigma, 1 + r.n)  # levels 0 and 1 built
-    keys = list(ref._rows)
+    keys = list(ref.all_rows())
     if shuffle:
         shuffle(keys)
-    assert [t.row(b) for b in keys] == [ref._rows[b] for b in keys]
-    assert t._rows == ref._rows
+    assert [t.row(b) for b in keys] == [ref.row(b) for b in keys]
+    assert t._rows == ref.all_rows()
     with pytest.raises(DegreeBoundError, match=f"degree {D} exceeds bound D-1 = {D - 1}$"):
         t.row((D,) + (0,) * (r.n - 1))
     with pytest.raises(InputError, match="not an exponent vector"):
@@ -489,6 +489,24 @@ def test_build_errors_on_degenerate_maps_are_pinned(monkeypatch):
     )
 
 
+def test_build_refuses_maps_whose_peels_disagree(monkeypatch):
+    # two nondegenerate maps on 2 letters, smuggled past the axiom gate:
+    # they build to level 1, and every step passes the row checks and the
+    # compatibility sweep, so only the agreement of the peels of (1,1), the
+    # steps commuting at the origin, refuses them, at level 2
+    monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
+    cases = {
+        ((1, 1), (1, 2), (2, 2), (2, 1)): "row (1,1) = (2, 2) is not a permutation of X",
+        ((1, 2), (1, 1), (2, 1), (2, 2)): "row (1,1) = (1, 1) is not a permutation of X",
+    }
+    for images, message in cases.items():
+        r = PairMap(2, images)
+        assert check_nondegenerate(r).ok
+        assert build_itable(r, 6, certify=False).row((1, 0)) in ((1, 2), (2, 1))
+        for D in (3, 6):
+            assert _outcome(build_itable, r, D) == (ConsistencyError, message)
+
+
 def _mutants(sols, rng, count):
     """Nondegenerate maps near the solutions sols, all on n letters: two
     r-orbits of a solution re-paired (still involutive), or one of its
@@ -570,11 +588,11 @@ def test_rows_match_reference_decode_sized_tables(x2y2_r):
     c4_20 = load_pairmap(str(corpus / "c4_20.rtable"))
     for r, D in ((x2y2_r, 24), (PairMap.flip(5), 10), (c4_20, 16)):
         t, ref = build_itable(r, D), build_itable_ref(r, D)
-        assert (t.D, t.sigma, t._rows) == (ref.D, ref.sigma, ref._rows)
+        assert (t.D, t.sigma, t.all_rows()) == (ref.D, ref.sigma, ref._rows)
 
 
 def test_valid_builds_take_no_witness_path(monkeypatch):
-    # with the per-key witness refused, every corpus input at D = 8 and at
+    # with the failure witness refused, every corpus input at D = 8 and at
     # the decode degrees, the 183 solutions with n <= 4 at D = 8 and every
     # sigma of those with n <= 3 at D = 6 build the reference's rows, both
     # certified and to level 1
@@ -594,7 +612,7 @@ def test_valid_builds_take_no_witness_path(monkeypatch):
     assert len(cases) == 34 + 3 + 183 + sum(math.factorial(s.n) for s in sols)
     for r, D, sigma in cases:
         ref = build_itable_ref(r, D, sigma)._rows
-        assert build_itable(r, D, sigma)._rows == ref
+        assert build_itable(r, D, sigma).all_rows() == ref
         lean = build_itable(r, D, sigma, certify=False)._rows
         assert len(lean) == 1 + r.n and dict(lean) == {b: ref[b] for b in lean}
 
@@ -606,7 +624,7 @@ def test_equal_rows_are_one_tuple():
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     for path in paths:
-        rows = build_itable(load_pairmap(str(path)), D=8)._rows.values()
+        rows = build_itable(load_pairmap(str(path)), D=8).all_rows().values()
         assert len({id(row) for row in rows}) == len(set(rows))
 
 
@@ -625,14 +643,14 @@ def test_build_steps_describe_the_rows():
         t = build_itable(r, D, sigma)
         distinct, step = t.steps
         assert distinct[0] == t.sigma.images
-        assert sorted(distinct) == sorted(set(t._rows.values()))
+        assert sorted(distinct) == sorted(set(t.all_rows().values()))
         ids = {row: p for p, row in enumerate(distinct)}
         for b in expvecs_up_to(r.n, D - 2):
             p = ids[t.row(b)]
             for j in range(r.n):
                 assert t.row(exp_add_gen(b, j + 1)) == distinct[step[j][p]]
         assert build_itable(r, D, sigma, certify=False).steps is None
-        assert ist.ITable(t.r, t.D, t.sigma, dict(t._rows)).steps is None
+        assert ist.ITable(t.r, t.D, t.sigma, dict(t.all_rows())).steps is None
 
 
 def test_build_refuses_oversized_table(monkeypatch):

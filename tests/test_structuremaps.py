@@ -30,13 +30,17 @@ from itype.core import (
     degree,
     exp_add,
     expvec_level,
-    expvecs_up_to,
     relabel_expvec,
 )
 
 from itype.cli import load_pairmap
 from itype.structuremaps import CosetReport
-from oracles import cocycle_exhaustive_ref, coset_decomposition_ref, image_group_ref
+from oracles import (
+    cocycle_exhaustive_ref,
+    coset_decomposition_ref,
+    expvecs_up_to,
+    image_group_ref,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
@@ -253,7 +257,7 @@ def test_cocycle_negative_control_matches_reference(x2y2_r, census):
                 continue
             others = [p for p in all_perms(t.n) if p.images != t.row(b)]
             for other in others[:3]:
-                rows = dict(t._rows)
+                rows = dict(t.all_rows())
                 rows[b] = other.images
                 bad = ITable(t.r, t.D, t.sigma, rows)
                 got = cocycle_exhaustive(PhiMap(bad), 5)
@@ -275,7 +279,7 @@ def test_cocycle_matches_reference_on_shuffled_tables():
             level = expvec_level(t.n, rng.randint(1, 5))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
-            bad = ITable(t.r, t.D, t.sigma, {**t._rows, **dict(zip(level, shuffled))})
+            bad = ITable(t.r, t.D, t.sigma, {**t.all_rows(), **dict(zip(level, shuffled))})
             got = cocycle_exhaustive(PhiMap(bad), 5)
             assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
             verdicts.add(got.ok)
@@ -292,7 +296,7 @@ def test_cocycle_reads_the_origin_and_every_top_row(x2y2_r, census):
     for t in tables:
         for b in [(0,) * t.n, *expvec_level(t.n, 5)]:
             other = next(p for p in all_perms(t.n) if p.images != t.row(b))
-            bad = ITable(t.r, t.D, t.sigma, {**t._rows, b: other.images})
+            bad = ITable(t.r, t.D, t.sigma, {**t.all_rows(), b: other.images})
             for dmax in (0, 5) if degree(b) == 0 else (5,):
                 got = cocycle_exhaustive(PhiMap(bad), dmax)
                 assert not got.ok
@@ -317,7 +321,7 @@ def _coset_outcome(coset, t, m):
 
 
 def _with_row(t, b, images):
-    rows = dict(t._rows)
+    rows = dict(t.all_rows())
     rows[b] = images
     return ITable(t.r, t.D, t.sigma, rows)
 

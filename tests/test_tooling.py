@@ -7,11 +7,14 @@ new modules in sys.modules: the tests here look `itype.cli` and
 
 import ast
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import build_itable_ref
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -112,6 +115,49 @@ def test_word_commands_build_no_level_past_one(capsys, monkeypatch):
         cli.main(["build", paths[0]])
 
 
+def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypatch):
+    # a certified build keeps its rows past degree 1 in its steps: with the
+    # gather refused, itype bieberbach still answers every corpus input
+    # byte for byte; on a freshly built table the first read through each
+    # entry point gathers every row and gives the reference rows' answer
+    cli, core, ist, sm = (program(name) for name in ("cli", "core", "istructure", "structuremaps"))
+    paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    runs = [["bieberbach", path, "--length", "3", "--radius", "1"] for path in paths]
+
+    def outcomes():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in runs]
+
+    before = outcomes()
+    assert {code for code, _, _ in before} == {0}
+
+    def refuse(t):
+        raise AssertionError("rows past degree 1 gathered")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ist.ITable, "_gather", refuse)
+        assert outcomes() == before
+    rng = random.Random(28)
+    for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
+        r = cli.load_pairmap(str(BENCH / "corpus" / name))
+        n, D = r.n, 8
+        ref = ist.ITable(r, D, core.Perm.identity(n), build_itable_ref(r, D)._rows)
+        word = tuple(rng.choices(range(1, n + 1), k=D))
+        reads = [
+            lambda t, b=rng.choice(core.expvec_level(n, D - 1)): t.row(b),
+            lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a),
+            lambda t: ist.v_inverse(t, word),
+            ist.dump_itable,
+            lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1),
+            lambda t: sm.coset_decomposition(sm.PhiMap(t), D),
+        ]
+        for read in reads:
+            t = ist.build_itable(r, D)
+            assert len(t._rows) == 1 + n
+            assert read(t) == read(ref)
+            assert len(t._rows) == math.comb(n + D - 1, n)
+
+
 def test_package_modules_use_every_name_they_import():
     # a simplification that frees an import must delete it too, in the
     # package, the tests and the bench scripts; __init__.py imports to
@@ -132,6 +178,21 @@ def test_package_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
+
+
+def test_core_functions_serve_the_package():
+    # every top-level function of itype.core is imported by another package
+    # module, which uses it (see the test above), or re-exported by
+    # __init__.py: helpers that only the tests call live in tests/oracles.py
+    package = ROOT / "src" / "itype"
+    tree = ast.parse((package / "core.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core":
+                imported.update(alias.name for alias in node.names)
+    assert defined and sorted(defined - imported) == []
 
 
 def test_package_caches_are_bounded():
