@@ -28,7 +28,7 @@ The action check is decided on few states.  Let gamma_i be generator
 i's map, pi_i its permutation part.  With a = b + u_j, j the least index
 present in a, the instance at (a, i) reads only the letter row(b)[j],
 the row of gamma_i(b) and j, and gamma_i(b + u_j) = gamma_i(b) +
-u_{pi_i^-1(j)}.  A certified table's steps give row(c + u_m) =
+u_{pi_i^-1(j)}.  A built table's steps give row(c + u_m) =
 distinct[step[m][id of row(c)]] for every c of degree <= D-2
 (istructure).  So the state (row id of b, row ids of the gamma_i(b),
 least index present in b; at the origin every j is allowed) fixes every

@@ -112,8 +112,8 @@ def load_pairmap(path: str) -> PairMap:
 def load_table(args, certify: bool = True) -> ITable:
     """The table of ``args.file`` to ``args.degree``, with the command's
     ``--sigma`` if it has one; the file is read before ``--sigma``.  The
-    word commands pass certify=False: their rows past degree 1 are forced
-    on first access, by the build's one rule (see build_itable)."""
+    word commands pass certify=False: they read the build's steps, which
+    are checked to level 1 only (see build_itable)."""
     return build_itable(load_pairmap(args.file), args.degree, _sigma(args), certify=certify)
 
 

@@ -123,10 +123,12 @@ def all_perms(n: int):
 
 
 def check_word(w: Word, n: int) -> Word:
-    for a in w:
-        if not 1 <= a <= n:
-            raise InputError(f"letter {a} out of range 1..{n} in word {w}")
-    return tuple(w)
+    """w as a tuple; a letter outside 1..n, the first one, is refused."""
+    word = tuple(w)
+    if word and not (1 <= min(word) and max(word) <= n):
+        a = next(a for a in word if not 1 <= a <= n)
+        raise InputError(f"letter {a} out of range 1..{n} in word {w}")
+    return word
 
 
 def abelianize(w: Word, n: int) -> ExpVec:

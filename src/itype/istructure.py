@@ -57,32 +57,41 @@ each vector one degree down and is worded from the same steps, each a
 and then each b in lex order, raising the first failing row or b with
 its message.
 
-A certified table keeps that automaton as `steps = (distinct, step)`:
+A built table keeps that automaton as `steps = (distinct, step)`:
 distinct[p] is the row with id p, id 0 the origin's (sigma), and
 step[j][p] is set for every row p of a vector of degree <= D-2, with
 row(c + u_j) = distinct[step[j][id of row(c)]] for every such c, as the
-per-level check proves.  Only build_itable(..., certify=True) sets it;
-certify=False tables and tables made by hand from rows carry None.  The
-lattice consistency check of bieberbach sweeps it.
+per-level check proves.  build_itable sets it in both modes; a table
+made by hand from rows carries None.  The word problem reads it, and
+the lattice consistency check of bieberbach sweeps it.
 
-The certified build stores the rows of levels 0 and 1 only.  The deeper
-levels are gathered from its steps into the same plain dict the first
-time a reader needs one of them: ITable.row and decode_from on a missing
-key, and the bulk readers (v_of, dump_itable, the phi calculus of
+The build stores the rows of levels 0 and 1 only.  The deeper levels
+are gathered from its steps into the same plain dict the first time a
+reader needs one of them: ITable.row on a valid missing key, decode_from
+on a missing key, and the bulk readers (dump_itable, the phi calculus of
 structuremaps, bieberbach's point walk) up front, through
-ITable.all_rows.  The lookups stay on a plain dict: a dict subclass with
-__missing__ loses CPython's fast path on every read.  A table made by
-hand keeps the rows it was given.
+ITable.all_rows.  The word problem gathers none.  The lookups stay on a
+plain dict: a dict subclass with __missing__ loses CPython's fast path
+on every read.  A table made by hand keeps the rows it was given.
 
-Two rules read the table, and this module holds the only copy of each.
-v peels the least index j present, v(e) = x[e - u_j, j] v(e - u_j).
-Decoding reads a word right to left, each letter in the row of the
-vector decoded so far; every row being a permutation, this never fails.
-decode_from(t, d, w) decodes w u from the decoding d of u, and v_inverse
-starts it at the origin.  In graded-lex order, v(e), its decoding and
-that of v(e) x_i each take one letter from those of e - u_j: the coset
-and action checks walk so.  Two words are equal in the semigroup iff
-they decode to the same exponent vector, which decides the word problem.
+Two rules read the table.  v peels the least index j present,
+v(e) = x[e - u_j, j] v(e - u_j).  Decoding reads a word right to left,
+each letter in the row of the vector decoded so far; every row being a
+permutation, this never fails.  On a built table both read the steps,
+a finite automaton whose states are the row ids: v_inverse keeps the
+state p of the vector decoded so far and a count per generator, and for
+each letter, at place j of distinct[p], counts j and moves p to
+step[j][p]; v_of walks up from the origin, u_n a_n times, then u_{n-1},
+and so on down to u_1, reading distinct[p][j] before each step, and its
+letters reversed are the least-peel word.  Neither steps after its last
+letter, since the steps end at degree D-2.  decode_from(t, d, w) decodes
+w u from the decoding d of u on the rows, for tables made by hand and
+for walks that start past the origin; v_inverse and v_of read the rows
+so on a table without steps.  In graded-lex order, v(e), its decoding
+and that of v(e) x_i each take one letter from those of e - u_j: the
+coset and action checks walk so.  Two words are equal in the semigroup
+iff they decode to the same exponent vector, which decides the word
+problem.
 
 Rows are plain tuples of letters in a dict keyed by exponent vector.
 A gather holds each level as a list of row ids in graded-lex order,
@@ -90,20 +99,20 @@ each a from its least peel: level_indices(n, d) gives, flat, the index
 of each a - u_j one level down and of each b + u_j one level up, and the
 least index present in each a, the j that v peels.  Those and the levels
 (core.expvec_level) are cached per (n, d); a level's ids are gathered
-with one map per j.  v_of and decode_from step a list of exponents and
-look up its tuple.  A table of more than MAX_TABLE_ROWS rows is refused
+with one map per j.  decode_from steps a list of exponents and looks up
+its tuple.  A table of more than MAX_TABLE_ROWS rows is refused
 before any work, with its row count.
 
 build_itable(..., certify=False), which normalize and equal use, makes
-the same refusals and axiom check but builds and checks levels 0 and 1
-only.  Every other row is forced on first access, and kept, from the row
-of its least peel: the peel the certified build takes, so each row is
-the certified build's wherever that build passes, and it passes for
-every map passing the axioms.  The checks on levels 2 to D-1 catch only
-a bug or a map failing the axioms, so the word problem is decided the
-same.  phi keeps the certified rows: its checks report on rows the
-build has checked, so structuremaps.PhiMap refuses a table whose
-`certified` is false.
+the same refusals and axiom check and runs the same level loop, stepping
+each new row once, but checks level 1 only and keeps no states past it.
+Its steps are the certified build's wherever that build passes, and it
+passes for every map passing the axioms; its rows past degree 1 are
+deferred and gathered as a certified table's.  The checks on levels 2
+to D-1 catch only a bug or a map failing the axioms, so the word problem
+is decided the same.  phi keeps the certified rows: its checks report on
+rows the build has checked, so structuremaps.PhiMap refuses a table
+whose `certified` is false.
 """
 
 from __future__ import annotations
@@ -144,7 +153,7 @@ class ITable:
     """The materialized letter table up to a degree bound D: rows for all
     exponent vectors of degree <= D-1, hence canonical words and decoding
     for all degrees <= D.  Immutable after construction, but for the
-    gather of a certified build's rows past degree 1 (module notes)."""
+    gather of a build's rows past degree 1 (module notes)."""
 
     def __init__(
         self, r: PairMap, D: int, sigma: Perm, rows: dict[ExpVec, tuple[int, ...]], steps=None
@@ -154,14 +163,13 @@ class ITable:
         self.D = D
         self.sigma = sigma
         self._rows = rows
-        self.certified = not isinstance(rows, _LazyRows)  # every row checked by the build
-        self.steps = steps  # (distinct rows, step) of a certified build, else None
+        self.steps = steps  # (distinct rows, step) of a build, else None
+        self.certified = True  # every row checked; a certify=False build clears it
         self._deferred = False  # rows past degree 1 still in steps; only the build defers
 
     def all_rows(self) -> dict[ExpVec, tuple[int, ...]]:
-        """The rows by exponent vector, a certified build's deferred
-        levels gathered first (a certify=False table forces each row on
-        access).  The caller does not change it."""
+        """The rows by exponent vector, a build's deferred levels gathered
+        first.  The caller does not change it."""
         if self._deferred:
             self._gather()
         return self._rows
@@ -174,14 +182,14 @@ class ITable:
         try:
             return self._rows[b]
         except KeyError:
-            if self._deferred:
-                self._gather()
-                return self.row(b)
             if len(b) != self.n or any(k < 0 for k in b):
                 raise InputError(f"not an exponent vector over 1..{self.n}: {b}") from None
-            raise DegreeBoundError(
-                f"row {format_expvec(b)} of degree {degree(b)} exceeds bound D-1 = {self.D - 1}"
-            ) from None
+            if degree(b) >= self.D or not self._deferred:
+                raise DegreeBoundError(
+                    f"row {format_expvec(b)} of degree {degree(b)} exceeds bound D-1 = {self.D - 1}"
+                ) from None
+        self._gather()
+        return self._rows[b]
 
     def _need(self, d: int):
         if d > self.D:
@@ -208,32 +216,6 @@ def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
     return tuple(memoryview(m).toreadonly() for m in (peel, up, least))
 
 
-class _LazyRows(dict):
-    """The rows of a certify=False table: levels 0 and 1 as built, and each
-    other row of degree <= D-1 forced on first access, and kept, from the
-    row of its least peel (see the module notes).  Any other key raises
-    KeyError, as a row missing from a built table does."""
-
-    def __init__(self, rows: dict[ExpVec, tuple[int, ...]], n: int, D: int, forced):
-        super().__init__(rows)
-        self._n = n
-        self._bound = D - 1
-        self._forced = forced
-
-    def __missing__(self, b: ExpVec) -> tuple[int, ...]:
-        if len(b) != self._n or min(b) < 0 or sum(b) > self._bound:
-            raise KeyError(b)
-        chain = []  # walk down the least index to a stored row, then fill back up
-        while b not in self:
-            j = next(k for k, x in enumerate(b) if x)
-            chain.append((b, j))
-            b = b[:j] + (b[j] - 1,) + b[j + 1 :]
-        row = self[b]
-        for b, j in reversed(chain):
-            row = self[b] = self._forced(row, j)
-        return row
-
-
 def build_itable(
     r: PairMap, D: int = 8, sigma: Perm | None = None, *, certify: bool = True
 ) -> ITable:
@@ -242,11 +224,10 @@ def build_itable(
     gathered from the steps when first read.  Refuses (InputError) a
     table of more than MAX_TABLE_ROWS rows.
 
-    With certify=False the construction and its checks stop after level 1,
-    the degree-0 compatibility sweep included; each row of degree 2 to
-    D-1 is forced on first access from the row of its least peel, by the
-    build's one step rule (see the module notes).  The refusals and the
-    axiom gate are the same."""
+    With certify=False the checks stop after level 1, the degree-0
+    compatibility sweep included, and `certified` is false; the rows are
+    stepped, stored and gathered as in a certified build (see the module
+    notes).  The refusals and the axiom gate are the same."""
     if D < 2:
         raise InputError(f"degree bound must be >= 2, got {D}")
     n = r.n
@@ -287,7 +268,7 @@ def build_itable(
     ids = {sigma.images: 0}  # row -> row id
     step = [[] for _ in range(n)]  # step[j][p]: id of the row peel j forces from row p
     lower, states = set(), {0}  # the row ids of levels d-2 and d-1
-    for d in range(1, D if certify else 2):
+    for d in range(1, D):
         new = range(len(step[0]), len(distinct))  # rows not stepped yet, all in states
         stepped = True  # every new step, each used in this level, passes the row checks
         for p in new:
@@ -296,6 +277,8 @@ def build_itable(
                 stepped &= sorted(row) == letters
                 step[j].append(ids.setdefault(row, len(ids)))
         distinct = list(ids)
+        if d > 1 and not certify:
+            continue  # certify=False checks level 1 only
         # every peel of every a of level d agrees iff the steps commute on
         # the states of level d-2 (see the module notes); then the
         # compatibility sweep, for all i, j (i = j included: those pairs
@@ -321,9 +304,8 @@ def build_itable(
         lower, states = states, {s[p] for s in step for p in states}
     rows: dict[ExpVec, tuple[int, ...]] = {}
     _gather_rows(rows, n, 1, distinct, step)
-    if not certify:
-        return ITable(r, D, sigma, _LazyRows(rows, n, D, forced))
     t = ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
+    t.certified = certify
     t._deferred = D > 2
     return t
 
@@ -401,26 +383,51 @@ def v_of(t: ITable, a: ExpVec) -> Word:
     """The canonical word of an exponent vector, peeling the smallest
     generator index present at each step (any peeling order agrees in the
     semigroup; this one fixes the representative, and makes v the sorted
-    word in the commutative case)."""
+    word in the commutative case).  On a built table it walks the steps
+    up from the origin, u_n a_n times and so on down to u_1, reading the
+    letters right to left."""
     if len(a) != t.n or any(k < 0 for k in a):
         raise InputError(f"not an exponent vector over 1..{t.n}: {a}")
     t._need(sum(a))
-    rows = t.all_rows()
-    b = list(a)
-    letters = []
-    for i, k in enumerate(a):
-        for _ in range(k):
-            b[i] -= 1
-            letters.append(rows[tuple(b)][i])
-    return tuple(letters)
+    if t.steps is None:
+        rows = t.all_rows()
+        b = list(a)
+        letters = []
+        for i, k in enumerate(a):
+            for _ in range(k):
+                b[i] -= 1
+                letters.append(rows[tuple(b)][i])
+        return tuple(letters)
+    distinct, step = t.steps
+    path = [j for j in reversed(range(t.n)) for _ in range(a[j])]
+    if not path:
+        return ()
+    p, letters = 0, []
+    for j in path[:-1]:  # no step after the last letter: steps end at degree D-2
+        letters.append(distinct[p][j])
+        p = step[j][p]
+    letters.append(distinct[p][path[-1]])
+    return tuple(reversed(letters))
 
 
 def v_inverse(t: ITable, w: Word) -> ExpVec:
     """The unique exponent vector whose canonical word equals w in the
-    semigroup."""
-    check_word(w, t.n)
+    semigroup.  On a built table it reads w right to left on the steps,
+    each letter in the row of the vector decoded so far."""
+    w = check_word(w, t.n)
     t._need(len(w))
-    return decode_from(t, (0,) * t.n, w)
+    if t.steps is None:
+        return decode_from(t, (0,) * t.n, w)
+    distinct, step = t.steps
+    counts = [0] * t.n
+    p = 0
+    for letter in w[:0:-1]:  # no step after the last letter: steps end at degree D-2
+        j = distinct[p].index(letter)
+        counts[j] += 1
+        p = step[j][p]
+    if w:
+        counts[distinct[p].index(w[0])] += 1
+    return tuple(counts)
 
 
 def decode_from(t: ITable, d: ExpVec, w: Word) -> ExpVec:

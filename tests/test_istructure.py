@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -259,8 +261,34 @@ def test_degree_bound_errors(x2y2_table):
 
 
 def test_letter_zero_is_refused(x2y2_table):
-    with pytest.raises(InputError, match=r"^letter 0 out of range 1\.\.2 in word \(0, 1\)$"):
-        v_inverse(x2y2_table, (0, 1))
+    # 0 first and in the middle, n + 1 at the end, and of two bad letters
+    # the first
+    cases = {(0, 1): 0, (1, 0, 2): 0, (1, 2, 3): 3, (1, 3, 0): 3, (0, 2, 3): 0}
+    for word, letter in cases.items():
+        message = f"letter {letter} out of range 1..2 in word {word}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            v_inverse(x2y2_table, word)
+
+
+def test_row_refuses_a_bad_key_before_gathering():
+    # on a fresh table of either build mode, a key with a negative entry,
+    # of the wrong length or of degree >= D is refused with the stored rows
+    # of degrees 0 and 1 alone
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    r = load_pairmap(str(corpus / "c4_20.rtable"))
+    cases = [
+        ((-1, 1, 1, 1), InputError, "not an exponent vector over 1..4: (-1, 1, 1, 1)"),
+        ((1, 1, 1), InputError, "not an exponent vector over 1..4: (1, 1, 1)"),
+        ((1, 1, 1, 1, 0), InputError, "not an exponent vector over 1..4: (1, 1, 1, 1, 0)"),
+        ((8, 0, 0, 0), DegreeBoundError, "row (8,0,0,0) of degree 8 exceeds bound D-1 = 7"),
+        ((2, 3, 1, 4), DegreeBoundError, "row (2,3,1,4) of degree 10 exceeds bound D-1 = 7"),
+    ]
+    for certify in (True, False):
+        t = build_itable(r, 8, certify=certify)
+        for b, kind, message in cases:
+            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+                t.row(b)
+            assert len(t._rows) == 1 + r.n
 
 
 def test_normalize_word(x2y2_table):
@@ -389,7 +417,7 @@ def test_rows_match_reference_every_sigma(x2y2_r):
 
 
 def _assert_cocycle_rows_match(r, D, sigma, shuffle):
-    """Rows a certify=False table forces on first access equal the
+    """Rows a certify=False table gathers on first access equal the
     certified construction's, read in graded-lex order or in the order
     shuffle leaves the vectors in; past D-1 and off the lattice the reads
     are refused as a built table's.  Returns the number of rows compared."""
@@ -410,10 +438,10 @@ def _assert_cocycle_rows_match(r, D, sigma, shuffle):
 
 @pytest.mark.parametrize("order", ["lex", "random"])
 def test_cocycle_rows_match_the_construction(order):
-    # the lazy rows of a certify=False table, forced by the build's step
-    # rule: the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
+    # the deferred rows of a certify=False table, gathered from its steps:
+    # the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
     # (flip5 at 8), then every sigma of the solutions with n <= 3 and of
-    # c4_01..c4_09 at D = 9; the memo must not depend on the read order
+    # c4_01..c4_09 at D = 9; the rows must not depend on the read order
     shuffle = random.Random(12).shuffle if order == "random" else None
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
@@ -432,7 +460,7 @@ def test_cocycle_rows_match_the_construction(order):
 
 def test_dump_of_a_cocycle_table_reads_every_row():
     # dump reads each row by its vector, so an unread certify=False table
-    # forces every lazy row and dumps whole
+    # gathers every deferred row and dumps whole
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = load_pairmap(str(corpus / name))
@@ -632,7 +660,8 @@ def test_build_steps_describe_the_rows():
     # every corpus input at D = 8 and every sigma of the solutions with
     # n <= 3 at D = 6: the distinct rows are the table's, the origin's
     # first, and the step from the row of b by j is the row of b + u_j for
-    # every b of degree <= D - 2; only a certified build keeps steps
+    # every b of degree <= D - 2; a certify=False build keeps the same
+    # steps, a table made by hand from rows none
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     cases = [(load_pairmap(str(p)), 8, None) for p in paths]
@@ -649,7 +678,7 @@ def test_build_steps_describe_the_rows():
             p = ids[t.row(b)]
             for j in range(r.n):
                 assert t.row(exp_add_gen(b, j + 1)) == distinct[step[j][p]]
-        assert build_itable(r, D, sigma, certify=False).steps is None
+        assert build_itable(r, D, sigma, certify=False).steps == t.steps
         assert ist.ITable(t.r, t.D, t.sigma, dict(t.all_rows())).steps is None
 
 
@@ -683,3 +712,39 @@ def test_peel_walk_and_decode_from_match_v_of_and_v_inverse():
                 whole = v_inverse(t, w)
                 for k in range(len(w) + 1):
                     assert ist.decode_from(t, v_inverse(t, w[k:]), w[:k]) == whole
+
+
+def test_automaton_reads_match_the_row_walks():
+    # on tables of both build modes, v_inverse on the steps equals
+    # decode_from on the gathered rows for every word of length <= 4 and
+    # seeded words up to length D, and v_of on the steps equals the
+    # least-peel walk of oracles.peel_walk for every vector of degree <= D:
+    # every corpus input at D = 8, every sigma of the solutions with n <= 3
+    # at D = 6, and the decode tables (x2y2 at D = 24, flip5 at 10, the
+    # t = (4,4,4,4) classes at 16)
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
+    named = {p.name: load_pairmap(str(p)) for p in paths}
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    t4 = [e["file"] for e in manifest["inputs"] if e["n"] == 4 and e["t"] == [4, 4, 4, 4]]
+    cases = [(r, 8, None) for r in named.values()]
+    sols = [s for n in (1, 2, 3) for s in enumerate_solutions(n).solutions]
+    cases += [(s, 6, sigma) for s in sols for sigma in all_perms(s.n)]
+    cases += [(named["x2y2.pres"], 24, None), (named["flip5.rtable"], 10, None)]
+    cases += [(named[name], 16, None) for name in t4]
+    assert len(cases) == 34 + sum(math.factorial(s.n) for s in sols) + 2 + 3
+    rng = random.Random(29)
+    for r, D, sigma in cases:
+        words = [w for m in range(5) for w in all_words(r.n, m)]
+        words += [tuple(rng.choices(range(1, r.n + 1), k=rng.randint(5, D))) for _ in range(40)]
+        for certify in (True, False):
+            t = build_itable(r, D, sigma, certify=certify)
+            decoded = [v_inverse(t, w) for w in words]
+            canonical = {e: v_of(t, e) for e in expvecs_up_to(r.n, D)}
+            assert len(t._rows) == 1 + r.n  # neither read gathers a row
+            origin = (0,) * r.n
+            assert decoded == [ist.decode_from(t, origin, w) for w in words]
+            walked = {}
+            for e, b, x in oracles.peel_walk(t, D):
+                walked[e] = () if b is None else (x,) + walked[b]
+            assert canonical == walked

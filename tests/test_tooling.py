@@ -119,7 +119,8 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
     # a certified build keeps its rows past degree 1 in its steps: with the
     # gather refused, itype bieberbach still answers every corpus input
     # byte for byte; on a freshly built table the first read through each
-    # entry point gathers every row and gives the reference rows' answer
+    # entry point gives the reference rows' answer, v_of and v_inverse
+    # reading the steps alone and every other entry point gathering every row
     cli, core, ist, sm = (program(name) for name in ("cli", "core", "istructure", "structuremaps"))
     paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
@@ -143,19 +144,46 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
         n, D = r.n, 8
         ref = ist.ITable(r, D, core.Perm.identity(n), build_itable_ref(r, D)._rows)
         word = tuple(rng.choices(range(1, n + 1), k=D))
+        every = math.comb(n + D - 1, n)
         reads = [
-            lambda t, b=rng.choice(core.expvec_level(n, D - 1)): t.row(b),
-            lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a),
-            lambda t: ist.v_inverse(t, word),
-            ist.dump_itable,
-            lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1),
-            lambda t: sm.coset_decomposition(sm.PhiMap(t), D),
+            (lambda t, b=rng.choice(core.expvec_level(n, D - 1)): t.row(b), every),
+            (lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a), 1 + n),
+            (lambda t: ist.v_inverse(t, word), 1 + n),
+            (ist.dump_itable, every),
+            (lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1), every),
+            (lambda t: sm.coset_decomposition(sm.PhiMap(t), D), every),
         ]
-        for read in reads:
+        for read, kept in reads:
             t = ist.build_itable(r, D)
             assert len(t._rows) == 1 + n
             assert read(t) == read(ref)
-            assert len(t._rows) == math.comb(n + D - 1, n)
+            assert len(t._rows) == kept
+
+
+def test_word_problem_gathers_no_row(monkeypatch):
+    # v_inverse, words_equal and normalize_word read the build's steps: on
+    # fresh tables of both build modes, with the gather refused, they answer
+    # and leave the rows of degrees 0 and 1 alone, in a plain dict
+    cli, ist = program("cli"), program("istructure")
+
+    def refuse(t):
+        raise AssertionError("rows past degree 1 gathered")
+
+    monkeypatch.setattr(ist.ITable, "_gather", refuse)
+    rng = random.Random(29)
+    for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
+        r = cli.load_pairmap(str(BENCH / "corpus" / name))
+        n, D = r.n, 8
+        for certify in (True, False):
+            t = ist.build_itable(r, D, certify=certify)
+            assert type(t._rows) is dict
+            for _ in range(20):
+                w1, w2 = (tuple(rng.choices(range(1, n + 1), k=rng.randint(0, D))) for _ in "12")
+                a = ist.v_inverse(t, w1)
+                nf = ist.normalize_word(t, w1)
+                assert nf.exps == a and ist.words_equal(t, w1, nf.word)
+                assert ist.words_equal(t, w1, w2) == (a == ist.v_inverse(t, w2))
+            assert len(t._rows) == 1 + n and type(t._rows) is dict
 
 
 def test_package_modules_use_every_name_they_import():
