@@ -109,12 +109,10 @@ def load_pairmap(path: str) -> PairMap:
     return as_pairmap(load_input(path))
 
 
-def load_table(args, certify: bool = True) -> ITable:
+def load_table(args) -> ITable:
     """The table of ``args.file`` to ``args.degree``, with the command's
-    ``--sigma`` if it has one; the file is read before ``--sigma``.  The
-    word commands pass certify=False: they read the build's steps, which
-    are checked to level 1 only (see build_itable)."""
-    return build_itable(load_pairmap(args.file), args.degree, _sigma(args), certify=certify)
+    ``--sigma`` if it has one; the file is read before ``--sigma``."""
+    return build_itable(load_pairmap(args.file), args.degree, _sigma(args))
 
 
 def cmd_check(args, rep: Reporter) -> int:
@@ -150,7 +148,7 @@ def cmd_build(args, rep: Reporter) -> int:
 
 
 def cmd_normalize(args, rep: Reporter) -> int:
-    t = load_table(args, certify=False)
+    t = load_table(args)
     names = t.r.names
     w = parse_word(args.word, names)
     nf = normalize_word(t, w)
@@ -161,7 +159,7 @@ def cmd_normalize(args, rep: Reporter) -> int:
 
 
 def cmd_equal(args, rep: Reporter) -> int:
-    t = load_table(args, certify=False)
+    t = load_table(args)
     w1 = parse_word(args.word1, t.r.names)
     w2 = parse_word(args.word2, t.r.names)
     a1, a2 = v_inverse(t, w1), v_inverse(t, w2)

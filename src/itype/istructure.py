@@ -35,13 +35,14 @@ phi(u_{phi(b)(j)}) * phi(b) makes the row of b + u_j a function of the
 row of b and of j, so steps are few (at most 32 on the benchmark corpus
 at D = 8).  The build works on the states of each level, the distinct
 row ids of its vectors, never on the vectors: level d's states are the
-steps of level d-1's.  A row is stepped, and its compatibility swept,
-once: at the first level where it is one degree down.  The rows rest on
-one more check per level, not on the theorem.  With every step passing
-the row checks, no entry of level d depends on the peeled generator iff
-every peel of every a of level d gives one row, and given that the
-levels below d pass, that holds iff the steps commute on the states of
-level d-2:
+steps of level d-1's.  Each row is checked once, when first met: a row
+first met at level d-1 is stepped, its steps checked as rows and its
+compatibility swept at level d, and its steps checked to commute (below)
+at level d+1.  The rows rest on that commutation, not on the theorem.
+With every step passing the row checks, no entry of level d depends on
+the peeled generator iff every peel of every a of level d gives one row,
+and given that the levels below d pass, that holds iff the steps commute
+on the states of level d-2:
 
     step[i][step[j][p]] = step[j][step[i][p]]   for every such p, i < j.
 
@@ -51,19 +52,23 @@ a_i, a_j > 0 peels i to c + u_j and j to c + u_i, c = a - u_i - u_j of
 degree d-2, so those peels give step[i][step[j][p]] and
 step[j][step[i][p]], p the id of row(c).  Any two peels of a are such a
 pair, and each state p and i < j is met at a = c + u_i + u_j for a c
-with row id p.  So the check fails at exactly the levels where checking
-every peel of every vector does.  A failing level gathers the row id of
-each vector one degree down and is worded from the same steps, each a
-and then each b in lex order, raising the first failing row or b with
-its message.
+with row id p.  A row's steps never change, so a state that passed at
+the level after it was first met passes at every later level: checking
+only the states first met at level d-2 fails at exactly the levels where
+checking every peel of every vector does.  The loop ends after the first
+level whose checks pass and that steps no new row: every row is then
+stepped, and every later level would step and check nothing.  A failing
+level gathers the row id of each vector one degree down and is worded
+from the same steps, each a and then each b in lex order, raising the
+first failing row or b with its message.
 
 A built table keeps that automaton as `steps = (distinct, step)`:
 distinct[p] is the row with id p, id 0 the origin's (sigma), and
 step[j][p] is set for every row p of a vector of degree <= D-2, with
 row(c + u_j) = distinct[step[j][id of row(c)]] for every such c, as the
-per-level check proves.  build_itable sets it in both modes; a table
-made by hand from rows carries None.  The word problem reads it, and
-the lattice consistency check of bieberbach sweeps it.
+per-level check proves.  build_itable sets it; a table made by hand
+from rows carries None.  The word problem reads it, and the lattice
+consistency check of bieberbach sweeps it.
 
 The build stores the rows of levels 0 and 1 only.  The deeper levels
 are gathered from its steps into the same plain dict the first time a
@@ -102,17 +107,6 @@ least index present in each a, the j that v peels.  Those and the levels
 with one map per j.  decode_from steps a list of exponents and looks up
 its tuple.  A table of more than MAX_TABLE_ROWS rows is refused
 before any work, with its row count.
-
-build_itable(..., certify=False), which normalize and equal use, makes
-the same refusals and axiom check and runs the same level loop, stepping
-each new row once, but checks level 1 only and keeps no states past it.
-Its steps are the certified build's wherever that build passes, and it
-passes for every map passing the axioms; its rows past degree 1 are
-deferred and gathered as a certified table's.  The checks on levels 2
-to D-1 catch only a bug or a map failing the axioms, so the word problem
-is decided the same.  phi keeps the certified rows: its checks report on
-rows the build has checked, so structuremaps.PhiMap refuses a table
-whose `certified` is false.
 """
 
 from __future__ import annotations
@@ -164,7 +158,6 @@ class ITable:
         self.sigma = sigma
         self._rows = rows
         self.steps = steps  # (distinct rows, step) of a build, else None
-        self.certified = True  # every row checked; a certify=False build clears it
         self._deferred = False  # rows past degree 1 still in steps; only the build defers
 
     def all_rows(self) -> dict[ExpVec, tuple[int, ...]]:
@@ -216,18 +209,13 @@ def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
     return tuple(memoryview(m).toreadonly() for m in (peel, up, least))
 
 
-def build_itable(
-    r: PairMap, D: int = 8, sigma: Perm | None = None, *, certify: bool = True
-) -> ITable:
+def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     """Run the inductive construction up to degree bound D >= 2, checking
     every level, and store the rows of degree <= 1; the others are
     gathered from the steps when first read.  Refuses (InputError) a
-    table of more than MAX_TABLE_ROWS rows.
-
-    With certify=False the checks stop after level 1, the degree-0
-    compatibility sweep included, and `certified` is false; the rows are
-    stepped, stored and gathered as in a certified build (see the module
-    notes).  The refusals and the axiom gate are the same."""
+    table of more than MAX_TABLE_ROWS rows.  Each row is stepped and
+    checked once, at the level after it is first met, and the loop ends
+    at the first level with no new row (see the module notes)."""
     if D < 2:
         raise InputError(f"degree bound must be >= 2, got {D}")
     n = r.n
@@ -267,9 +255,9 @@ def build_itable(
     distinct = [sigma.images]  # row id -> row
     ids = {sigma.images: 0}  # row -> row id
     step = [[] for _ in range(n)]  # step[j][p]: id of the row peel j forces from row p
-    lower, states = set(), {0}  # the row ids of levels d-2 and d-1
+    older = range(0)  # the rows first met at level d-2
     for d in range(1, D):
-        new = range(len(step[0]), len(distinct))  # rows not stepped yet, all in states
+        new = range(len(step[0]), len(distinct))  # the rows first met at level d-1
         stepped = True  # every new step, each used in this level, passes the row checks
         for p in new:
             for j in range(n):
@@ -277,17 +265,15 @@ def build_itable(
                 stepped &= sorted(row) == letters
                 step[j].append(ids.setdefault(row, len(ids)))
         distinct = list(ids)
-        if d > 1 and not certify:
-            continue  # certify=False checks level 1 only
         # every peel of every a of level d agrees iff the steps commute on
-        # the states of level d-2 (see the module notes); then the
-        # compatibility sweep, for all i, j (i = j included: those pairs
-        # must be fixed by r), once per new row
+        # the states of level d-2, checked on each when first met (see the
+        # module notes); then the compatibility sweep, for all i, j (i = j
+        # included: those pairs must be fixed by r), once per new row
         if not (
             stepped
             and all(
                 step[i][step[j][p]] == step[j][step[i][p]]
-                for p in lower
+                for p in older
                 for i in range(n)
                 for j in range(i)
             )
@@ -301,11 +287,12 @@ def build_itable(
         ):
             *_, below = _level_ids(n, step, d - 1)
             _raise_level_failure(table, d, below, distinct, step)
-        lower, states = states, {s[p] for s in step for p in states}
+        if not new:
+            break  # every later level steps and checks nothing
+        older = new
     rows: dict[ExpVec, tuple[int, ...]] = {}
     _gather_rows(rows, n, 1, distinct, step)
     t = ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
-    t.certified = certify
     t._deferred = D > 2
     return t
 

@@ -70,13 +70,9 @@ MAX_COSET_BOX = 1_000_000
 
 
 class PhiMap:
-    """phi backed by a certified I-structure table: a certify=False table
-    has checked only its rows of degree <= 1, and phi reports on checked
-    rows."""
+    """phi backed by an I-structure table."""
 
     def __init__(self, table: ITable):
-        if not table.certified:
-            raise InputError("phi needs a certified table, not one checked to degree 1 only")
         self.table = table
         self.n = table.n
         self.D = table.D

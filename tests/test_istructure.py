@@ -283,12 +283,11 @@ def test_row_refuses_a_bad_key_before_gathering():
         ((8, 0, 0, 0), DegreeBoundError, "row (8,0,0,0) of degree 8 exceeds bound D-1 = 7"),
         ((2, 3, 1, 4), DegreeBoundError, "row (2,3,1,4) of degree 10 exceeds bound D-1 = 7"),
     ]
-    for certify in (True, False):
-        t = build_itable(r, 8, certify=certify)
-        for b, kind, message in cases:
-            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
-                t.row(b)
-            assert len(t._rows) == 1 + r.n
+    t = build_itable(r, 8)
+    for b, kind, message in cases:
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            t.row(b)
+        assert len(t._rows) == 1 + r.n
 
 
 def test_normalize_word(x2y2_table):
@@ -417,12 +416,12 @@ def test_rows_match_reference_every_sigma(x2y2_r):
 
 
 def _assert_cocycle_rows_match(r, D, sigma, shuffle):
-    """Rows a certify=False table gathers on first access equal the
-    certified construction's, read in graded-lex order or in the order
-    shuffle leaves the vectors in; past D-1 and off the lattice the reads
-    are refused as a built table's.  Returns the number of rows compared."""
+    """Rows a fresh table gathers on first access equal those of a table
+    gathered whole, read in graded-lex order or in the order shuffle
+    leaves the vectors in; past D-1 and off the lattice the reads are
+    refused as a built table's.  Returns the number of rows compared."""
     ref = build_itable(r, D, sigma)
-    t = build_itable(r, D, sigma, certify=False)
+    t = build_itable(r, D, sigma)
     assert (t.D, t.sigma, len(t._rows)) == (D, ref.sigma, 1 + r.n)  # levels 0 and 1 built
     keys = list(ref.all_rows())
     if shuffle:
@@ -438,7 +437,7 @@ def _assert_cocycle_rows_match(r, D, sigma, shuffle):
 
 @pytest.mark.parametrize("order", ["lex", "random"])
 def test_cocycle_rows_match_the_construction(order):
-    # the deferred rows of a certify=False table, gathered from its steps:
+    # the deferred rows of a built table, gathered from its steps:
     # the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
     # (flip5 at 8), then every sigma of the solutions with n <= 3 and of
     # c4_01..c4_09 at D = 9; the rows must not depend on the read order
@@ -459,12 +458,12 @@ def test_cocycle_rows_match_the_construction(order):
 
 
 def test_dump_of_a_cocycle_table_reads_every_row():
-    # dump reads each row by its vector, so an unread certify=False table
-    # gathers every deferred row and dumps whole
+    # dump reads each row by its vector, so an unread table gathers every
+    # deferred row and dumps as the per-key construction's table does
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = load_pairmap(str(corpus / name))
-        assert dump_itable(build_itable(r, certify=False)) == dump_itable(build_itable(r))
+        assert dump_itable(build_itable(r)) == dump_itable(build_itable_ref(r, 8))
 
 
 def test_build_errors_match_reference(monkeypatch):
@@ -494,21 +493,22 @@ def test_build_errors_match_reference(monkeypatch):
 
 
 def test_build_errors_on_degenerate_maps_are_pinned(monkeypatch):
-    # the 240 degenerate maps on 2 letters, certified and to level 1, and
-    # the 2,404 involutive degenerate maps on 3, smuggled past the axiom
-    # gate: build_itable_ref raises KeyError on them, so the type and text
-    # of each failure are pinned by a digest of the per-key construction's
+    # the 240 degenerate maps on 2 letters, at D = 6 and at D = 2 (level 1
+    # alone), and the 2,404 involutive degenerate maps on 3, smuggled past
+    # the axiom gate: build_itable_ref raises KeyError on them, so the type
+    # and text of each failure are pinned by a digest of the per-key
+    # construction's
     monkeypatch.setattr(ist, "check_axioms", lambda r: CheckResult.passed())
     pairs2 = [(a, b) for a in (1, 2) for b in (1, 2)]
     pairs3 = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
     maps2 = [PairMap(2, images) for images in itertools.product(pairs2, repeat=4)]
     maps3 = [PairMap.from_entries(3, inv) for inv in _involutions(pairs3)]
-    cases = [(r, c) for r in maps2 if not check_nondegenerate(r).ok for c in (True, False)]
-    cases += [(r, True) for r in maps3 if not check_nondegenerate(r).ok]
+    cases = [(r, D) for r in maps2 if not check_nondegenerate(r).ok for D in (6, 2)]
+    cases += [(r, 6) for r in maps3 if not check_nondegenerate(r).ok]
     assert len(cases) == 2 * 240 + 2404
     lines = []
-    for r, certify in cases:
-        kind, text = _outcome(lambda r, D: build_itable(r, D, certify=certify), r, 6)
+    for r, D in cases:
+        kind, text = _outcome(build_itable, r, D)
         assert kind is ConsistencyError
         lines.append(f"{kind.__name__}: {text}")
     assert {line.split()[1] for line in lines} == {"row", "compatibility"}
@@ -530,7 +530,7 @@ def test_build_refuses_maps_whose_peels_disagree(monkeypatch):
     for images, message in cases.items():
         r = PairMap(2, images)
         assert check_nondegenerate(r).ok
-        assert build_itable(r, 6, certify=False).row((1, 0)) in ((1, 2), (2, 1))
+        assert build_itable(r, 2).row((1, 0)) in ((1, 2), (2, 1))
         for D in (3, 6):
             assert _outcome(build_itable, r, D) == (ConsistencyError, message)
 
@@ -622,8 +622,8 @@ def test_rows_match_reference_decode_sized_tables(x2y2_r):
 def test_valid_builds_take_no_witness_path(monkeypatch):
     # with the failure witness refused, every corpus input at D = 8 and at
     # the decode degrees, the 183 solutions with n <= 4 at D = 8 and every
-    # sigma of those with n <= 3 at D = 6 build the reference's rows, both
-    # certified and to level 1
+    # sigma of those with n <= 3 at D = 6 build the reference's rows, and
+    # store those of degrees 0 and 1 alone
     def refuse(*args):
         raise AssertionError("witness path taken")
 
@@ -640,9 +640,9 @@ def test_valid_builds_take_no_witness_path(monkeypatch):
     assert len(cases) == 34 + 3 + 183 + sum(math.factorial(s.n) for s in sols)
     for r, D, sigma in cases:
         ref = build_itable_ref(r, D, sigma)._rows
-        assert build_itable(r, D, sigma).all_rows() == ref
-        lean = build_itable(r, D, sigma, certify=False)._rows
-        assert len(lean) == 1 + r.n and dict(lean) == {b: ref[b] for b in lean}
+        t = build_itable(r, D, sigma)
+        assert len(t._rows) == 1 + r.n
+        assert t.all_rows() == ref
 
 
 def test_equal_rows_are_one_tuple():
@@ -660,8 +660,8 @@ def test_build_steps_describe_the_rows():
     # every corpus input at D = 8 and every sigma of the solutions with
     # n <= 3 at D = 6: the distinct rows are the table's, the origin's
     # first, and the step from the row of b by j is the row of b + u_j for
-    # every b of degree <= D - 2; a certify=False build keeps the same
-    # steps, a table made by hand from rows none
+    # every b of degree <= D - 2; a table made by hand from rows keeps no
+    # steps
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     cases = [(load_pairmap(str(p)), 8, None) for p in paths]
@@ -678,7 +678,6 @@ def test_build_steps_describe_the_rows():
             p = ids[t.row(b)]
             for j in range(r.n):
                 assert t.row(exp_add_gen(b, j + 1)) == distinct[step[j][p]]
-        assert build_itable(r, D, sigma, certify=False).steps == t.steps
         assert ist.ITable(t.r, t.D, t.sigma, dict(t.all_rows())).steps is None
 
 
@@ -715,7 +714,7 @@ def test_peel_walk_and_decode_from_match_v_of_and_v_inverse():
 
 
 def test_automaton_reads_match_the_row_walks():
-    # on tables of both build modes, v_inverse on the steps equals
+    # on built tables, v_inverse on the steps equals
     # decode_from on the gathered rows for every word of length <= 4 and
     # seeded words up to length D, and v_of on the steps equals the
     # least-peel walk of oracles.peel_walk for every vector of degree <= D:
@@ -737,14 +736,13 @@ def test_automaton_reads_match_the_row_walks():
     for r, D, sigma in cases:
         words = [w for m in range(5) for w in all_words(r.n, m)]
         words += [tuple(rng.choices(range(1, r.n + 1), k=rng.randint(5, D))) for _ in range(40)]
-        for certify in (True, False):
-            t = build_itable(r, D, sigma, certify=certify)
-            decoded = [v_inverse(t, w) for w in words]
-            canonical = {e: v_of(t, e) for e in expvecs_up_to(r.n, D)}
-            assert len(t._rows) == 1 + r.n  # neither read gathers a row
-            origin = (0,) * r.n
-            assert decoded == [ist.decode_from(t, origin, w) for w in words]
-            walked = {}
-            for e, b, x in oracles.peel_walk(t, D):
-                walked[e] = () if b is None else (x,) + walked[b]
-            assert canonical == walked
+        t = build_itable(r, D, sigma)
+        decoded = [v_inverse(t, w) for w in words]
+        canonical = {e: v_of(t, e) for e in expvecs_up_to(r.n, D)}
+        assert len(t._rows) == 1 + r.n  # neither read gathers a row
+        origin = (0,) * r.n
+        assert decoded == [ist.decode_from(t, origin, w) for w in words]
+        walked = {}
+        for e, b, x in oracles.peel_walk(t, D):
+            walked[e] = () if b is None else (x,) + walked[b]
+        assert canonical == walked

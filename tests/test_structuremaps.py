@@ -67,15 +67,6 @@ def test_phi_flip_trivial(flip_pms):
         assert phi_of(pm, b).is_identity()
 
 
-def test_phi_refuses_a_table_read_from_the_cocycle():
-    # rows computed from the cocycle pass the cocycle, coset and action
-    # checks whatever the map: phi takes certified tables only
-    r = load_pairmap(str(CORPUS / "c4_12.rtable"))
-    with pytest.raises(InputError, match="certified table"):
-        PhiMap(build_itable(r, 8, certify=False))
-    assert PhiMap(build_itable(r, 8)).table.certified
-
-
 def test_phi_degree_bound(x2y2_pm):
     with pytest.raises(DegreeBoundError):
         phi_of(x2y2_pm, (x2y2_pm.D, 0))

@@ -83,9 +83,10 @@ def test_table_commands_parse_once_and_build_once(capsys, name, words, command, 
 
 
 def test_word_commands_build_no_level_past_one(capsys, monkeypatch):
-    # normalize and equal read the rows past degree 1 from the cocycle: with
-    # the construction's level walk refused past level 1 they still answer
-    # every corpus input byte for byte, and build fails
+    # the full build of normalize and equal never asks level_indices for a
+    # level past 1, nor do their reads of its steps: with level_indices
+    # refused past level 1 they still answer every corpus input byte for
+    # byte, and build, which gathers every row to dump it, fails
     cli, istructure = program("cli"), program("istructure")
     paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
@@ -116,7 +117,7 @@ def test_word_commands_build_no_level_past_one(capsys, monkeypatch):
 
 
 def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypatch):
-    # a certified build keeps its rows past degree 1 in its steps: with the
+    # a build keeps its rows past degree 1 in its steps: with the
     # gather refused, itype bieberbach still answers every corpus input
     # byte for byte; on a freshly built table the first read through each
     # entry point gives the reference rows' answer, v_of and v_inverse
@@ -162,7 +163,7 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
 
 def test_word_problem_gathers_no_row(monkeypatch):
     # v_inverse, words_equal and normalize_word read the build's steps: on
-    # fresh tables of both build modes, with the gather refused, they answer
+    # fresh tables, with the gather refused, they answer
     # and leave the rows of degrees 0 and 1 alone, in a plain dict
     cli, ist = program("cli"), program("istructure")
 
@@ -174,16 +175,15 @@ def test_word_problem_gathers_no_row(monkeypatch):
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = cli.load_pairmap(str(BENCH / "corpus" / name))
         n, D = r.n, 8
-        for certify in (True, False):
-            t = ist.build_itable(r, D, certify=certify)
-            assert type(t._rows) is dict
-            for _ in range(20):
-                w1, w2 = (tuple(rng.choices(range(1, n + 1), k=rng.randint(0, D))) for _ in "12")
-                a = ist.v_inverse(t, w1)
-                nf = ist.normalize_word(t, w1)
-                assert nf.exps == a and ist.words_equal(t, w1, nf.word)
-                assert ist.words_equal(t, w1, w2) == (a == ist.v_inverse(t, w2))
-            assert len(t._rows) == 1 + n and type(t._rows) is dict
+        t = ist.build_itable(r, D)
+        assert type(t._rows) is dict
+        for _ in range(20):
+            w1, w2 = (tuple(rng.choices(range(1, n + 1), k=rng.randint(0, D))) for _ in "12")
+            a = ist.v_inverse(t, w1)
+            nf = ist.normalize_word(t, w1)
+            assert nf.exps == a and ist.words_equal(t, w1, nf.word)
+            assert ist.words_equal(t, w1, w2) == (a == ist.v_inverse(t, w2))
+        assert len(t._rows) == 1 + n and type(t._rows) is dict
 
 
 def test_package_modules_use_every_name_they_import():
