@@ -67,17 +67,19 @@ distinct[p] is the row with id p, id 0 the origin's (sigma), and
 step[j][p] is set for every row p of a vector of degree <= D-2, with
 row(c + u_j) = distinct[step[j][id of row(c)]] for every such c, as the
 per-level check proves.  build_itable sets it; a table made by hand
-from rows carries None.  The word problem reads it, and the lattice
-consistency check of bieberbach sweeps it.
+from rows carries None.  The word problem reads it, the phi calculus of
+structuremaps decides on its states, and the lattice consistency check
+of bieberbach sweeps it.
 
 The build stores the rows of levels 0 and 1 only.  The deeper levels
 are gathered from its steps into the same plain dict the first time a
 reader needs one of them: ITable.row on a valid missing key, decode_from
-on a missing key, and the bulk readers (dump_itable, the phi calculus of
-structuremaps, bieberbach's point walk) up front, through
-ITable.all_rows.  The word problem gathers none.  The lookups stay on a
-plain dict: a dict subclass with __missing__ loses CPython's fast path
-on every read.  A table made by hand keeps the rows it was given.
+on a missing key, and the bulk readers (dump_itable, and the vector
+walks of the phi calculus and of bieberbach, which a build's table takes
+only to word a failure) up front, through ITable.all_rows.  The word
+problem and the phi calculus of a passing table gather none.  The
+lookups stay on a plain dict: a dict subclass with __missing__ loses
+CPython's fast path on every read.  A table made by hand keeps the rows it was given.
 
 Two rules read the table.  v peels the least index j present,
 v(e) = x[e - u_j, j] v(e - u_j).  Decoding reads a word right to left,

@@ -23,22 +23,41 @@ phi(u_i), phi(b + c + u_i) = phi(pi(b) + pi(c)) * pi, which the pair
 (pi(b), pi(c)) and the pair (c, u_i) turn into phi(phi(c + u_i)(b)) *
 phi(c + u_i), relabeling being a left action.  By induction on deg c
 that gives every pair, and the sweep's pair (0, 0) forces phi(0) = id,
-so both checks agree.  Per level, the row of b + u_i is read through
-istructure.level_indices and that of phi(u_i)(b) through one itemgetter
-per generator; each distinct pair of rows is composed once.  Only a
+so both checks agree.  On a build's steps (istructure.ITable.steps),
+whose per-level check gives every vector of degree <= D-1 one state, a
+pair (p, q) holds the states of b and pi(b); adding u_j to b adds
+u_{pi(j)} to pi(b), so each i walks the product automaton breadth first
+from (0, 0) by (p, q) -> (step[j][p], step[pi(j)][q]), to degree dmax-1,
+and tests each pair once: phi(b + u_i) is the row of step[i][p].  That
+is at most |H|^2 pairs per level, H the image group.  A table without
+steps reads, per level, the row of b + u_i through
+istructure.level_indices and that of pi(b) through one itemgetter per
+generator, and composes each distinct pair of rows once.  Only a
 failure runs the sweep, which check_cocycle words at its first failing
 pair; it always finds one, as it sweeps (0, 0) and every (b, u_i).
 
-coset_decomposition walks each e of degree <= m in graded-lex order,
-holding the decoding of v(e) = x v(e - u_j), j least present, as its
-index up[c*n + row_c.index(x)] in level deg e, c that of e - u_j.  The
-split e = rep + p, rep = e mod t, is cached per (n, m, t).  The P0 part
-of e is a P0 point no later than e, so only P0 points ask phi = id.  The
-product rule holds outright if rep or p is 0.  Else v(rep) = y v(rep -
-u_j), j least in rep, and e - u_j = (rep - u_j) + p passed: decoding
-v(rep) v(p) whole repeats its rows, then steps with y from the decoding
-of v(e - u_j), the one step the walk takes.  So the first failure, its
-witness and any exception fall on the same vector.
+kernel_exponents reads the row of u_i^k off the steps as state 0
+stepped k times by step[i], and coset_decomposition rests factorization
+and the product rule on step[i] stepped t_i times taking state 0 back
+to 0, for every i.  Every vector of degree <= D-1 having one state,
+every P0 point then has state 0, so phi is trivial there (and by the
+steps' commutation step[i]^t_i fixes every state: phi(b + t_i u_i) =
+phi(b)).  Decoding v(rep) v(p) reads v(p) to state 0, then v(rep) as
+from the origin, and the automaton is deterministic, so it ends at rep +
+p = e, as the decoding of v(e) does.  A state failure runs the vector
+walk below to word it, and raises if the walk finds every vector holding.
+
+The vector walk, which a table without steps takes, visits each e of
+degree <= m in graded-lex order, holding the decoding of v(e) = x v(e -
+u_j), j least present, as its index up[c*n + row_c.index(x)] in level
+deg e, c that of e - u_j.  The split e = rep + p, rep = e mod t, is
+cached per (n, m, t).  The P0 part of e is a P0 point no later than e,
+so only P0 points ask phi = id.  The product rule holds outright if rep
+or p is 0.  Else v(rep) = y v(rep - u_j), j least in rep, and e - u_j =
+(rep - u_j) + p passed: decoding v(rep) v(p) whole repeats its rows,
+then steps with y from the decoding of v(e - u_j), the one step the walk
+takes.  So the first failure, its witness and any exception fall on the
+same vector.
 """
 
 from __future__ import annotations
@@ -102,20 +121,53 @@ def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
 
 def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
     """The cocycle identity over every pair with deg b + deg c <= dmax,
-    decided on phi(0) and the pairs (b, u_i) (see the module notes); only
-    a failure sweeps all pairs in order, to format the first failing one."""
+    decided on phi(0) and the pairs (b, u_i), on the build's states when
+    the table has steps, else on its rows (see the module notes); only a
+    failure sweeps all pairs in order, to format the first failing one."""
     if dmax > pm.D - 1:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
+    instances = _instances_on_rows if pm.table.steps is None else _instances_on_states
+    if instances(pm, dmax):
+        return CheckResult.passed()
+    vecs = [b for d in range(dmax + 1) for b in expvec_level(pm.n, d)]
+    for b, c in itertools.product(vecs, vecs):
+        if sum(b) + sum(c) <= dmax and not (res := check_cocycle(pm, b, c)):
+            return res
+    raise AssertionError("the generator instances failed, yet every pair holds")
+
+
+def _instances_on_states(pm: PhiMap, dmax: int) -> bool:
+    """phi(0) = id and each (b, u_i), deg b < dmax, on the product
+    automaton of i, each pair of states once."""
+    distinct, step = pm.table.steps
+    inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
+    images = [tuple([inv[c - 1] for c in row]) for row in distinct]
+    if images[0] != tuple(range(1, pm.n + 1)):
+        return False
+    for s_i in step if dmax else ():
+        pi = images[s_i[0]]  # phi(u_i)
+        moves = [(s_j, step[k - 1]) for s_j, k in zip(step, pi)]
+        level, seen = {(0, 0)}, set()
+        for _ in range(dmax):  # the pairs (state of b, state of pi(b)) first met at deg b
+            seen |= level
+            if any(images[s_i[p]] != tuple([images[q][k - 1] for k in pi]) for p, q in level):
+                return False
+            level = {(s[p], s_pi[q]) for p, q in level for s, s_pi in moves} - seen
+    return True
+
+
+def _instances_on_rows(pm: PhiMap, dmax: int) -> bool:
+    """phi(0) = id and each (b, u_i), deg b < dmax, by vector, each
+    distinct triple (pi, row of b + u_i, row of pi(b)) once."""
     n, rows = pm.n, pm.table.all_rows()
     levels = [expvec_level(n, d) for d in range(dmax + 1)]
     here = [list(map(rows.__getitem__, level)) for level in levels]
-    inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
+    inv = pm._sigma_inv.images
     images = {r: tuple([inv[c - 1] for c in r]) for r in dict.fromkeys(itertools.chain(*here))}
     for p in images.values():
         Perm(p)  # a row that is no permutation raises, as phi_of did
     ident = tuple(range(1, n + 1))
-    # the distinct (pi, row of b + u_i, row of pi(b)), pi = phi(u_i), over
-    # every i and b of degree < dmax, pi(b) having b_k at place pi(k)
+    # pi(b) has b_k at place pi(k)
     gens = [images[r] for r in reversed(here[1])] if dmax else []  # level 1 is u_n, ..., u_1
     pairs = set()
     for i, pi in enumerate(gens):
@@ -124,15 +176,9 @@ def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
             above = map(here[d + 1].__getitem__, level_indices(n, d + 1)[1][i::n])
             moved = map(relabel, levels[d]) if relabel else levels[d]
             pairs.update(zip(itertools.repeat(pi), above, map(rows.__getitem__, moved)))
-    if images[here[0][0]] == ident and all(
+    return images[here[0][0]] == ident and all(
         images[a] == tuple([images[b][k - 1] for k in pi]) for pi, a, b in pairs
-    ):
-        return CheckResult.passed()
-    vecs = [b for level in levels for b in level]
-    for b, c in itertools.product(vecs, vecs):
-        if sum(b) + sum(c) <= dmax and not (res := check_cocycle(pm, b, c)):
-            return res
-    raise AssertionError("the generator instances failed, yet every pair holds")
+    )
 
 
 @dataclass(frozen=True)
@@ -149,21 +195,26 @@ class KernelData:
 
 def kernel_exponents(pm: PhiMap) -> KernelData:
     """Walk the powers of each generator until phi returns to the
-    identity.  The minimal exponent always divides n!, so a table with
+    identity, on the build's states when the table has steps (module
+    notes).  The minimal exponent always divides n!, so a table with
     D > n! never fails; smaller tables may need a raised bound.  The
     image group H is the closure of the n generator images under right
     multiplication by them (core.closure): by the cocycle identity every
     phi(b) is a product of the phi(u_i).  bieberbach._label_frame closes
     the same images, with their inverses, into the same H."""
-    n, rows, ident = pm.n, pm.table.all_rows(), pm.table.sigma.images
+    n, steps, ident = pm.n, pm.table.steps, pm.table.sigma.images
     t = []
     for i in range(1, n + 1):
+        p = 0
         for k in range(1, pm.D):
-            b = (0,) * (i - 1) + (k,) + (0,) * (n - i)
-            if rows[b] == ident:  # phi(b) = id
+            if steps is None:  # a row that is no permutation raises
+                trivial = phi_of(pm, (0,) * (i - 1) + (k,) + (0,) * (n - i)).is_identity()
+            else:  # u_i^k has the state 0 stepped k times by step[i]
+                p = steps[1][i - 1][p]
+                trivial = steps[0][p] == ident
+            if trivial:
                 t.append(k)
                 break
-            phi_of(pm, b)  # a row that is no permutation raises
         else:
             raise DegreeBoundError(
                 f"no power of generator {i} up to degree D-1 = {pm.D - 1} has trivial "
@@ -252,11 +303,21 @@ def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, Ch
     return passed, passed
 
 
+def _returns_to_origin(step_i, ti: int) -> bool:
+    """Whether state 0 stepped ti times by step_i is state 0 again."""
+    p = 0
+    for _ in range(ti):
+        p = step_i[p]
+    return p == 0
+
+
 def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     """Certify, for every exponent vector e of degree <= m, that its
     split e = rep + p with rep = e mod t in the box and p in P0 has
     phi(p) = id, and that the split is compatible with v (concatenating
-    the two canonical words lands in the right class).  Refuses
+    the two canonical words lands in the right class): on the build's
+    states when the table has steps, every step[i] taking state 0 back to
+    0 in t_i steps, else vector by vector (module notes).  Refuses
     (DegreeBoundError) up front a table too short for the commuting
     check, which decodes words of degree t_i + t_j, and (InputError) a box
     of more than MAX_COSET_BOX vectors."""
@@ -277,7 +338,12 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
             f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
         )
     reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
-    factorization, product_rule = _coset_walk(pm, m, t)
+    if table.steps is not None and all(map(_returns_to_origin, table.steps[1], t)):
+        factorization = product_rule = CheckResult.passed()
+    else:
+        factorization, product_rule = _coset_walk(pm, m, t)
+        if table.steps is not None and factorization and product_rule:
+            raise AssertionError("a P0 point's state is not the origin's, yet every vector holds")
     commuting = CheckResult.passed()
     gens = [v_of(table, g) for g in kd.p0_generators]
     for i in range(n):

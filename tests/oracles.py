@@ -15,10 +15,15 @@ row once; the two must produce the same bytes.
 
 `coset_decomposition_ref` is the coset certificate vector by vector:
 three canonical words and one `words_equal` per exponent vector, where
-`coset_decomposition` steps each decoding once from that of a vector one
-letter shorter.  The two must return the same report.  `peel_walk` is
-the graded-lex walk on exponent-vector tuples, v(e) = x v(b), that the
-package takes on level indices.
+`coset_decomposition` decides on a build's states, and on a table made
+by hand steps each decoding once from that of a vector one letter
+shorter.  The two must return the same report; `cocycle_exhaustive`
+likewise decides on the states or on the rows.  `peel_walk` is the
+graded-lex walk on exponent-vector tuples, v(e) = x v(b), that the
+package takes on level indices.  `graded_steps` rewrites a build's steps
+with the degree joined to each state: they describe the same rows, but
+a P0 point's state is no longer the origin's, and one row can be
+replaced at one degree.
 
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
@@ -426,6 +431,28 @@ def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
         for k, (e, j) in enumerate(zip(expvec_level(n, d), least)):
             b = lower[peel[k * n + j]]
             yield e, b, rows[b][j]
+
+
+def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
+    """The rows and steps of t with the degree joined to each row id,
+    (row id p, degree d) numbered d * R + p: the steps still describe the
+    rows, and states of equal row met at different degrees stay apart.
+    The row of id (p_bad, d_bad) is replaced by `bad`."""
+    distinct, step = t.steps
+    R = len(distinct)
+    graded = [
+        bad if (p, d) == (p_bad, d_bad) else row
+        for d in range(t.D)
+        for p, row in enumerate(distinct)
+    ]
+    # a row seen only at degree D - 1 has no step: -1 in its place
+    raised = [
+        [(d + 1) * R + s_j[p] if p < len(s_j) else -1 for d in range(t.D - 1) for p in range(R)]
+        for s_j in step
+    ]
+    ids = {row: p for p, row in enumerate(distinct)}
+    rows = {b: graded[sum(b) * R + ids[row]] for b, row in t.all_rows().items()}
+    return rows, (tuple(graded), tuple(map(tuple, raised)))
 
 
 def check_action_consistency_ref(

@@ -40,6 +40,7 @@ from oracles import (
     expvecs_up_to,
     freeness_check_bf,
     fundamental_domain_check_bf,
+    graded_steps,
     image_group_ref,
     peel_walk,
 )
@@ -254,28 +255,6 @@ def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
             compare(pm, bound, gens)
     assert top == set(range(7))
     assert {(), ("_walk",), ("_sweep", "_walk")} <= failed_by
-
-
-def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
-    """The rows and steps of t with the degree joined to each row id,
-    (row id p, degree d) numbered d * R + p: the steps still describe the
-    rows, and states of equal row met at different degrees stay apart.
-    The row of id (p_bad, d_bad) is replaced by `bad`."""
-    distinct, step = t.steps
-    R = len(distinct)
-    graded = [
-        bad if (p, d) == (p_bad, d_bad) else row
-        for d in range(t.D)
-        for p, row in enumerate(distinct)
-    ]
-    # a row seen only at degree D - 1 has no step: -1 in its place
-    raised = [
-        [(d + 1) * R + s_j[p] if p < len(s_j) else -1 for d in range(t.D - 1) for p in range(R)]
-        for s_j in step
-    ]
-    ids = {row: p for p, row in enumerate(distinct)}
-    rows = {b: graded[sum(b) * R + ids[row]] for b, row in t.all_rows().items()}
-    return rows, (tuple(graded), tuple(map(tuple, raised)))
 
 
 def test_consistency_sweep_matches_reference_on_graded_steps(monkeypatch):

@@ -416,11 +416,11 @@ def test_rows_match_reference_every_sigma(x2y2_r):
 
 
 def _assert_cocycle_rows_match(r, D, sigma, shuffle):
-    """Rows a fresh table gathers on first access equal those of a table
-    gathered whole, read in graded-lex order or in the order shuffle
-    leaves the vectors in; past D-1 and off the lattice the reads are
-    refused as a built table's.  Returns the number of rows compared."""
-    ref = build_itable(r, D, sigma)
+    """Rows a fresh table gathers on first access equal the per-key
+    reference construction's, read in graded-lex order or in the order
+    shuffle leaves the vectors in; past D-1 and off the lattice the reads
+    are refused as a built table's.  Returns the number of rows compared."""
+    ref = build_itable_ref(r, D, sigma)
     t = build_itable(r, D, sigma)
     assert (t.D, t.sigma, len(t._rows)) == (D, ref.sigma, 1 + r.n)  # levels 0 and 1 built
     keys = list(ref.all_rows())
@@ -437,10 +437,11 @@ def _assert_cocycle_rows_match(r, D, sigma, shuffle):
 
 @pytest.mark.parametrize("order", ["lex", "random"])
 def test_cocycle_rows_match_the_construction(order):
-    # the deferred rows of a built table, gathered from its steps:
-    # the 34 corpus inputs and the 183 solutions with n <= 4 at D = 12
-    # (flip5 at 8), then every sigma of the solutions with n <= 3 and of
-    # c4_01..c4_09 at D = 9; the rows must not depend on the read order
+    # the deferred rows of a built table, gathered from its steps, against
+    # the per-key reference construction: the 34 corpus inputs and the 183
+    # solutions with n <= 4 at D = 12 (flip5 at 8), then every sigma of the
+    # solutions with n <= 3 and of c4_01..c4_09 at D = 9; the rows must not
+    # depend on the read order
     shuffle = random.Random(12).shuffle if order == "random" else None
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))

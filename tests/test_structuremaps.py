@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -34,11 +35,13 @@ from itype.core import (
 )
 
 from itype.cli import load_pairmap
+from itype.istructure import _gather_rows
 from itype.structuremaps import CosetReport
 from oracles import (
     cocycle_exhaustive_ref,
     coset_decomposition_ref,
     expvecs_up_to,
+    graded_steps,
     image_group_ref,
 )
 
@@ -422,3 +425,91 @@ def test_phi_checks_refuse_a_row_that_is_no_permutation(x2y2_table):
     for b in expvecs_up_to(2, 5):
         with pytest.raises(InputError, match=r"not a permutation of 1..2: \(1, 1\)"):
             cocycle_exhaustive(PhiMap(_with_row(x2y2_table, b, (1, 1))), 5)
+
+
+def test_states_give_the_image_group_and_the_kernel():
+    # every corpus input, and every sigma of the classes with n <= 3, at
+    # D = 8: the build steps every distinct row, the distinct rows are the
+    # |H| values of phi, and t_i is the period of state 0 under step[i]
+    tables = [build_itable(r, D=8) for r in corpus_pairmaps()]
+    classes = [s for n in (1, 2, 3) for s in enumerate_solutions(n).class_reps]
+    tables += [build_itable(s, D=8, sigma=sigma) for s in classes for sigma in all_perms(s.n)]
+    assert len(tables) == 34 + 35
+    for t in tables:
+        distinct, step = t.steps
+        kd = kernel_exponents(PhiMap(t))
+        assert len(distinct) == kd.group_order
+        assert all(len(s_i) == len(distinct) for s_i in step)
+        for s_i, ti in zip(step, kd.t):
+            p = 0
+            assert next(k for k in range(1, len(distinct) + 1) if (p := s_i[p]) == 0) == ti
+
+
+def _on_steps(t, distinct):
+    """The table on t's steps with the rows `distinct`, holding the rows of
+    degrees 0 and 1 as a build does, and the table made by hand of every
+    row those steps give."""
+    steps = (tuple(distinct), t.steps[1])
+    low, rows = {}, {}
+    _gather_rows(low, t.n, 1, *steps)
+    _gather_rows(rows, t.n, t.D - 1, *steps)
+    on_steps = ITable(t.r, t.D, t.sigma, low, steps)
+    on_steps._deferred = True
+    return on_steps, ITable(t.r, t.D, t.sigma, rows)
+
+
+UNCONFIRMED = (AssertionError, "a P0 point's state is not the origin's, yet every vector holds")
+
+
+def test_phi_on_states_rejects_what_the_references_reject():
+    # each corpus table at D = 8, under every sigma for n <= 3, with two
+    # entries of one non-origin row of its steps swapped, each pair of each
+    # row: phi's checks on the states (the cocycle also to degrees 2 and 3)
+    # against the references on the rows the same steps give.  What the
+    # references reject fails on the states with their witnesses; what
+    # they pass passes, or raises where a P0 point's state is not the
+    # origin's (a swapped row equal to sigma)
+    verdicts = collections.Counter()
+    for r in corpus_pairmaps():
+        for sigma in all_perms(r.n) if r.n <= 3 else [Perm.identity(r.n)]:
+            t = build_itable(r, D=8, sigma=sigma)
+            distinct = t.steps[0]
+            pairs = itertools.combinations(range(t.n), 2)
+            for p, (i, j) in itertools.product(range(1, len(distinct)), list(pairs)):
+                bad = list(distinct[p])
+                bad[i], bad[j] = bad[j], bad[i]
+                on_steps, by_hand = _on_steps(t, [*distinct[:p], tuple(bad), *distinct[p + 1 :]])
+                cocycle = {d: cocycle_exhaustive(PhiMap(on_steps), d) for d in (2, 3, 5)}
+                assert cocycle == {d: cocycle_exhaustive_ref(PhiMap(by_hand), d) for d in cocycle}
+                cosets = _coset_outcome(coset_decomposition, on_steps, 6)
+                ref = _coset_outcome(coset_decomposition_ref, by_hand, 6)
+                ref_ok = isinstance(ref, CosetReport) and ref.ok
+                assert cosets == ref or (ref_ok and cosets == UNCONFIRMED)
+                ok = isinstance(cosets, CosetReport) and cosets.ok
+                verdicts[cocycle[5].ok and ok, cocycle[5].ok and ref_ok] += 1
+    assert verdicts == {(False, False): 396, (False, True): 27, (True, True): 7}
+
+
+def test_state_checks_on_graded_steps(x2y2_table):
+    # graded steps describe the rows with every state apart by degree.  A
+    # wrong origin fails the cocycle on the states with the reference's
+    # witness.  Unchanged, no P0 point's state is the origin's, and the
+    # coset walk finds every vector holding.  With a wrong row of degree 1
+    # that the rows do not have, the cocycle fails on the states while
+    # every pair holds.  Both unconfirmed failures raise.
+    t = x2y2_table
+    rows, steps = graded_steps(t, 0, 0, t.row((0, 0))[::-1])
+    for dmax in (0, 5):
+        got = cocycle_exhaustive(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), dmax)
+        assert not got.ok
+        assert got == cocycle_exhaustive_ref(PhiMap(ITable(t.r, t.D, t.sigma, rows)), dmax)
+    rows, steps = graded_steps(t, 0, 0, t.row((0, 0)))
+    assert rows == t.all_rows()
+    with pytest.raises(AssertionError, match=UNCONFIRMED[1]):
+        coset_decomposition(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), 6)
+    assert cocycle_exhaustive(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), 5).ok
+    p = t.steps[0].index(t.row((1, 0)))
+    _, steps = graded_steps(t, p, 1, t.row((1, 0))[::-1])
+    assert cocycle_exhaustive_ref(PhiMap(ITable(t.r, t.D, t.sigma, rows)), 5).ok
+    with pytest.raises(AssertionError, match="the generator instances failed, yet every pair holds"):
+        cocycle_exhaustive(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), 5)

@@ -120,8 +120,8 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
     # a build keeps its rows past degree 1 in its steps: with the
     # gather refused, itype bieberbach still answers every corpus input
     # byte for byte; on a freshly built table the first read through each
-    # entry point gives the reference rows' answer, v_of and v_inverse
-    # reading the steps alone and every other entry point gathering every row
+    # entry point gives the reference rows' answer, v_of, v_inverse and the
+    # phi calculus reading the steps alone and row and dump gathering every row
     cli, core, ist, sm = (program(name) for name in ("cli", "core", "istructure", "structuremaps"))
     paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
@@ -151,8 +151,8 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
             (lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a), 1 + n),
             (lambda t: ist.v_inverse(t, word), 1 + n),
             (ist.dump_itable, every),
-            (lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1), every),
-            (lambda t: sm.coset_decomposition(sm.PhiMap(t), D), every),
+            (lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1), 1 + n),
+            (lambda t: sm.coset_decomposition(sm.PhiMap(t), D), 1 + n),
         ]
         for read, kept in reads:
             t = ist.build_itable(r, D)
@@ -184,6 +184,34 @@ def test_word_problem_gathers_no_row(monkeypatch):
             assert nf.exps == a and ist.words_equal(t, w1, nf.word)
             assert ist.words_equal(t, w1, w2) == (a == ist.v_inverse(t, w2))
         assert len(t._rows) == 1 + n and type(t._rows) is dict
+
+
+def test_phi_gathers_no_row(capsys, monkeypatch):
+    # the kernel, cocycle and coset checks read the build's states: with
+    # the gather refused, itype phi prints what it prints with the gather
+    # allowed, and each fresh D = 8 table keeps its rows of degrees 0 and 1
+    cli, ist = program("cli"), program("istructure")
+    names = ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable")
+    paths = [str(BENCH / "corpus" / name) for name in names]
+
+    def outcomes():
+        return [(cli.main(["phi", path]), *capsys.readouterr()) for path in paths]
+
+    before = outcomes()
+    assert {code for code, _, _ in before} == {0}
+    built, build = [], ist.build_itable
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def refuse(t):
+        raise AssertionError("rows past degree 1 gathered")
+
+    monkeypatch.setattr(ist.ITable, "_gather", refuse)
+    monkeypatch.setattr(cli, "build_itable", keep)
+    assert outcomes() == before
+    assert [(t.n, t.D, len(t._rows)) for t in built] == [(n, 8, 1 + n) for n in (2, 3, 4, 5)]
 
 
 def test_package_modules_use_every_name_they_import():
