@@ -35,8 +35,7 @@ least index present in b; at the origin every j is allowed) fixes every
 instance at and above b, the next state being (step[j][p],
 (step[pi_i^-1(j)][q_i])_i, j).  A breadth-first sweep checks each
 distinct state once, at the least depth it is met, which covers every
-later meeting.  The point walk runs only to word a failure, and on a
-table without steps.
+later meeting.  The point walk runs only to word a failure.
 
 Inside the searches an element is written (sigma, a): sigma its 0-based
 permutation part, a = g(0) its shift.  Put q = a o sigma^-1, so
@@ -103,7 +102,7 @@ from .core import (
     format_expvec,
     format_word,
 )
-from .istructure import decode_from, level_indices
+from .istructure import _level_ids, decode_from, level_indices
 from .structuremaps import PhiMap, phi_of
 
 Point = tuple  # integer (or rational) coordinates
@@ -241,13 +240,12 @@ def check_action_consistency(
     place of x in the row of c: gamma_i(a) = c + u_m iff m = pi_i^-1(j).
 
     That instance reads only the rows of b and of the gamma_i(b), and j,
-    and gamma_i(b + u_j) = gamma_i(b) + u_{pi_i^-1(j)}.  So on a table
-    with the build's steps (istructure), `_sweep` decides a pass on the
-    states (row id of b, row ids of the gamma_i(b), least index in b),
-    each once at the least degree it is met (module docstring), not on
-    the C(n+bound, n) points.  The point walk `_walk` decides for a table
-    without steps and words a failure; a sweep failure that the walk
-    does not confirm is a bug (AssertionError)."""
+    and gamma_i(b + u_j) = gamma_i(b) + u_{pi_i^-1(j)}.  So `_sweep`
+    decides on the states of the table's steps (istructure): (row id of
+    b, row ids of the gamma_i(b), least index in b), each once at the
+    least degree it is met (module docstring), not on the C(n+bound, n)
+    points.  The point walk `_walk` words a failure; a sweep failure
+    that the walk does not confirm is a bug (AssertionError)."""
     if bound < 0:
         raise InputError(f"consistency bound must be >= 0, got {bound}")
     if bound + 1 > pm.D:
@@ -258,10 +256,10 @@ def check_action_consistency(
     at_origin = _compare(gens, origin, [decode_from(t, origin, (i,)) for i in range(1, n + 1)])
     if not at_origin or bound == 0:
         return at_origin
-    if t.steps is not None and _sweep(t.steps, gens, bound):
+    if _sweep(t.steps, gens, bound):
         return CheckResult.passed()
     result = _walk(t, gens, bound)
-    if result and t.steps is not None:
+    if result:
         raise AssertionError("the consistency sweep failed, yet the point walk holds")
     return result
 
@@ -312,18 +310,20 @@ def _walk(t, gens: list[AffineIso], bound: int) -> CheckResult:
     """`check_action_consistency` past the origin, point by point in
     graded-lex order: with a = b + u_j, j the least index present in a,
     the decodings of v(a) x_i are those of v(b) x_i, each one step on by
-    the letter x[b, j], and the first point whose affine images differ
-    is the witness."""
-    n, rows = t.n, t.all_rows()
+    the letter x[b, j], read off the states of b's level, and the first
+    point whose affine images differ is the witness."""
+    n, (distinct, step) = t.n, t.steps
+    states = _level_ids(n, step, bound - 1)
     below = expvec_level(n, 0)
     right = [[decode_from(t, below[0], (i,)) for i in range(1, n + 1)]]  # per point of below
     for d in range(1, bound + 1):
         level = expvec_level(n, d)
         peel, _, least = level_indices(n, d)
+        rows = [distinct[p] for p in next(states)]  # below's
         nxt = []
         for k, j in enumerate(least):
             kb = peel[k * n + j]
-            x = rows[below[kb]][j]
+            x = rows[kb][j]
             nxt.append([decode_from(t, c, (x,)) for c in right[kb]])
             if not (result := _compare(gens, level[k], nxt[-1])):
                 return result

@@ -58,57 +58,46 @@ only the states first met at level d-2 fails at exactly the levels where
 checking every peel of every vector does.  The loop ends after the first
 level whose checks pass and that steps no new row: every row is then
 stepped, and every later level would step and check nothing.  A failing
-level gathers the row id of each vector one degree down and is worded
+level reads the row id of each vector one degree down and is worded
 from the same steps, each a and then each b in lex order, raising the
 first failing row or b with its message.
 
-A built table keeps that automaton as `steps = (distinct, step)`:
-distinct[p] is the row with id p, id 0 the origin's (sigma), and
-step[j][p] is set for every row p of a vector of degree <= D-2, with
-row(c + u_j) = distinct[step[j][id of row(c)]] for every such c, as the
-per-level check proves.  build_itable sets it; a table made by hand
-from rows carries None.  The word problem reads it, the phi calculus of
-structuremaps decides on its states, and the lattice consistency check
-of bieberbach sweeps it.
-
-The build stores the rows of levels 0 and 1 only.  The deeper levels
-are gathered from its steps into the same plain dict the first time a
-reader needs one of them: ITable.row on a valid missing key, decode_from
-on a missing key, and the bulk readers (dump_itable, and the vector
-walks of the phi calculus and of bieberbach, which a build's table takes
-only to word a failure) up front, through ITable.all_rows.  The word
-problem and the phi calculus of a passing table gather none.  The
-lookups stay on a plain dict: a dict subclass with __missing__ loses
-CPython's fast path on every read.  A table made by hand keeps the rows it was given.
+A table is that automaton, `steps = (distinct, step)`, and holds
+nothing else: distinct[p] is the row with id p, id 0 the origin's
+(sigma), and step[j][p] is set for every row p of a vector of degree
+<= D-2, with row(c + u_j) = distinct[step[j][id of row(c)]] for every
+such c, as the per-level check proves.  The row of a vector is that of
+its state, state 0 stepped a_j times by step[j] for each j.  Only
+build_itable makes a table.  The word problem reads the steps, the phi
+calculus of structuremaps decides on their states, and the lattice
+consistency check of bieberbach sweeps them.  An automaton with one
+state per vector, stepping each to its vector + u_j, writes any rows
+whatever as such a table; the checks then read every vector.
 
 Two rules read the table.  v peels the least index j present,
-v(e) = x[e - u_j, j] v(e - u_j).  Decoding reads a word right to left,
-each letter in the row of the vector decoded so far; every row being a
-permutation, this never fails.  On a built table both read the steps,
-a finite automaton whose states are the row ids: v_inverse keeps the
-state p of the vector decoded so far and a count per generator, and for
-each letter, at place j of distinct[p], counts j and moves p to
-step[j][p]; v_of walks up from the origin, u_n a_n times, then u_{n-1},
-and so on down to u_1, reading distinct[p][j] before each step, and its
-letters reversed are the least-peel word.  Neither steps after its last
-letter, since the steps end at degree D-2.  decode_from(t, d, w) decodes
-w u from the decoding d of u on the rows, for tables made by hand and
-for walks that start past the origin; v_inverse and v_of read the rows
-so on a table without steps.  In graded-lex order, v(e), its decoding
-and that of v(e) x_i each take one letter from those of e - u_j: the
-coset and action checks walk so.  Two words are equal in the semigroup
-iff they decode to the same exponent vector, which decides the word
-problem.
+v(e) = x[e - u_j, j] v(e - u_j): v_of walks up from the origin, u_n a_n
+times, then u_{n-1}, and so on down to u_1, reading distinct[p][j]
+before each step, and its letters reversed are the least-peel word.
+Decoding reads a word right to left, each letter in the row of the
+vector decoded so far: decode_from(t, d, w), the decoding of w u from
+the decoding d of u, starts at the state of d and, for each letter, at
+place j of distinct[p], counts j and moves p to step[j][p]; v_inverse
+is decode_from at the origin.  Every row being a permutation, this
+never fails.  Neither steps after its last letter, since the steps end
+at degree D-2.  In graded-lex order, v(e), its decoding and that of
+v(e) x_i each take one letter from those of e - u_j: the coset and
+action checks walk so to word a failure.  Two words are equal in the
+semigroup iff they decode to the same exponent vector, which decides
+the word problem.
 
-Rows are plain tuples of letters in a dict keyed by exponent vector.
-A gather holds each level as a list of row ids in graded-lex order,
-each a from its least peel: level_indices(n, d) gives, flat, the index
-of each a - u_j one level down and of each b + u_j one level up, and the
-least index present in each a, the j that v peels.  Those and the levels
-(core.expvec_level) are cached per (n, d); a level's ids are gathered
-with one map per j.  decode_from steps a list of exponents and looks up
-its tuple.  A table of more than MAX_TABLE_ROWS rows is refused
-before any work, with its row count.
+A failing level, dump_itable and those walks read each level as a list
+of row ids in graded-lex order, each a from its least peel (_level_ids):
+level_indices(n, d) gives, flat, the index of each a - u_j one level
+down and of each b + u_j one level up, and the least index present in
+each a, the j that v peels.  Those and the levels (core.expvec_level)
+are cached per (n, d); a level's ids are read with one map per j.  A
+table of more than MAX_TABLE_ROWS rows is refused before any work, with
+its row count.
 """
 
 from __future__ import annotations
@@ -146,49 +135,40 @@ MAX_TABLE_ROWS = 1_000_000
 
 
 class ITable:
-    """The materialized letter table up to a degree bound D: rows for all
-    exponent vectors of degree <= D-1, hence canonical words and decoding
-    for all degrees <= D.  Immutable after construction, but for the
-    gather of a build's rows past degree 1 (module notes)."""
+    """The letter table up to a degree bound D, as the build's automaton
+    (module notes): rows for all exponent vectors of degree <= D-1, hence
+    canonical words and decoding for all degrees <= D.  Immutable."""
 
-    def __init__(
-        self, r: PairMap, D: int, sigma: Perm, rows: dict[ExpVec, tuple[int, ...]], steps=None
-    ):
+    def __init__(self, r: PairMap, D: int, sigma: Perm, distinct, step):
         self.r = r
         self.n = r.n
         self.D = D
         self.sigma = sigma
-        self._rows = rows
-        self.steps = steps  # (distinct rows, step) of a build, else None
-        self._deferred = False  # rows past degree 1 still in steps; only the build defers
-
-    def all_rows(self) -> dict[ExpVec, tuple[int, ...]]:
-        """The rows by exponent vector, a build's deferred levels gathered
-        first.  The caller does not change it."""
-        if self._deferred:
-            self._gather()
-        return self._rows
-
-    def _gather(self) -> None:
-        _gather_rows(self._rows, self.n, self.D - 1, *self.steps)
-        self._deferred = False
+        self.steps = (distinct, step)
 
     def row(self, b: ExpVec) -> tuple[int, ...]:
-        try:
-            return self._rows[b]
-        except KeyError:
-            if len(b) != self.n or any(k < 0 for k in b):
-                raise InputError(f"not an exponent vector over 1..{self.n}: {b}") from None
-            if degree(b) >= self.D or not self._deferred:
-                raise DegreeBoundError(
-                    f"row {format_expvec(b)} of degree {degree(b)} exceeds bound D-1 = {self.D - 1}"
-                ) from None
-        self._gather()
-        return self._rows[b]
+        if len(b) != self.n or any(k < 0 for k in b):
+            raise InputError(f"not an exponent vector over 1..{self.n}: {b}")
+        if degree(b) >= self.D:
+            raise DegreeBoundError(
+                f"row {format_expvec(b)} of degree {degree(b)} exceeds bound D-1 = {self.D - 1}"
+            )
+        distinct, step = self.steps
+        return distinct[_state(step, b)]
 
     def _need(self, d: int):
         if d > self.D:
             raise DegreeBoundError(f"degree {d} exceeds table bound D = {self.D}")
+
+
+def _state(step, b: ExpVec) -> int:
+    """The state of vector b: state 0 stepped b_j times by step[j], for
+    each j; deg b <= D-1."""
+    p = 0
+    for s_j, k in zip(step, b):
+        for _ in range(k):
+            p = s_j[p]
+    return p
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
@@ -213,8 +193,7 @@ def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
 
 def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
     """Run the inductive construction up to degree bound D >= 2, checking
-    every level, and store the rows of degree <= 1; the others are
-    gathered from the steps when first read.  Refuses (InputError) a
+    every level, and keep its automaton as the table.  Refuses (InputError) a
     table of more than MAX_TABLE_ROWS rows.  Each row is stepped and
     checked once, at the level after it is first met, and the loop ends
     at the first level with no new row (see the module notes)."""
@@ -292,11 +271,7 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
         if not new:
             break  # every later level steps and checks nothing
         older = new
-    rows: dict[ExpVec, tuple[int, ...]] = {}
-    _gather_rows(rows, n, 1, distinct, step)
-    t = ITable(r, D, sigma, rows, (tuple(distinct), tuple(map(tuple, step))))
-    t._deferred = D > 2
-    return t
+    return ITable(r, D, sigma, tuple(distinct), tuple(map(tuple, step)))
 
 
 def _level_ids(n: int, step, top: int):
@@ -314,12 +289,6 @@ def _level_ids(n: int, step, top: int):
             here += map(step[j].__getitem__, map(below.__getitem__, at))
         yield here
         below = here
-
-
-def _gather_rows(rows: dict, n: int, top: int, distinct, step) -> None:
-    """Put in rows the row of every vector of degree <= top, read off the steps."""
-    for d, here in enumerate(_level_ids(n, step, top)):
-        rows.update(zip(expvec_level(n, d), map(distinct.__getitem__, here)))
 
 
 def _raise_level_failure(table, d: int, below: list[int], distinct, step) -> NoReturn:
@@ -372,21 +341,12 @@ def v_of(t: ITable, a: ExpVec) -> Word:
     """The canonical word of an exponent vector, peeling the smallest
     generator index present at each step (any peeling order agrees in the
     semigroup; this one fixes the representative, and makes v the sorted
-    word in the commutative case).  On a built table it walks the steps
-    up from the origin, u_n a_n times and so on down to u_1, reading the
-    letters right to left."""
+    word in the commutative case).  It walks the steps up from the
+    origin, u_n a_n times and so on down to u_1, reading the letters
+    right to left."""
     if len(a) != t.n or any(k < 0 for k in a):
         raise InputError(f"not an exponent vector over 1..{t.n}: {a}")
     t._need(sum(a))
-    if t.steps is None:
-        rows = t.all_rows()
-        b = list(a)
-        letters = []
-        for i, k in enumerate(a):
-            for _ in range(k):
-                b[i] -= 1
-                letters.append(rows[tuple(b)][i])
-        return tuple(letters)
     distinct, step = t.steps
     path = [j for j in reversed(range(t.n)) for _ in range(a[j])]
     if not path:
@@ -401,38 +361,25 @@ def v_of(t: ITable, a: ExpVec) -> Word:
 
 def v_inverse(t: ITable, w: Word) -> ExpVec:
     """The unique exponent vector whose canonical word equals w in the
-    semigroup.  On a built table it reads w right to left on the steps,
-    each letter in the row of the vector decoded so far."""
+    semigroup: the decoding of w from the origin."""
     w = check_word(w, t.n)
     t._need(len(w))
-    if t.steps is None:
-        return decode_from(t, (0,) * t.n, w)
-    distinct, step = t.steps
-    counts = [0] * t.n
-    p = 0
-    for letter in w[:0:-1]:  # no step after the last letter: steps end at degree D-2
-        j = distinct[p].index(letter)
-        counts[j] += 1
-        p = step[j][p]
-    if w:
-        counts[distinct[p].index(w[0])] += 1
-    return tuple(counts)
+    return decode_from(t, (0,) * t.n, w)
 
 
 def decode_from(t: ITable, d: ExpVec, w: Word) -> ExpVec:
     """The decoding of w u, given the decoding d of u: reads w right to
-    left, each letter in the row of the vector decoded so far.  The
-    caller keeps deg d + len(w) <= D."""
-    rows = t._rows
+    left on the steps from the state of d, each letter in the row of the
+    vector decoded so far.  The caller keeps deg d + len(w) <= D."""
     b = list(d)
-    try:
-        for letter in reversed(w):
-            b[rows[tuple(b)].index(letter)] += 1
-    except KeyError:
-        if not t._deferred:
-            raise
-        t._gather()  # the miss is handled here, off the plain dict's lookups
-        return decode_from(t, d, w)
+    if w:
+        distinct, step = t.steps
+        p = _state(step, d) if any(d) else 0  # v_inverse starts at the origin, state 0
+        for letter in w[:0:-1]:  # no step after the last letter: steps end at degree D-2
+            j = distinct[p].index(letter)
+            b[j] += 1
+            p = step[j][p]
+        b[distinct[p].index(w[0])] += 1
     return tuple(b)
 
 
@@ -482,13 +429,13 @@ def normalize_word(t: ITable, w: Word) -> NormalForm:
 
 def dump_itable(t: ITable) -> str:
     """Bit-exact dump: header, then one line per (row, column) in
-    graded-lex order of the rows.  Each distinct row's text is made once;
-    a vector's block joins it with the vector's name, the names coming
-    from core.expvec_level_names."""
+    graded-lex order of the rows, read off the level ids.  Each state's
+    text is made once; a vector's block joins it with the vector's name,
+    the names coming from core.expvec_level_names."""
     sigma = ",".join(str(k) for k in t.sigma.images)
-    table = t.all_rows()
-    rows = [table[b] for d in range(t.D) for b in expvec_level(t.n, d)]
-    parts = {r: ["", *(f" {i} -> {c}\n" for i, c in enumerate(r, 1))] for r in {*rows}}
+    distinct, step = t.steps
+    ids = [p for here in _level_ids(t.n, step, t.D - 1) for p in here]
+    parts = {p: ["", *(f" {i} -> {c}\n" for i, c in enumerate(distinct[p], 1))] for p in {*ids}}
     names = (name for d in range(t.D) for name in expvec_level_names(t.n, d))
-    blocks = map(str.join, names, map(parts.__getitem__, rows))
+    blocks = map(str.join, names, map(parts.__getitem__, ids))
     return f"itable n={t.n} D={t.D} sigma={sigma}\n" + "".join(blocks)

@@ -23,18 +23,17 @@ phi(u_i), phi(b + c + u_i) = phi(pi(b) + pi(c)) * pi, which the pair
 (pi(b), pi(c)) and the pair (c, u_i) turn into phi(phi(c + u_i)(b)) *
 phi(c + u_i), relabeling being a left action.  By induction on deg c
 that gives every pair, and the sweep's pair (0, 0) forces phi(0) = id,
-so both checks agree.  On a build's steps (istructure.ITable.steps),
-whose per-level check gives every vector of degree <= D-1 one state, a
-pair (p, q) holds the states of b and pi(b); adding u_j to b adds
-u_{pi(j)} to pi(b), so each i walks the product automaton breadth first
-from (0, 0) by (p, q) -> (step[j][p], step[pi(j)][q]), to degree dmax-1,
-and tests each pair once: phi(b + u_i) is the row of step[i][p].  That
-is at most |H|^2 pairs per level, H the image group.  A table without
-steps reads, per level, the row of b + u_i through
-istructure.level_indices and that of pi(b) through one itemgetter per
-generator, and composes each distinct pair of rows once.  Only a
-failure runs the sweep, which check_cocycle words at its first failing
-pair; it always finds one, as it sweeps (0, 0) and every (b, u_i).
+so both checks agree.  On the table's steps (istructure.ITable.steps),
+which give every vector of degree <= D-1 one state, a pair (p, q) holds
+the states of b and pi(b); adding u_j to b adds u_{pi(j)} to pi(b), so
+each i walks the product automaton breadth first from (0, 0) by (p, q)
+-> (step[j][p], step[pi(j)][q]), to degree dmax-1, and tests each pair
+once: phi(b + u_i) is the row of step[i][p].  That is at most |H|^2
+pairs per level, H the image group.  Every row to degree dmax, the
+states dmax steps reach, is first made a permutation, as phi_of makes
+it.  Only a failure runs the sweep, which check_cocycle words at its
+first failing pair; it always finds one, as it sweeps (0, 0) and every
+(b, u_i).
 
 kernel_exponents reads the row of u_i^k off the steps as state 0
 stepped k times by step[i], and coset_decomposition rests factorization
@@ -44,20 +43,23 @@ every P0 point then has state 0, so phi is trivial there (and by the
 steps' commutation step[i]^t_i fixes every state: phi(b + t_i u_i) =
 phi(b)).  Decoding v(rep) v(p) reads v(p) to state 0, then v(rep) as
 from the origin, and the automaton is deterministic, so it ends at rep +
-p = e, as the decoding of v(e) does.  A state failure runs the vector
-walk below to word it, and raises if the walk finds every vector holding.
+p = e, as the decoding of v(e) does.  On a build that state check always
+holds: its rows are interned, so the row sigma is state 0's alone, and
+t_i ends at it.  An automaton with other states of row sigma (one state
+per vector, say) takes the vector walk below, which decides and words
+a failure.
 
-The vector walk, which a table without steps takes, visits each e of
-degree <= m in graded-lex order, holding the decoding of v(e) = x v(e -
-u_j), j least present, as its index up[c*n + row_c.index(x)] in level
-deg e, c that of e - u_j.  The split e = rep + p, rep = e mod t, is
-cached per (n, m, t).  The P0 part of e is a P0 point no later than e,
-so only P0 points ask phi = id.  The product rule holds outright if rep
-or p is 0.  Else v(rep) = y v(rep - u_j), j least in rep, and e - u_j =
-(rep - u_j) + p passed: decoding v(rep) v(p) whole repeats its rows,
-then steps with y from the decoding of v(e - u_j), the one step the walk
-takes.  So the first failure, its witness and any exception fall on the
-same vector.
+The vector walk visits each e of degree <= m in graded-lex order,
+holding the decoding of v(e) = x v(e - u_j), j least present, as its
+index up[c*n + row_c.index(x)] in level deg e, c that of e - u_j, the
+rows read off each level's states (istructure._level_ids).  The split
+e = rep + p, rep = e mod t, is cached per (n, m, t).  The P0 part of e
+is a P0 point no later than e, so only P0 points ask phi = id.  The
+product rule holds outright if rep or p is 0.  Else v(rep) = y v(rep -
+u_j), j least in rep, and e - u_j = (rep - u_j) + p passed: decoding
+v(rep) v(p) whole repeats its rows, then steps with y from the decoding
+of v(e - u_j), the one step the walk takes.  So the first failure, its
+witness and any exception fall on the same vector.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, mod, sub
+from operator import mod, sub
 
 from .core import (
     CheckResult,
@@ -82,7 +84,7 @@ from .core import (
     format_expvec,
     relabel_expvec,
 )
-from .istructure import ITable, level_indices, v_of, words_equal
+from .istructure import ITable, _level_ids, level_indices, v_of, words_equal
 
 # phi prints all prod(t_i) vectors of the coset box; past this many it refuses.
 MAX_COSET_BOX = 1_000_000
@@ -101,8 +103,13 @@ class PhiMap:
 def phi_of(pm: PhiMap, b: ExpVec) -> Perm:
     """The permutation i -> sigma^-1(x[b, i]); bijective by the row
     property.  Defined for deg b <= D-1."""
-    row = pm.table.row(b)  # raises DegreeBoundError past D-1
-    return Perm(tuple(pm._sigma_inv(c) for c in row))
+    return _phi(pm, pm.table.row(b))  # raises DegreeBoundError past D-1
+
+
+def _phi(pm: PhiMap, row: tuple[int, ...]) -> Perm:
+    """The row relabeled by sigma^-1; a row that is no permutation raises."""
+    inv = pm._sigma_inv.images
+    return Perm(tuple([inv[c - 1] for c in row]))
 
 
 def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
@@ -121,13 +128,12 @@ def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
 
 def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
     """The cocycle identity over every pair with deg b + deg c <= dmax,
-    decided on phi(0) and the pairs (b, u_i), on the build's states when
-    the table has steps, else on its rows (see the module notes); only a
-    failure sweeps all pairs in order, to format the first failing one."""
+    decided on phi(0) and the pairs (b, u_i), on the table's states (see
+    the module notes); only a failure sweeps all pairs in order, to
+    format the first failing one."""
     if dmax > pm.D - 1:
         raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
-    instances = _instances_on_rows if pm.table.steps is None else _instances_on_states
-    if instances(pm, dmax):
+    if _instances_on_states(pm, dmax):
         return CheckResult.passed()
     vecs = [b for d in range(dmax + 1) for b in expvec_level(pm.n, d)]
     for b, c in itertools.product(vecs, vecs):
@@ -140,8 +146,11 @@ def _instances_on_states(pm: PhiMap, dmax: int) -> bool:
     """phi(0) = id and each (b, u_i), deg b < dmax, on the product
     automaton of i, each pair of states once."""
     distinct, step = pm.table.steps
-    inv = pm._sigma_inv.images  # the image tuple of phi(b) is row(b) relabeled by sigma^-1
-    images = [tuple([inv[c - 1] for c in row]) for row in distinct]
+    near = ring = {0}
+    for _ in range(dmax):  # the states of the vectors of degree <= dmax
+        ring = {s[p] for p in ring for s in step} - near
+        near = near | ring
+    images = {p: _phi(pm, distinct[p]).images for p in near}
     if images[0] != tuple(range(1, pm.n + 1)):
         return False
     for s_i in step if dmax else ():
@@ -154,31 +163,6 @@ def _instances_on_states(pm: PhiMap, dmax: int) -> bool:
                 return False
             level = {(s[p], s_pi[q]) for p, q in level for s, s_pi in moves} - seen
     return True
-
-
-def _instances_on_rows(pm: PhiMap, dmax: int) -> bool:
-    """phi(0) = id and each (b, u_i), deg b < dmax, by vector, each
-    distinct triple (pi, row of b + u_i, row of pi(b)) once."""
-    n, rows = pm.n, pm.table.all_rows()
-    levels = [expvec_level(n, d) for d in range(dmax + 1)]
-    here = [list(map(rows.__getitem__, level)) for level in levels]
-    inv = pm._sigma_inv.images
-    images = {r: tuple([inv[c - 1] for c in r]) for r in dict.fromkeys(itertools.chain(*here))}
-    for p in images.values():
-        Perm(p)  # a row that is no permutation raises, as phi_of did
-    ident = tuple(range(1, n + 1))
-    # pi(b) has b_k at place pi(k)
-    gens = [images[r] for r in reversed(here[1])] if dmax else []  # level 1 is u_n, ..., u_1
-    pairs = set()
-    for i, pi in enumerate(gens):
-        relabel = None if pi == ident else itemgetter(*map(pi.index, ident))
-        for d in range(dmax):
-            above = map(here[d + 1].__getitem__, level_indices(n, d + 1)[1][i::n])
-            moved = map(relabel, levels[d]) if relabel else levels[d]
-            pairs.update(zip(itertools.repeat(pi), above, map(rows.__getitem__, moved)))
-    return images[here[0][0]] == ident and all(
-        images[a] == tuple([images[b][k - 1] for k in pi]) for pi, a, b in pairs
-    )
 
 
 @dataclass(frozen=True)
@@ -195,24 +179,20 @@ class KernelData:
 
 def kernel_exponents(pm: PhiMap) -> KernelData:
     """Walk the powers of each generator until phi returns to the
-    identity, on the build's states when the table has steps (module
-    notes).  The minimal exponent always divides n!, so a table with
-    D > n! never fails; smaller tables may need a raised bound.  The
+    identity, on the table's states (module notes).  The minimal
+    exponent always divides n!, so a table with D > n! never fails;
+    smaller tables may need a raised bound.  The
     image group H is the closure of the n generator images under right
     multiplication by them (core.closure): by the cocycle identity every
     phi(b) is a product of the phi(u_i).  bieberbach._label_frame closes
     the same images, with their inverses, into the same H."""
-    n, steps, ident = pm.n, pm.table.steps, pm.table.sigma.images
+    n, (distinct, step) = pm.n, pm.table.steps
     t = []
-    for i in range(1, n + 1):
+    for i, s_i in enumerate(step, start=1):
         p = 0
         for k in range(1, pm.D):
-            if steps is None:  # a row that is no permutation raises
-                trivial = phi_of(pm, (0,) * (i - 1) + (k,) + (0,) * (n - i)).is_identity()
-            else:  # u_i^k has the state 0 stepped k times by step[i]
-                p = steps[1][i - 1][p]
-                trivial = steps[0][p] == ident
-            if trivial:
+            p = s_i[p]  # u_i^k has the state 0 stepped k times by step[i]
+            if _phi(pm, distinct[p]).is_identity():
                 t.append(k)
                 break
         else:
@@ -264,7 +244,9 @@ def _coset_split(n: int, m: int, t: tuple[int, ...]) -> list[dict[int, tuple[int
 def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, CheckResult]:
     """Factorization and product rule at every e of degree <= m in
     graded-lex order, up to the first failure (see the module notes)."""
-    n, rows, ident = pm.n, pm.table.all_rows(), pm.table.sigma.images
+    n, ident = pm.n, pm.table.sigma.images
+    distinct, step = pm.table.steps
+    states = _level_ids(n, step, min(m, pm.D - 1))  # the levels with rows
     passed = CheckResult.passed()
 
     def nontrivial(p: ExpVec) -> CheckResult:  # a P0 point is its own P0 part
@@ -272,18 +254,19 @@ def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, Ch
         name = format_expvec(p)
         return CheckResult.failed(f"P0 part {name} of {name} has nontrivial phi")
 
-    origin = expvec_level(n, 0)[0]
-    if rows[origin] != ident:
-        return nontrivial(origin), passed
+    below = [distinct[p] for p in next(states)]  # level d-1's rows
+    if below[0] != ident:
+        return nontrivial(expvec_level(n, 0)[0]), passed
     first = [[0]]  # per level walked, the first letter of each v(e)
-    below, dec_below = [rows[origin]], [0]  # level d-1: rows, decodings of v(e)
+    dec_below = [0]  # level d-1: decodings of v(e)
     for d, split in enumerate(_coset_split(n, m, t), start=1):
         level = expvec_level(n, d)
+        here = [distinct[p] for p in next(states)] if d < pm.D else []
         peel, up, least = level_indices(n, d)
         xs, dec = [], []
         for k, j in enumerate(least):
             s = split.get(k)
-            if s == () and d < pm.D and rows[level[k]] != ident:
+            if s == () and d < pm.D and here[k] != ident:
                 return nontrivial(level[k]), passed
             kb = peel[k * n + j]
             x, c = below[kb][j], dec_below[kb]
@@ -299,7 +282,7 @@ def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, Ch
                         f"v({format_expvec(tuple(map(sub, e, rep)))}) in the semigroup"
                     )
         first.append(xs)
-        below, dec_below = [rows[a] for a in level] if d < m else [], dec
+        below, dec_below = here, dec
     return passed, passed
 
 
@@ -315,12 +298,12 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     """Certify, for every exponent vector e of degree <= m, that its
     split e = rep + p with rep = e mod t in the box and p in P0 has
     phi(p) = id, and that the split is compatible with v (concatenating
-    the two canonical words lands in the right class): on the build's
-    states when the table has steps, every step[i] taking state 0 back to
-    0 in t_i steps, else vector by vector (module notes).  Refuses
-    (DegreeBoundError) up front a table too short for the commuting
-    check, which decodes words of degree t_i + t_j, and (InputError) a box
-    of more than MAX_COSET_BOX vectors."""
+    the two canonical words lands in the right class): on the table's
+    states when every step[i] takes state 0 back to 0 in t_i steps, else
+    vector by vector (module notes).  Refuses (DegreeBoundError) up front
+    a table too short for the commuting check, which decodes words of
+    degree t_i + t_j, and (InputError) a box of more than MAX_COSET_BOX
+    vectors."""
     if m > pm.D:
         raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
     table, n = pm.table, pm.n
@@ -338,12 +321,10 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
             f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
         )
     reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
-    if table.steps is not None and all(map(_returns_to_origin, table.steps[1], t)):
+    if all(map(_returns_to_origin, table.steps[1], t)):
         factorization = product_rule = CheckResult.passed()
     else:
         factorization, product_rule = _coset_walk(pm, m, t)
-        if table.steps is not None and factorization and product_rule:
-            raise AssertionError("a P0 point's state is not the origin's, yet every vector holds")
     commuting = CheckResult.passed()
     gens = [v_of(table, g) for g in kd.p0_generators]
     for i in range(n):

@@ -13,17 +13,21 @@ composition per pair, words rewritten by slicing.  The flat code in
 formats the table line by line, where `dump_itable` formats each distinct
 row once; the two must produce the same bytes.
 
+A table is its automaton alone.  `itable_of_rows` writes any rows as
+one: one state per exponent vector, stepping each to its vector + u_j,
+so a negative control corrupts the rows of its choice and every check
+reads them vector by vector; `rows_of` reads a table's rows back.
+
 `coset_decomposition_ref` is the coset certificate vector by vector:
 three canonical words and one `words_equal` per exponent vector, where
-`coset_decomposition` decides on a build's states, and on a table made
-by hand steps each decoding once from that of a vector one letter
-shorter.  The two must return the same report; `cocycle_exhaustive`
-likewise decides on the states or on the rows.  `peel_walk` is the
-graded-lex walk on exponent-vector tuples, v(e) = x v(b), that the
-package takes on level indices.  `graded_steps` rewrites a build's steps
-with the degree joined to each state: they describe the same rows, but
-a P0 point's state is no longer the origin's, and one row can be
-replaced at one degree.
+`coset_decomposition` decides on a build's states, and otherwise steps
+each decoding once from that of a vector one letter shorter.  The two
+must return the same report.  `peel_walk` is the graded-lex walk on
+exponent-vector tuples, v(e) = x v(b), that the package takes on level
+indices.  `graded_steps` rewrites a build's automaton with the degree
+joined to each state: it describes the same rows, but a P0 point's
+state is no longer the origin's, and one row can be replaced at one
+degree.
 
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
@@ -104,8 +108,31 @@ def expvecs_up_to(n: int, dmax: int) -> list:
     return [e for d in range(dmax + 1) for e in expvec_level(n, d)]
 
 
+def itable_of_rows(r, D: int, sigma: Perm, rows: dict) -> ITable:
+    """The table of `rows`, one per exponent vector of degree <= D-1, as
+    the automaton with one state per vector in graded-lex order: state k
+    has the k-th vector's row, and steps by j to the state of that
+    vector + u_j, for the vectors of degree <= D-2."""
+    vecs = expvecs_up_to(r.n, D - 1)
+    state = {b: k for k, b in enumerate(vecs)}
+    step = [[state[exp_add_gen(b, j)] for b in vecs if degree(b) < D - 1] for j in range(1, r.n + 1)]
+    return ITable(r, D, sigma, [rows[b] for b in vecs], step)
+
+
+def rows_of(t: ITable) -> dict:
+    """The row of every exponent vector of degree <= D-1, by `row`."""
+    return {b: t.row(b) for b in expvecs_up_to(t.n, t.D - 1)}
+
+
 def build_itable_ref(r, D: int = 8, sigma: Perm | None = None) -> ITable:
-    """Run the inductive construction up to degree bound D >= 2."""
+    """The table of `build_rows_ref`'s rows, sigma the origin's."""
+    rows = build_rows_ref(r, D, sigma)
+    return itable_of_rows(r, D, Perm(rows[exp_unit(r.n)]), rows)
+
+
+def build_rows_ref(r, D: int = 8, sigma: Perm | None = None) -> dict:
+    """Run the inductive construction up to degree bound D >= 2: the row
+    of every exponent vector of degree <= D-1."""
     if D < 2:
         raise InputError(f"degree bound must be >= 2, got {D}")
     axioms = check_axioms(r)
@@ -171,7 +198,7 @@ def build_itable_ref(r, D: int = 8, sigma: Perm | None = None) -> ITable:
                             f"compatibility fails at b={format_expvec(b)}, i={i}, j={j}: "
                             f"r{lhs} != {rhs}"
                         )
-    return ITable(r, D, sigma, rows)
+    return rows
 
 
 def dump_itable_ref(t: ITable) -> str:
@@ -423,7 +450,7 @@ def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
     (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
     present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
     t._need(m)
-    rows, n = t.all_rows(), t.n
+    rows, n = rows_of(t), t.n
     yield expvec_level(n, 0)[0], None, 0
     for d in range(1, m + 1):
         lower = expvec_level(n, d - 1)
@@ -434,10 +461,10 @@ def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
 
 
 def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
-    """The rows and steps of t with the degree joined to each row id,
-    (row id p, degree d) numbered d * R + p: the steps still describe the
-    rows, and states of equal row met at different degrees stay apart.
-    The row of id (p_bad, d_bad) is replaced by `bad`."""
+    """The automaton of t with the degree joined to each row id, (row id
+    p, degree d) numbered d * R + p: it describes the same rows, and
+    states of equal row met at different degrees stay apart.  The row of
+    id (p_bad, d_bad) is replaced by `bad`."""
     distinct, step = t.steps
     R = len(distinct)
     graded = [
@@ -450,9 +477,7 @@ def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
         [(d + 1) * R + s_j[p] if p < len(s_j) else -1 for d in range(t.D - 1) for p in range(R)]
         for s_j in step
     ]
-    ids = {row: p for p, row in enumerate(distinct)}
-    rows = {b: graded[sum(b) * R + ids[row]] for b, row in t.all_rows().items()}
-    return rows, (tuple(graded), tuple(map(tuple, raised)))
+    return tuple(graded), tuple(map(tuple, raised))
 
 
 def check_action_consistency_ref(

@@ -42,7 +42,9 @@ from oracles import (
     fundamental_domain_check_bf,
     graded_steps,
     image_group_ref,
+    itable_of_rows,
     peel_walk,
+    rows_of,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -171,9 +173,8 @@ def test_action_consistency_matches_reference(monkeypatch):
     # the affine-image comparison against one decoding per point and
     # generator, witness text included: each corpus table at D = 7 with
     # the rows of one degree from 1 to 6 shuffled, then its true table
-    # with one generator's permutation or shift replaced.  Failures come
-    # from both paths: hand-built tables carry no steps and are walked,
-    # built ones are swept and then walked to word the failure
+    # with one generator's permutation or shift replaced.  Every table is
+    # swept, and a failure past the origin then walked to word it
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     rng = random.Random(5)
@@ -186,7 +187,7 @@ def test_action_consistency_matches_reference(monkeypatch):
             level = expvec_level(t.n, rng.randint(1, 6))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
-            pm = PhiMap(ITable(t.r, t.D, t.sigma, {**t.all_rows(), **dict(zip(level, shuffled))}))
+            pm = PhiMap(itable_of_rows(t.r, t.D, t.sigma, {**rows_of(t), **dict(zip(level, shuffled))}))
             calls.clear()
             got = check_action_consistency(pm, 6)
             assert got == check_action_consistency_ref(pm, 6)
@@ -210,14 +211,14 @@ def test_action_consistency_matches_reference(monkeypatch):
             if not got.ok:
                 failed_by.add(tuple(calls))
     assert verdicts == {True, False}
-    assert {("_walk",), ("_sweep", "_walk")} <= failed_by
+    assert failed_by == {(), ("_sweep", "_walk")}
 
 
 def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
     # bound 0 checks the origin alone and the top level steps no further,
     # so each bound from 0 to D - 1 is compared: the rows of the
-    # bound's own level or of level 1 shuffled (walked), and corrupted
-    # generators (swept, then walked)
+    # bound's own level or of level 1 shuffled, and corrupted generators:
+    # each swept, then walked
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     rng = random.Random(14)
     top = set()  # the bounds at which a point of degree bound was the witness
@@ -242,8 +243,8 @@ def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
                 level = expvec_level(t.n, d)
                 shuffled = [t.row(b) for b in level]
                 rng.shuffle(shuffled)
-                rows = {**t.all_rows(), **dict(zip(level, shuffled))}
-                compare(PhiMap(ITable(t.r, t.D, t.sigma, rows)), bound)
+                rows = {**rows_of(t), **dict(zip(level, shuffled))}
+                compare(PhiMap(itable_of_rows(t.r, t.D, t.sigma, rows)), bound)
             gens = affine_generators(pm)
             i = rng.randrange(pm.n)
             if rng.random() < 0.8:
@@ -254,7 +255,7 @@ def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
                 gens[i] = AffineIso(gens[i].perm, tuple(shift))
             compare(pm, bound, gens)
     assert top == set(range(7))
-    assert {(), ("_walk",), ("_sweep", "_walk")} <= failed_by
+    assert failed_by == {(), ("_sweep", "_walk")}
 
 
 def test_consistency_sweep_matches_reference_on_graded_steps(monkeypatch):
@@ -277,25 +278,21 @@ def test_consistency_sweep_matches_reference_on_graded_steps(monkeypatch):
             bad = list(distinct[p])
             i, j = rng.sample(range(t.n), 2)
             bad[i], bad[j] = bad[j], bad[i]
-            rows, steps = graded_steps(t, p, d, tuple(bad))
-            pm = PhiMap(ITable(t.r, t.D, t.sigma, rows, steps))
+            graded = ITable(t.r, t.D, t.sigma, *graded_steps(t, p, d, tuple(bad)))
+            by_vector = PhiMap(itable_of_rows(t.r, t.D, t.sigma, rows_of(graded)))
             calls.clear()
-            got = check_action_consistency(pm, 6)
-            assert got == check_action_consistency_ref(pm, 6)
+            got = check_action_consistency(PhiMap(graded), 6)
+            assert got == check_action_consistency_ref(by_vector, 6)
             verdicts[got.ok, tuple(calls)] += 1
     assert set(verdicts) == {(True, ("_sweep",)), (False, ("_sweep", "_walk"))}
 
 
-def test_unconfirmed_sweep_failure_raises(x2y2_pm):
-    # steps that do not describe the rows: the sweep fails on a wrong row
-    # the walk never reads, and the check refuses to pass silently
-    t = x2y2_pm.table
-    p = t.steps[0].index(t.row((1, 0)))
-    _, steps = graded_steps(t, p, 1, t.row((1, 0))[::-1])
-    pm = PhiMap(ITable(t.r, t.D, t.sigma, t.all_rows(), steps))
-    assert check_action_consistency_ref(pm, t.D - 1).ok
+def test_unconfirmed_sweep_failure_raises(x2y2_pm, monkeypatch):
+    # a sweep failure that the point walk does not confirm is a bug: the
+    # check refuses to pass silently
+    monkeypatch.setattr(bieberbach, "_sweep", lambda steps, gens, bound: False)
     with pytest.raises(AssertionError, match="the point walk holds"):
-        check_action_consistency(pm, t.D - 1)
+        check_action_consistency(x2y2_pm, x2y2_pm.D - 1)
 
 
 def test_valid_tables_pass_consistency_without_the_walk(monkeypatch):

@@ -44,12 +44,15 @@ import oracles
 from conftest import permutation_solution
 from oracles import (
     build_itable_ref,
+    build_rows_ref,
     class_index,
     dump_itable_ref,
     exp_sub_gen,
     expvecs_of_degree_ref,
     expvecs_up_to,
+    itable_of_rows,
     relations_of_pairmap,
+    rows_of,
     support,
     words_equal_bf,
 )
@@ -271,9 +274,8 @@ def test_letter_zero_is_refused(x2y2_table):
 
 
 def test_row_refuses_a_bad_key_before_gathering():
-    # on a fresh table of either build mode, a key with a negative entry,
-    # of the wrong length or of degree >= D is refused with the stored rows
-    # of degrees 0 and 1 alone
+    # on a fresh table, a key with a negative entry, of the wrong length
+    # or of degree >= D is refused before the steps are walked
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     r = load_pairmap(str(corpus / "c4_20.rtable"))
     cases = [
@@ -287,7 +289,6 @@ def test_row_refuses_a_bad_key_before_gathering():
     for b, kind, message in cases:
         with pytest.raises(kind, match=f"^{re.escape(message)}$"):
             t.row(b)
-        assert len(t._rows) == 1 + r.n
 
 
 def test_normalize_word(x2y2_table):
@@ -357,7 +358,7 @@ def _outcome(build, r, D):
         t = build(r, D)
     except Exception as exc:  # the outcome under comparison
         return type(exc), str(exc)
-    return t.D, t.sigma, t.all_rows()
+    return t.D, t.sigma, rows_of(t)
 
 
 def test_expvecs_match_recursion():
@@ -404,63 +405,75 @@ def test_rows_match_reference_census(census):
     classes = [(s, 12) for n in (1, 2, 3, 4) for s in enumerate_solutions(n).class_reps]
     assert len(classes) == 31
     for r, D in (*maps, *classes, (PairMap.flip(5), 9)):
-        t, ref = build_itable(r, D), build_itable_ref(r, D)
-        assert (t.D, t.sigma, t.all_rows()) == (ref.D, ref.sigma, ref._rows)
+        t = build_itable(r, D)
+        assert (t.D, t.sigma.is_identity(), rows_of(t)) == (D, True, build_rows_ref(r, D))
 
 
 def test_rows_match_reference_every_sigma(x2y2_r):
     for r in (x2y2_r, PairMap.flip(3)):
         for sigma in all_perms(r.n):
             t, ref = build_itable(r, 8, sigma), build_itable_ref(r, 8, sigma)
-            assert t.all_rows() == ref._rows and t.sigma == ref.sigma == sigma
+            assert rows_of(t) == rows_of(ref) and t.sigma == ref.sigma == sigma
 
 
-def _assert_cocycle_rows_match(r, D, sigma, shuffle):
-    """Rows a fresh table gathers on first access equal the per-key
-    reference construction's, read in graded-lex order or in the order
-    shuffle leaves the vectors in; past D-1 and off the lattice the reads
-    are refused as a built table's.  Returns the number of rows compared."""
-    ref = build_itable_ref(r, D, sigma)
-    t = build_itable(r, D, sigma)
-    assert (t.D, t.sigma, len(t._rows)) == (D, ref.sigma, 1 + r.n)  # levels 0 and 1 built
-    keys = list(ref.all_rows())
-    if shuffle:
-        shuffle(keys)
-    assert [t.row(b) for b in keys] == [ref.row(b) for b in keys]
-    assert t._rows == ref.all_rows()
-    with pytest.raises(DegreeBoundError, match=f"degree {D} exceeds bound D-1 = {D - 1}$"):
-        t.row((D,) + (0,) * (r.n - 1))
-    with pytest.raises(InputError, match="not an exponent vector"):
-        t.row((-1,) + (1,) * (r.n - 1))
-    return len(keys)
-
-
-@pytest.mark.parametrize("order", ["lex", "random"])
-def test_cocycle_rows_match_the_construction(order):
-    # the deferred rows of a built table, gathered from its steps, against
-    # the per-key reference construction: the 34 corpus inputs and the 183
-    # solutions with n <= 4 at D = 12 (flip5 at 8), then every sigma of the
-    # solutions with n <= 3 and of c4_01..c4_09 at D = 9; the rows must not
-    # depend on the read order
-    shuffle = random.Random(12).shuffle if order == "random" else None
+@pytest.fixture(scope="module")
+def cocycle_cases():
+    """The tables of test_cocycle_rows_match_the_construction, as (r, D,
+    sigma, the per-key reference construction's rows in graded-lex
+    order), built once for both read orders: the 34 corpus inputs and the
+    183 solutions with n <= 4 at D = 12 (flip5 at 8), then every sigma of
+    the solutions with n <= 3 and of c4_01..c4_09 at D = 9."""
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     maps = [load_pairmap(str(p)) for p in paths]
     maps += [s for n in (1, 2, 3, 4) for s in enumerate_solutions(n).solutions]
     assert len(maps) == 34 + 183
-    rows = sum(_assert_cocycle_rows_match(r, 8 if r.n == 5 else 12, None, shuffle) for r in maps)
-    assert rows == 268_473
+    first = [(r, 8 if r.n == 5 else 12, None) for r in maps]
     maps = [s for n in (1, 2, 3) for s in enumerate_solutions(n).solutions]
     maps += [load_pairmap(str(corpus / f"c4_0{k}.rtable")) for k in range(1, 10)]
-    rows = sum(
-        _assert_cocycle_rows_match(r, 9, sigma, shuffle) for r in maps for sigma in all_perms(r.n)
-    )
-    assert rows == 118_989
+    second = [(r, 9, sigma) for r in maps for sigma in all_perms(r.n)]
+    cases = []
+    for group in (first, second):
+        cases.append([])
+        for r, D, sigma in group:
+            rows, equal = build_rows_ref(r, D, sigma), {}
+            keys = expvecs_up_to(r.n, D - 1)
+            cases[-1].append((r, D, sigma, [equal.setdefault(row, row) for row in map(rows.get, keys)]))
+    return cases
+
+
+def _assert_cocycle_rows_match(r, D, sigma, ref, shuffle):
+    """The rows of a fresh table equal the per-key reference
+    construction's rows ref, read in graded-lex order or in the order
+    shuffle leaves the vectors in; past D-1 and off the lattice the reads
+    are refused.  Returns the number of rows compared."""
+    t = build_itable(r, D, sigma)
+    assert (t.D, t.sigma.images) == (D, ref[0])
+    pairs = list(zip(expvecs_up_to(r.n, D - 1), ref))
+    if shuffle:
+        shuffle(pairs)
+    assert [t.row(b) for b, _ in pairs] == [row for _, row in pairs]
+    with pytest.raises(DegreeBoundError, match=f"degree {D} exceeds bound D-1 = {D - 1}$"):
+        t.row((D,) + (0,) * (r.n - 1))
+    with pytest.raises(InputError, match="not an exponent vector"):
+        t.row((-1,) + (1,) * (r.n - 1))
+    return len(pairs)
+
+
+@pytest.mark.parametrize("order", ["lex", "random"])
+def test_cocycle_rows_match_the_construction(order, cocycle_cases):
+    # the rows of a built table, read off its steps, against the per-key
+    # reference construction (cocycle_cases); the rows must not depend on
+    # the read order
+    shuffle = random.Random(12).shuffle if order == "random" else None
+    first, second = cocycle_cases
+    assert sum(_assert_cocycle_rows_match(*case, shuffle) for case in first) == 268_473
+    assert sum(_assert_cocycle_rows_match(*case, shuffle) for case in second) == 118_989
 
 
 def test_dump_of_a_cocycle_table_reads_every_row():
-    # dump reads each row by its vector, so an unread table gathers every
-    # deferred row and dumps as the per-key construction's table does
+    # dump reads every level's states, and dumps as the per-key
+    # construction's table does
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = load_pairmap(str(corpus / name))
@@ -616,15 +629,14 @@ def test_rows_match_reference_decode_sized_tables(x2y2_r):
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     c4_20 = load_pairmap(str(corpus / "c4_20.rtable"))
     for r, D in ((x2y2_r, 24), (PairMap.flip(5), 10), (c4_20, 16)):
-        t, ref = build_itable(r, D), build_itable_ref(r, D)
-        assert (t.D, t.sigma, t.all_rows()) == (ref.D, ref.sigma, ref._rows)
+        t = build_itable(r, D)
+        assert (t.D, t.sigma.is_identity(), rows_of(t)) == (D, True, build_rows_ref(r, D))
 
 
 def test_valid_builds_take_no_witness_path(monkeypatch):
     # with the failure witness refused, every corpus input at D = 8 and at
     # the decode degrees, the 183 solutions with n <= 4 at D = 8 and every
-    # sigma of those with n <= 3 at D = 6 build the reference's rows, and
-    # store those of degrees 0 and 1 alone
+    # sigma of those with n <= 3 at D = 6 build the reference's rows
     def refuse(*args):
         raise AssertionError("witness path taken")
 
@@ -640,10 +652,7 @@ def test_valid_builds_take_no_witness_path(monkeypatch):
     cases += [(s, 6, sigma) for s in sols for sigma in all_perms(s.n)]
     assert len(cases) == 34 + 3 + 183 + sum(math.factorial(s.n) for s in sols)
     for r, D, sigma in cases:
-        ref = build_itable_ref(r, D, sigma)._rows
-        t = build_itable(r, D, sigma)
-        assert len(t._rows) == 1 + r.n
-        assert t.all_rows() == ref
+        assert rows_of(build_itable(r, D, sigma)) == build_rows_ref(r, D, sigma)
 
 
 def test_equal_rows_are_one_tuple():
@@ -653,7 +662,7 @@ def test_equal_rows_are_one_tuple():
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     for path in paths:
-        rows = build_itable(load_pairmap(str(path)), D=8).all_rows().values()
+        rows = rows_of(build_itable(load_pairmap(str(path)), D=8)).values()
         assert len({id(row) for row in rows}) == len(set(rows))
 
 
@@ -661,8 +670,7 @@ def test_build_steps_describe_the_rows():
     # every corpus input at D = 8 and every sigma of the solutions with
     # n <= 3 at D = 6: the distinct rows are the table's, the origin's
     # first, and the step from the row of b by j is the row of b + u_j for
-    # every b of degree <= D - 2; a table made by hand from rows keeps no
-    # steps
+    # every b of degree <= D - 2
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     cases = [(load_pairmap(str(p)), 8, None) for p in paths]
@@ -673,13 +681,12 @@ def test_build_steps_describe_the_rows():
         t = build_itable(r, D, sigma)
         distinct, step = t.steps
         assert distinct[0] == t.sigma.images
-        assert sorted(distinct) == sorted(set(t.all_rows().values()))
+        assert sorted(distinct) == sorted(set(rows_of(t).values()))
         ids = {row: p for p, row in enumerate(distinct)}
         for b in expvecs_up_to(r.n, D - 2):
             p = ids[t.row(b)]
             for j in range(r.n):
                 assert t.row(exp_add_gen(b, j + 1)) == distinct[step[j][p]]
-        assert ist.ITable(t.r, t.D, t.sigma, dict(t.all_rows())).steps is None
 
 
 def test_build_refuses_oversized_table(monkeypatch):
@@ -715,8 +722,8 @@ def test_peel_walk_and_decode_from_match_v_of_and_v_inverse():
 
 
 def test_automaton_reads_match_the_row_walks():
-    # on built tables, v_inverse on the steps equals
-    # decode_from on the gathered rows for every word of length <= 4 and
+    # on built tables, v_inverse on the steps equals v_inverse on one
+    # state per vector of the same rows for every word of length <= 4 and
     # seeded words up to length D, and v_of on the steps equals the
     # least-peel walk of oracles.peel_walk for every vector of degree <= D:
     # every corpus input at D = 8, every sigma of the solutions with n <= 3
@@ -740,10 +747,29 @@ def test_automaton_reads_match_the_row_walks():
         t = build_itable(r, D, sigma)
         decoded = [v_inverse(t, w) for w in words]
         canonical = {e: v_of(t, e) for e in expvecs_up_to(r.n, D)}
-        assert len(t._rows) == 1 + r.n  # neither read gathers a row
-        origin = (0,) * r.n
-        assert decoded == [ist.decode_from(t, origin, w) for w in words]
+        by_vector = itable_of_rows(r, D, t.sigma, rows_of(t))
+        assert decoded == [v_inverse(by_vector, w) for w in words]
         walked = {}
         for e, b, x in oracles.peel_walk(t, D):
             walked[e] = () if b is None else (x,) + walked[b]
         assert canonical == walked
+
+
+def test_itable_of_rows_reads_as_the_build():
+    # every corpus input at D = 8: the table of one state per vector of a
+    # build's rows gives the build's rows, canonical words, decodings of
+    # every word of length <= 4 and seeded words up to length D, and dump
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    rng = random.Random(32)
+    for path in paths:
+        t = build_itable(load_pairmap(str(path)), D=8)
+        by_vector = itable_of_rows(t.r, t.D, t.sigma, rows_of(t))
+        assert len(by_vector.steps[0]) == math.comb(t.n + 7, t.n)
+        assert rows_of(by_vector) == rows_of(t)
+        assert all(v_of(by_vector, e) == v_of(t, e) for e in expvecs_up_to(t.n, 8))
+        words = [w for m in range(5) for w in all_words(t.n, m)]
+        words += [tuple(rng.choices(range(1, t.n + 1), k=rng.randint(5, 8))) for _ in range(40)]
+        assert [v_inverse(by_vector, w) for w in words] == [v_inverse(t, w) for w in words]
+        assert dump_itable(by_vector) == dump_itable(t)

@@ -34,8 +34,8 @@ from itype.core import (
     relabel_expvec,
 )
 
+from itype import structuremaps
 from itype.cli import load_pairmap
-from itype.istructure import _gather_rows
 from itype.structuremaps import CosetReport
 from oracles import (
     cocycle_exhaustive_ref,
@@ -43,6 +43,8 @@ from oracles import (
     expvecs_up_to,
     graded_steps,
     image_group_ref,
+    itable_of_rows,
+    rows_of,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -251,9 +253,7 @@ def test_cocycle_negative_control_matches_reference(x2y2_r, census):
                 continue
             others = [p for p in all_perms(t.n) if p.images != t.row(b)]
             for other in others[:3]:
-                rows = dict(t.all_rows())
-                rows[b] = other.images
-                bad = ITable(t.r, t.D, t.sigma, rows)
+                bad = _with_row(t, b, other.images)
                 got = cocycle_exhaustive(PhiMap(bad), 5)
                 assert not got.ok
                 assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
@@ -273,7 +273,7 @@ def test_cocycle_matches_reference_on_shuffled_tables():
             level = expvec_level(t.n, rng.randint(1, 5))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
-            bad = ITable(t.r, t.D, t.sigma, {**t.all_rows(), **dict(zip(level, shuffled))})
+            bad = itable_of_rows(t.r, t.D, t.sigma, {**rows_of(t), **dict(zip(level, shuffled))})
             got = cocycle_exhaustive(PhiMap(bad), 5)
             assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
             verdicts.add(got.ok)
@@ -290,7 +290,7 @@ def test_cocycle_reads_the_origin_and_every_top_row(x2y2_r, census):
     for t in tables:
         for b in [(0,) * t.n, *expvec_level(t.n, 5)]:
             other = next(p for p in all_perms(t.n) if p.images != t.row(b))
-            bad = ITable(t.r, t.D, t.sigma, {**t.all_rows(), b: other.images})
+            bad = _with_row(t, b, other.images)
             for dmax in (0, 5) if degree(b) == 0 else (5,):
                 got = cocycle_exhaustive(PhiMap(bad), dmax)
                 assert not got.ok
@@ -315,9 +315,8 @@ def _coset_outcome(coset, t, m):
 
 
 def _with_row(t, b, images):
-    rows = dict(t.all_rows())
-    rows[b] = images
-    return ITable(t.r, t.D, t.sigma, rows)
+    """The table of t's rows with the row of b replaced by `images`."""
+    return itable_of_rows(t.r, t.D, t.sigma, {**rows_of(t), b: images})
 
 
 def test_cosets_match_reference_corpus():
@@ -446,29 +445,21 @@ def test_states_give_the_image_group_and_the_kernel():
 
 
 def _on_steps(t, distinct):
-    """The table on t's steps with the rows `distinct`, holding the rows of
-    degrees 0 and 1 as a build does, and the table made by hand of every
-    row those steps give."""
-    steps = (tuple(distinct), t.steps[1])
-    low, rows = {}, {}
-    _gather_rows(low, t.n, 1, *steps)
-    _gather_rows(rows, t.n, t.D - 1, *steps)
-    on_steps = ITable(t.r, t.D, t.sigma, low, steps)
-    on_steps._deferred = True
-    return on_steps, ITable(t.r, t.D, t.sigma, rows)
-
-
-UNCONFIRMED = (AssertionError, "a P0 point's state is not the origin's, yet every vector holds")
+    """The table on t's steps with the rows `distinct`, and the table of
+    one state per vector of every row those steps give."""
+    on_steps = ITable(t.r, t.D, t.sigma, tuple(distinct), t.steps[1])
+    return on_steps, itable_of_rows(t.r, t.D, t.sigma, rows_of(on_steps))
 
 
 def test_phi_on_states_rejects_what_the_references_reject():
     # each corpus table at D = 8, under every sigma for n <= 3, with two
     # entries of one non-origin row of its steps swapped, each pair of each
     # row: phi's checks on the states (the cocycle also to degrees 2 and 3)
-    # against the references on the rows the same steps give.  What the
-    # references reject fails on the states with their witnesses; what
-    # they pass passes, or raises where a P0 point's state is not the
-    # origin's (a swapped row equal to sigma)
+    # against the references on one state per vector of the same rows.
+    # What the references reject fails on the states with their
+    # witnesses, and what they pass passes; where a swapped row equals
+    # sigma, a P0 point's state is not the origin's and the vector walk
+    # decides
     verdicts = collections.Counter()
     for r in corpus_pairmaps():
         for sigma in all_perms(r.n) if r.n <= 3 else [Perm.identity(r.n)]:
@@ -478,38 +469,36 @@ def test_phi_on_states_rejects_what_the_references_reject():
             for p, (i, j) in itertools.product(range(1, len(distinct)), list(pairs)):
                 bad = list(distinct[p])
                 bad[i], bad[j] = bad[j], bad[i]
-                on_steps, by_hand = _on_steps(t, [*distinct[:p], tuple(bad), *distinct[p + 1 :]])
+                on_steps, by_vector = _on_steps(t, [*distinct[:p], tuple(bad), *distinct[p + 1 :]])
                 cocycle = {d: cocycle_exhaustive(PhiMap(on_steps), d) for d in (2, 3, 5)}
-                assert cocycle == {d: cocycle_exhaustive_ref(PhiMap(by_hand), d) for d in cocycle}
+                assert cocycle == {d: cocycle_exhaustive_ref(PhiMap(by_vector), d) for d in cocycle}
                 cosets = _coset_outcome(coset_decomposition, on_steps, 6)
-                ref = _coset_outcome(coset_decomposition_ref, by_hand, 6)
-                ref_ok = isinstance(ref, CosetReport) and ref.ok
-                assert cosets == ref or (ref_ok and cosets == UNCONFIRMED)
+                ref = _coset_outcome(coset_decomposition_ref, by_vector, 6)
+                assert cosets == ref
                 ok = isinstance(cosets, CosetReport) and cosets.ok
+                ref_ok = isinstance(ref, CosetReport) and ref.ok
                 verdicts[cocycle[5].ok and ok, cocycle[5].ok and ref_ok] += 1
-    assert verdicts == {(False, False): 396, (False, True): 27, (True, True): 7}
+    assert verdicts == {(False, False): 396, (True, True): 34}
 
 
-def test_state_checks_on_graded_steps(x2y2_table):
+def test_state_checks_on_graded_steps(x2y2_table, monkeypatch):
     # graded steps describe the rows with every state apart by degree.  A
     # wrong origin fails the cocycle on the states with the reference's
     # witness.  Unchanged, no P0 point's state is the origin's, and the
-    # coset walk finds every vector holding.  With a wrong row of degree 1
-    # that the rows do not have, the cocycle fails on the states while
-    # every pair holds.  Both unconfirmed failures raise.
+    # coset walk finds every vector holding, as the reference does.  A
+    # cocycle failure that the sweep of every pair does not confirm raises
     t = x2y2_table
-    rows, steps = graded_steps(t, 0, 0, t.row((0, 0))[::-1])
+    graded = ITable(t.r, t.D, t.sigma, *graded_steps(t, 0, 0, t.row((0, 0))[::-1]))
+    by_vector = itable_of_rows(t.r, t.D, t.sigma, rows_of(graded))
     for dmax in (0, 5):
-        got = cocycle_exhaustive(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), dmax)
+        got = cocycle_exhaustive(PhiMap(graded), dmax)
         assert not got.ok
-        assert got == cocycle_exhaustive_ref(PhiMap(ITable(t.r, t.D, t.sigma, rows)), dmax)
-    rows, steps = graded_steps(t, 0, 0, t.row((0, 0)))
-    assert rows == t.all_rows()
-    with pytest.raises(AssertionError, match=UNCONFIRMED[1]):
-        coset_decomposition(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), 6)
-    assert cocycle_exhaustive(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), 5).ok
-    p = t.steps[0].index(t.row((1, 0)))
-    _, steps = graded_steps(t, p, 1, t.row((1, 0))[::-1])
-    assert cocycle_exhaustive_ref(PhiMap(ITable(t.r, t.D, t.sigma, rows)), 5).ok
+        assert got == cocycle_exhaustive_ref(PhiMap(by_vector), dmax)
+    graded = ITable(t.r, t.D, t.sigma, *graded_steps(t, 0, 0, t.row((0, 0))))
+    assert rows_of(graded) == rows_of(t)
+    got = coset_decomposition(PhiMap(graded), 6)
+    assert got.ok and got == coset_decomposition_ref(PhiMap(graded), 6)
+    assert cocycle_exhaustive(PhiMap(graded), 5).ok
+    monkeypatch.setattr(structuremaps, "_instances_on_states", lambda pm, dmax: False)
     with pytest.raises(AssertionError, match="the generator instances failed, yet every pair holds"):
-        cocycle_exhaustive(PhiMap(ITable(t.r, t.D, t.sigma, rows, steps)), 5)
+        cocycle_exhaustive(PhiMap(graded), 5)

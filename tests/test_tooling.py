@@ -7,14 +7,13 @@ new modules in sys.modules: the tests here look `itype.cli` and
 
 import ast
 import importlib.util
-import math
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from oracles import build_itable_ref
+from oracles import build_itable_ref, itable_of_rows, rows_of
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -116,12 +115,25 @@ def test_word_commands_build_no_level_past_one(capsys, monkeypatch):
         cli.main(["build", paths[0]])
 
 
+def by_vector(monkeypatch):
+    """Make the CLI's tables one state per vector of the build's rows
+    (oracles.itable_of_rows) from now on, where every check reads every
+    vector."""
+    cli = program("cli")
+    build = cli.build_itable
+
+    def table(*args):
+        t = build(*args)
+        return itable_of_rows(t.r, t.D, t.sigma, rows_of(t))
+
+    monkeypatch.setattr(cli, "build_itable", table)
+
+
 def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypatch):
-    # a build keeps its rows past degree 1 in its steps: with the
-    # gather refused, itype bieberbach still answers every corpus input
-    # byte for byte; on a freshly built table the first read through each
-    # entry point gives the reference rows' answer, v_of, v_inverse and the
-    # phi calculus reading the steps alone and row and dump gathering every row
+    # itype bieberbach answers every corpus input byte for byte as it does
+    # on one state per vector of the same rows; on a freshly built table
+    # the first read through each entry point gives the reference rows'
+    # answer
     cli, core, ist, sm = (program(name) for name in ("cli", "core", "istructure", "structuremaps"))
     paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
@@ -132,65 +144,49 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
 
     before = outcomes()
     assert {code for code, _, _ in before} == {0}
-
-    def refuse(t):
-        raise AssertionError("rows past degree 1 gathered")
-
     with monkeypatch.context() as patched:
-        patched.setattr(ist.ITable, "_gather", refuse)
+        by_vector(patched)
         assert outcomes() == before
     rng = random.Random(28)
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = cli.load_pairmap(str(BENCH / "corpus" / name))
         n, D = r.n, 8
-        ref = ist.ITable(r, D, core.Perm.identity(n), build_itable_ref(r, D)._rows)
+        ref = build_itable_ref(r, D)
         word = tuple(rng.choices(range(1, n + 1), k=D))
-        every = math.comb(n + D - 1, n)
         reads = [
-            (lambda t, b=rng.choice(core.expvec_level(n, D - 1)): t.row(b), every),
-            (lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a), 1 + n),
-            (lambda t: ist.v_inverse(t, word), 1 + n),
-            (ist.dump_itable, every),
-            (lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1), 1 + n),
-            (lambda t: sm.coset_decomposition(sm.PhiMap(t), D), 1 + n),
+            lambda t, b=rng.choice(core.expvec_level(n, D - 1)): t.row(b),
+            lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a),
+            lambda t: ist.v_inverse(t, word),
+            ist.dump_itable,
+            lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1),
+            lambda t: sm.coset_decomposition(sm.PhiMap(t), D),
         ]
-        for read, kept in reads:
-            t = ist.build_itable(r, D)
-            assert len(t._rows) == 1 + n
-            assert read(t) == read(ref)
-            assert len(t._rows) == kept
+        for read in reads:
+            assert read(ist.build_itable(r, D)) == read(ref)
 
 
-def test_word_problem_gathers_no_row(monkeypatch):
-    # v_inverse, words_equal and normalize_word read the build's steps: on
-    # fresh tables, with the gather refused, they answer
-    # and leave the rows of degrees 0 and 1 alone, in a plain dict
+def test_word_problem_gathers_no_row():
+    # v_inverse, words_equal and normalize_word on fresh tables agree
+    # with one another
     cli, ist = program("cli"), program("istructure")
-
-    def refuse(t):
-        raise AssertionError("rows past degree 1 gathered")
-
-    monkeypatch.setattr(ist.ITable, "_gather", refuse)
     rng = random.Random(29)
     for name in ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable"):
         r = cli.load_pairmap(str(BENCH / "corpus" / name))
         n, D = r.n, 8
         t = ist.build_itable(r, D)
-        assert type(t._rows) is dict
         for _ in range(20):
             w1, w2 = (tuple(rng.choices(range(1, n + 1), k=rng.randint(0, D))) for _ in "12")
             a = ist.v_inverse(t, w1)
             nf = ist.normalize_word(t, w1)
             assert nf.exps == a and ist.words_equal(t, w1, nf.word)
             assert ist.words_equal(t, w1, w2) == (a == ist.v_inverse(t, w2))
-        assert len(t._rows) == 1 + n and type(t._rows) is dict
 
 
 def test_phi_gathers_no_row(capsys, monkeypatch):
-    # the kernel, cocycle and coset checks read the build's states: with
-    # the gather refused, itype phi prints what it prints with the gather
-    # allowed, and each fresh D = 8 table keeps its rows of degrees 0 and 1
-    cli, ist = program("cli"), program("istructure")
+    # the kernel, cocycle and coset checks read the build's states: itype
+    # phi prints what it prints on one state per vector of the same rows,
+    # where the coset check walks every vector
+    cli = program("cli")
     names = ("x2y2.pres", "c3_02.rtable", "c4_20.rtable", "flip5.rtable")
     paths = [str(BENCH / "corpus" / name) for name in names]
 
@@ -199,19 +195,33 @@ def test_phi_gathers_no_row(capsys, monkeypatch):
 
     before = outcomes()
     assert {code for code, _, _ in before} == {0}
-    built, build = [], ist.build_itable
-
-    def keep(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    def refuse(t):
-        raise AssertionError("rows past degree 1 gathered")
-
-    monkeypatch.setattr(ist.ITable, "_gather", refuse)
-    monkeypatch.setattr(cli, "build_itable", keep)
+    by_vector(monkeypatch)
     assert outcomes() == before
-    assert [(t.n, t.D, len(t._rows)) for t in built] == [(n, 8, 1 + n) for n in (2, 3, 4, 5)]
+
+
+def test_a_table_is_its_builds_automaton():
+    # ITable is constructed in the package only by build_itable, and a
+    # table holds its automaton and no row dict
+    def calls(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ITable"
+        ]
+
+    found, in_build = [], []
+    for path in sorted((ROOT / "src" / "itype").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += calls(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "build_itable":
+                in_build += calls(fn)
+    assert len(found) == 1 and found == in_build
+    ist = program("istructure")
+    t = ist.build_itable(program("cli").load_pairmap(str(BENCH / "corpus" / "c4_20.rtable")))
+    assert set(vars(t)) == {"r", "n", "D", "sigma", "steps"}
+    distinct, step = t.steps
+    assert type(distinct) is tuple and all(type(s_j) is tuple for s_j in step)
 
 
 def test_package_modules_use_every_name_they_import():
