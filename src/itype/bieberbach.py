@@ -102,7 +102,7 @@ from .core import (
     format_expvec,
     format_word,
 )
-from .istructure import _level_ids, decode_from, level_indices
+from .istructure import decode_from, v_inverse, v_of
 from .structuremaps import PhiMap, phi_of
 
 Point = tuple  # integer (or rational) coordinates
@@ -308,26 +308,12 @@ def _sweep(steps, gens: list[AffineIso], bound: int) -> bool:
 
 def _walk(t, gens: list[AffineIso], bound: int) -> CheckResult:
     """`check_action_consistency` past the origin, point by point in
-    graded-lex order: with a = b + u_j, j the least index present in a,
-    the decodings of v(a) x_i are those of v(b) x_i, each one step on by
-    the letter x[b, j], read off the states of b's level, and the first
-    point whose affine images differ is the witness."""
-    n, (distinct, step) = t.n, t.steps
-    states = _level_ids(n, step, bound - 1)
-    below = expvec_level(n, 0)
-    right = [[decode_from(t, below[0], (i,)) for i in range(1, n + 1)]]  # per point of below
-    for d in range(1, bound + 1):
-        level = expvec_level(n, d)
-        peel, _, least = level_indices(n, d)
-        rows = [distinct[p] for p in next(states)]  # below's
-        nxt = []
-        for k, j in enumerate(least):
-            kb = peel[k * n + j]
-            x = rows[kb][j]
-            nxt.append([decode_from(t, c, (x,)) for c in right[kb]])
-            if not (result := _compare(gens, level[k], nxt[-1])):
-                return result
-        right, below = nxt, level
+    graded-lex order: the first point whose affine images differ from
+    the decodings of v(a) x_i is the witness."""
+    for a in (a for d in range(1, bound + 1) for a in expvec_level(t.n, d)):
+        w = v_of(t, a)
+        if not (result := _compare(gens, a, [v_inverse(t, w + (i,)) for i in range(1, t.n + 1)])):
+            return result
     return CheckResult.passed()
 
 

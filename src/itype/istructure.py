@@ -84,20 +84,16 @@ the decoding d of u, starts at the state of d and, for each letter, at
 place j of distinct[p], counts j and moves p to step[j][p]; v_inverse
 is decode_from at the origin.  Every row being a permutation, this
 never fails.  Neither steps after its last letter, since the steps end
-at degree D-2.  In graded-lex order, v(e), its decoding and that of
-v(e) x_i each take one letter from those of e - u_j: the coset and
-action checks walk so to word a failure.  Two words are equal in the
-semigroup iff they decode to the same exponent vector, which decides
-the word problem.
+at degree D-2.  Two words are equal in the semigroup iff they decode to
+the same exponent vector, which decides the word problem; the coset and
+action checks word a failure by asking it vector by vector.
 
-A failing level, dump_itable and those walks read each level as a list
-of row ids in graded-lex order, each a from its least peel (_level_ids):
+A failing level and dump_itable read each level as a list of row ids in
+graded-lex order, each a from its least peel (_level_ids):
 level_indices(n, d) gives, flat, the index of each a - u_j one level
-down and of each b + u_j one level up, and the least index present in
-each a, the j that v peels.  Those and the levels (core.expvec_level)
-are cached per (n, d); a level's ids are read with one map per j.  A
-table of more than MAX_TABLE_ROWS rows is refused before any work, with
-its row count.
+down.  It and the levels (core.expvec_level) are cached per (n, d); a
+level's ids are read with one map per j.  A table of more than
+MAX_TABLE_ROWS rows is refused before any work, with its row count.
 """
 
 from __future__ import annotations
@@ -172,23 +168,16 @@ def _state(step, b: ExpVec) -> int:
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def level_indices(n: int, d: int) -> tuple[memoryview, memoryview, memoryview]:
+def level_indices(n: int, d: int) -> memoryview:
     """Flat, read-only neighbour indices between levels d-1 and d >= 1:
     peel[k*n + j] is the index in level d-1 of a - u_j for the k-th a of
-    level d (-1 if a_j = 0), up[k*n + j] that in d of b + u_j for the k-th b of d-1,
-    and least[k] the least index j present in the k-th a, the one v peels."""
+    level d, -1 if a_j = 0."""
     index = {a: k for k, a in enumerate(expvec_level(n, d))}
     peel = array("i", [-1]) * (len(index) * n)
-    up = array("i")
     for k, b in enumerate(expvec_level(n, d - 1)):
         for j in range(n):
-            q = index[b[:j] + (b[j] + 1,) + b[j + 1 :]]
-            up.append(q)
-            peel[q * n + j] = k
-    least = array("i")  # in lex order the a with a_0..a_{j-1} = 0 are the first comb(d+n-j-1, d)
-    for j in reversed(range(n)):
-        least += array("i", [j]) * (comb(d + n - j - 1, d) - comb(d + n - j - 2, d))
-    return tuple(memoryview(m).toreadonly() for m in (peel, up, least))
+            peel[index[b[:j] + (b[j] + 1,) + b[j + 1 :]] * n + j] = k
+    return memoryview(peel).toreadonly()
 
 
 def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
@@ -277,12 +266,12 @@ def build_itable(r: PairMap, D: int = 8, sigma: Perm | None = None) -> ITable:
 def _level_ids(n: int, step, top: int):
     """The row id of each vector of levels 0 to top, one list per level in
     lex order, each a from its least peel j: the a with a_0..a_{j-1} = 0
-    are the first comb(d+n-j-1, d) in lex order, so j runs as the blocks
-    of level_indices' least do."""
+    are the first comb(d+n-j-1, d) in lex order, so j, the least index
+    present, runs down from n-1 in blocks."""
     below = [0]
     yield below
     for d in range(1, top + 1):
-        peel = level_indices(n, d)[0]
+        peel = level_indices(n, d)
         here = []
         for j in reversed(range(n)):
             at = peel[len(here) * n + j : comb(d + n - j - 1, d) * n : n]
@@ -298,7 +287,7 @@ def _raise_level_failure(table, d: int, below: list[int], distinct, step) -> NoR
     then each b swept with its steps.  Only a failing level comes here."""
     n = len(distinct[0])
     letters = list(range(1, n + 1))
-    peel = level_indices(n, d)[0]
+    peel = level_indices(n, d)
     for k, a in enumerate(expvec_level(n, d)):
         peeled = {j: distinct[step[j][below[p]]] for j in range(n) if (p := peel[k * n + j]) >= 0}
         if len(peeled) == 1:

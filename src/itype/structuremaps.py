@@ -46,20 +46,9 @@ from the origin, and the automaton is deterministic, so it ends at rep +
 p = e, as the decoding of v(e) does.  On a build that state check always
 holds: its rows are interned, so the row sigma is state 0's alone, and
 t_i ends at it.  An automaton with other states of row sigma (one state
-per vector, say) takes the vector walk below, which decides and words
-a failure.
-
-The vector walk visits each e of degree <= m in graded-lex order,
-holding the decoding of v(e) = x v(e - u_j), j least present, as its
-index up[c*n + row_c.index(x)] in level deg e, c that of e - u_j, the
-rows read off each level's states (istructure._level_ids).  The split
-e = rep + p, rep = e mod t, is cached per (n, m, t).  The P0 part of e
-is a P0 point no later than e, so only P0 points ask phi = id.  The
-product rule holds outright if rep or p is 0.  Else v(rep) = y v(rep -
-u_j), j least in rep, and e - u_j = (rep - u_j) + p passed: decoding
-v(rep) v(p) whole repeats its rows, then steps with y from the decoding
-of v(e - u_j), the one step the walk takes.  So the first failure, its
-witness and any exception fall on the same vector.
+per vector, say) takes the vector walk, which asks at each e of degree
+<= m in graded-lex order phi_of of the P0 part, then the word problem
+on v(e) against v(rep) v(p), up to the first failure.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mod, sub
 
 from .core import (
@@ -84,7 +72,7 @@ from .core import (
     format_expvec,
     relabel_expvec,
 )
-from .istructure import ITable, _level_ids, level_indices, v_of, words_equal
+from .istructure import ITable, v_of, words_equal
 
 # phi prints all prod(t_i) vectors of the coset box; past this many it refuses.
 MAX_COSET_BOX = 1_000_000
@@ -222,67 +210,22 @@ class CosetReport:
         return bool(self.factorization and self.product_rule and self.commuting)
 
 
-@lru_cache(maxsize=32)  # a session meets 12 (n, m, t)
-def _coset_split(n: int, m: int, t: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
-    """Per level d of 1..m, the split e = rep + p, rep = e mod t, of the
-    k-th vector of the level where p != 0: () if rep = 0 (a P0 point), else
-    (index in level d-1 of e - u_j, deg rep, index of rep in its level), j
-    the least index present in rep."""
-    where = {e: (d, k) for d in range(m) for k, e in enumerate(expvec_level(n, d))}
-    splits = []
-    for d in range(1, m + 1):
-        peel, split = level_indices(n, d)[0], {}
-        for k, e in enumerate(expvec_level(n, d)):
-            rep = tuple(map(mod, e, t))
-            if rep != e:
-                j = next((j for j, v in enumerate(rep) if v), None)
-                split[k] = () if j is None else (peel[k * n + j], *where[rep])
-        splits.append(split)
-    return splits
-
-
 def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, CheckResult]:
     """Factorization and product rule at every e of degree <= m in
     graded-lex order, up to the first failure (see the module notes)."""
-    n, ident = pm.n, pm.table.sigma.images
-    distinct, step = pm.table.steps
-    states = _level_ids(n, step, min(m, pm.D - 1))  # the levels with rows
-    passed = CheckResult.passed()
-
-    def nontrivial(p: ExpVec) -> CheckResult:  # a P0 point is its own P0 part
-        phi_of(pm, p)  # a row that is no permutation raises
-        name = format_expvec(p)
-        return CheckResult.failed(f"P0 part {name} of {name} has nontrivial phi")
-
-    below = [distinct[p] for p in next(states)]  # level d-1's rows
-    if below[0] != ident:
-        return nontrivial(expvec_level(n, 0)[0]), passed
-    first = [[0]]  # per level walked, the first letter of each v(e)
-    dec_below = [0]  # level d-1: decodings of v(e)
-    for d, split in enumerate(_coset_split(n, m, t), start=1):
-        level = expvec_level(n, d)
-        here = [distinct[p] for p in next(states)] if d < pm.D else []
-        peel, up, least = level_indices(n, d)
-        xs, dec = [], []
-        for k, j in enumerate(least):
-            s = split.get(k)
-            if s == () and d < pm.D and here[k] != ident:
-                return nontrivial(level[k]), passed
-            kb = peel[k * n + j]
-            x, c = below[kb][j], dec_below[kb]
-            xs.append(x)
-            dec.append(up[c * n + below[c].index(x)])
-            if s:  # v(rep) = y v(rep - u_j), and e - u_j passed
-                y, c = first[s[1]][s[2]], dec_below[s[0]]
-                if up[c * n + below[c].index(y)] != dec[k]:
-                    e = level[k]
-                    rep = tuple(map(mod, e, t))
-                    return passed, CheckResult.failed(
-                        f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
-                        f"v({format_expvec(tuple(map(sub, e, rep)))}) in the semigroup"
-                    )
-        first.append(xs)
-        below, dec_below = here, dec
+    table, passed = pm.table, CheckResult.passed()
+    for e in (e for d in range(m + 1) for e in expvec_level(pm.n, d)):
+        rep = tuple(map(mod, e, t))
+        p = tuple(map(sub, e, rep))
+        if sum(p) < pm.D and not phi_of(pm, p).is_identity():
+            return CheckResult.failed(
+                f"P0 part {format_expvec(p)} of {format_expvec(e)} has nontrivial phi"
+            ), passed
+        if not words_equal(table, v_of(table, e), v_of(table, rep) + v_of(table, p)):
+            return passed, CheckResult.failed(
+                f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
+                f"v({format_expvec(p)}) in the semigroup"
+            )
     return passed, passed
 
 

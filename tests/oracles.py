@@ -16,18 +16,18 @@ row once; the two must produce the same bytes.
 A table is its automaton alone.  `itable_of_rows` writes any rows as
 one: one state per exponent vector, stepping each to its vector + u_j,
 so a negative control corrupts the rows of its choice and every check
-reads them vector by vector; `rows_of` reads a table's rows back.
+reads them vector by vector; `rows_of` reads a table's rows back, one
+step per vector from the state of its least peel.
 
 `coset_decomposition_ref` is the coset certificate vector by vector:
 three canonical words and one `words_equal` per exponent vector, where
-`coset_decomposition` decides on a build's states, and otherwise steps
-each decoding once from that of a vector one letter shorter.  The two
-must return the same report.  `peel_walk` is the graded-lex walk on
-exponent-vector tuples, v(e) = x v(b), that the package takes on level
-indices.  `graded_steps` rewrites a build's automaton with the degree
-joined to each state: it describes the same rows, but a P0 point's
-state is no longer the origin's, and one row can be replaced at one
-degree.
+`coset_decomposition` decides on a build's states, and otherwise walks
+the vectors so too.  The two must return the same report.  `peel_walk`
+is the graded-lex walk on exponent-vector tuples, v(e) = x v(b), b the
+least peel of e, that v_of takes on the steps.  `graded_steps` rewrites
+a build's automaton with the degree joined to each state: it describes
+the same rows, but a P0 point's state is no longer the origin's, and
+one row can be replaced at one degree.
 
 The lattice searches at the end are the straightforward versions of
 `freeness_check` and `fundamental_domain_check`: one `AffineIso` per
@@ -68,7 +68,7 @@ from itype.core import (
     format_expvec,
     format_word,
 )
-from itype.istructure import decode_from, level_indices, v_of, words_equal
+from itype.istructure import decode_from, v_of, words_equal
 from itype.structuremaps import CosetReport, check_cocycle, kernel_exponents, phi_of
 from itype.ybr import SolutionCensus, _from_cycle_set, check_axioms, check_yb
 from itype.bieberbach import (
@@ -120,8 +120,15 @@ def itable_of_rows(r, D: int, sigma: Perm, rows: dict) -> ITable:
 
 
 def rows_of(t: ITable) -> dict:
-    """The row of every exponent vector of degree <= D-1, by `row`."""
-    return {b: t.row(b) for b in expvecs_up_to(t.n, t.D - 1)}
+    """The row of every exponent vector of degree <= D-1: in graded-lex
+    order, the state of e is that of e - u_j, j the least index present,
+    stepped once by step[j]."""
+    distinct, step = t.steps
+    state = {exp_unit(t.n): 0}
+    for e in expvecs_up_to(t.n, t.D - 1)[1:]:
+        j = support(e)[0]
+        state[e] = step[j - 1][state[exp_sub_gen(e, j)]]
+    return {e: distinct[p] for e, p in state.items()}
 
 
 def build_itable_ref(r, D: int = 8, sigma: Perm | None = None) -> ITable:
@@ -450,14 +457,12 @@ def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
     (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
     present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
     t._need(m)
-    rows, n = rows_of(t), t.n
-    yield expvec_level(n, 0)[0], None, 0
-    for d in range(1, m + 1):
-        lower = expvec_level(n, d - 1)
-        peel, _, least = level_indices(n, d)
-        for k, (e, j) in enumerate(zip(expvec_level(n, d), least)):
-            b = lower[peel[k * n + j]]
-            yield e, b, rows[b][j]
+    rows = rows_of(t)
+    yield exp_unit(t.n), None, 0
+    for e in expvecs_up_to(t.n, m)[1:]:
+        j = support(e)[0]
+        b = exp_sub_gen(e, j)
+        yield e, b, rows[b][j - 1]
 
 
 def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):

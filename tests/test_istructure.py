@@ -53,7 +53,6 @@ from oracles import (
     itable_of_rows,
     relations_of_pairmap,
     rows_of,
-    support,
     words_equal_bf,
 )
 
@@ -370,17 +369,13 @@ def test_expvecs_match_recursion():
 def test_level_indices_match_slicing():
     for n in range(1, 6):
         for d in range(1, 9):
-            peel, up, least = ist.level_indices(n, d)
+            peel = ist.level_indices(n, d)
             lower, level = expvec_level(n, d - 1), expvec_level(n, d)
             assert list(peel) == [
                 lower.index(exp_sub_gen(a, j)) if a[j - 1] else -1
                 for a in level
                 for j in range(1, n + 1)
             ]
-            assert list(up) == [
-                level.index(exp_add_gen(b, j)) for b in lower for j in range(1, n + 1)
-            ]
-            assert list(least) == [support(a)[0] - 1 for a in level]
 
 
 def test_build_error_is_the_same_with_cold_and_warm_caches(monkeypatch):

@@ -35,7 +35,7 @@ from itype.core import (
 )
 
 from itype import structuremaps
-from itype.cli import load_pairmap
+from itype.cli import load_pairmap, main
 from itype.structuremaps import CosetReport
 from oracles import (
     cocycle_exhaustive_ref,
@@ -502,3 +502,22 @@ def test_state_checks_on_graded_steps(x2y2_table, monkeypatch):
     monkeypatch.setattr(structuremaps, "_instances_on_states", lambda pm, dmax: False)
     with pytest.raises(AssertionError, match="the generator instances failed, yet every pair holds"):
         cocycle_exhaustive(PhiMap(graded), 5)
+
+
+def test_phi_answers_the_corpus_without_the_coset_walk(capsys, monkeypatch):
+    # with the coset walk refused, itype phi prints the same bytes and
+    # exits with the same code on every corpus input: a build's states
+    # decide its coset check, so the walk runs on no build
+    paths = sorted(str(p) for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+
+    def outcomes():
+        return [(main(["phi", path]), *capsys.readouterr()) for path in paths]
+
+    def refuse(*args):
+        raise AssertionError("coset walk taken")
+
+    before = outcomes()
+    assert {code for code, _, _ in before} == {0}
+    monkeypatch.setattr(structuremaps, "_coset_walk", refuse)
+    assert outcomes() == before

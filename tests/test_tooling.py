@@ -246,19 +246,39 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
-def test_core_functions_serve_the_package():
-    # every top-level function of itype.core is imported by another package
-    # module, which uses it (see the test above), or re-exported by
+def test_package_definitions_serve_the_package():
+    # every top-level function and class of every package module is named
+    # by package code outside its own definition, or re-exported by
     # __init__.py: helpers that only the tests call live in tests/oracles.py
     package = ROOT / "src" / "itype"
-    tree = ast.parse((package / "core.py").read_text())
-    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    imported = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core":
-                imported.update(alias.name for alias in node.names)
-    assert defined and sorted(defined - imported) == []
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    exported = {
+        alias.name
+        for node in trees.pop("__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    definitions = [
+        node
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+    def named(name, inside):
+        return any(
+            getattr(node, "id", getattr(node, "attr", None)) == name and id(node) not in inside
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    unused = [
+        node.name
+        for node in definitions
+        if node.name not in exported and not named(node.name, {id(n) for n in ast.walk(node)})
+    ]
+    assert len(definitions) > 100 and unused == []
 
 
 def test_package_caches_are_bounded():
