@@ -24,15 +24,15 @@ module certifies, within bounds or in closed form, that
 and classifies the n = 2 isometries into translations and glide
 reflections.  All arithmetic is exact (integers and rationals).
 
-The action check is decided on few states.  Let gamma_i be generator
-i's map, pi_i its permutation part.  With a = b + u_j, j the least index
-present in a, the instance at (a, i) reads only the letter row(b)[j],
-the row of gamma_i(b) and j, and gamma_i(b + u_j) = gamma_i(b) +
-u_{pi_i^-1(j)}.  A built table's steps give row(c + u_m) =
-distinct[step[m][id of row(c)]] for every c of degree <= D-2
-(istructure).  So the state (row id of b, row ids of the gamma_i(b),
-least index present in b; at the origin every j is allowed) fixes every
-instance at and above b, the next state being (step[j][p],
+The action check covers every point of degree <= D-1, decided on few
+states.  Let gamma_i be generator i's map, pi_i its permutation part.
+With a = b + u_j, j the least index present in a, the instance at (a, i)
+reads only the letter row(b)[j], the row of gamma_i(b) and j, and
+gamma_i(b + u_j) = gamma_i(b) + u_{pi_i^-1(j)}.  A built table's steps
+give row(c + u_m) = distinct[step[m][id of row(c)]] for every c of
+degree <= D-2 (istructure).  So the state (row id of b, row ids of the
+gamma_i(b), least index present in b; at the origin every j is allowed)
+fixes every instance at and above b, the next state being (step[j][p],
 (step[pi_i^-1(j)][q_i])_i, j).  A breadth-first sweep checks each
 distinct state once, at the least depth it is met, which covers every
 later meeting.  The point walk runs only to word a failure.
@@ -94,7 +94,6 @@ from operator import mul
 
 from .core import (
     CheckResult,
-    DegreeBoundError,
     InputError,
     Perm,
     closure,
@@ -102,7 +101,7 @@ from .core import (
     format_expvec,
     format_word,
 )
-from .istructure import decode_from, v_inverse, v_of
+from .istructure import v_inverse, v_of
 from .structuremaps import PhiMap, phi_of
 
 Point = tuple  # integer (or rational) coordinates
@@ -119,9 +118,8 @@ MAX_FREENESS_WORDS = 2_000_000
 # reach, whether the closed form or the search would decide.  The search
 # keeps one key and one origin image per element it meets: at the default
 # flags flip5 (982,729 points) takes 3.8-4.5 s and 239 MiB in all on a
-# 2-vCPU Xeon with Python 3.11 when its tiling is searched (a key search
-# in the inverse frame took 1.6-2.0 s and 102 MiB), and 0.18 s and 30 MiB
-# in the closed form.
+# 2-vCPU Xeon with Python 3.11 when its tiling is searched, and 0.18 s
+# and 30 MiB in the closed form.
 MAX_TILING_POINTS = 1_000_000
 
 
@@ -227,10 +225,8 @@ def resolve_convention() -> str:
     return "phi"
 
 
-def check_action_consistency(
-    pm: PhiMap, bound: int, generators: list[AffineIso] | None = None
-) -> CheckResult:
-    """The decisive oracle: for every lattice point of degree <= bound and
+def check_action_consistency(pm: PhiMap, generators: list[AffineIso] | None = None) -> CheckResult:
+    """The decisive oracle: for every lattice point of degree <= D-1 and
     every generator, the affine image equals the decoding of 'canonical
     word times one more letter', i.e. the action really is right
     multiplication transported through v.  `generators` replaces the
@@ -243,22 +239,15 @@ def check_action_consistency(
     and gamma_i(b + u_j) = gamma_i(b) + u_{pi_i^-1(j)}.  So `_sweep`
     decides on the states of the table's steps (istructure): (row id of
     b, row ids of the gamma_i(b), least index in b), each once at the
-    least degree it is met (module docstring), not on the C(n+bound, n)
+    least degree it is met (module docstring), not on the C(n+D-1, n)
     points.  The point walk `_walk` words a failure; a sweep failure
     that the walk does not confirm is a bug (AssertionError)."""
-    if bound < 0:
-        raise InputError(f"consistency bound must be >= 0, got {bound}")
-    if bound + 1 > pm.D:
-        raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
-    gens = _generators(pm, generators)
-    n, t = pm.n, pm.table
-    origin = expvec_level(n, 0)[0]  # v(0) x_i is the one letter x_i
-    at_origin = _compare(gens, origin, [decode_from(t, origin, (i,)) for i in range(1, n + 1)])
-    if not at_origin or bound == 0:
+    gens, t = _generators(pm, generators), pm.table
+    # v(0) x_i is the one letter x_i
+    at_origin = _compare(gens, (0,) * t.n, [v_inverse(t, (i,)) for i in range(1, t.n + 1)])
+    if not at_origin or _sweep(t.steps, gens, t.D - 1):
         return at_origin
-    if _sweep(t.steps, gens, bound):
-        return CheckResult.passed()
-    result = _walk(t, gens, bound)
+    result = _walk(t, gens, t.D - 1)
     if result:
         raise AssertionError("the consistency sweep failed, yet the point walk holds")
     return result
@@ -278,11 +267,11 @@ def _compare(gens: list[AffineIso], a: Point, right: list[Point]) -> CheckResult
 
 def _sweep(steps, gens: list[AffineIso], bound: int) -> bool:
     """Whether every instance of `check_action_consistency` to degree
-    bound >= 1 holds, breadth first over the states of the build's steps:
-    from the state of b, each j <= its least index is the instance at
-    b + u_j and, below the bound, steps to the state of b + u_j.  The
-    origin passed, so gamma_i(0) = u_k with k the place of 1 in g_i's
-    shift."""
+    bound = D-1 >= 1 holds, breadth first over the states of the build's
+    steps: from the state of b, each j <= its least index is the
+    instance at b + u_j and, below the bound, steps to the state of
+    b + u_j.  The origin passed, so gamma_i(0) = u_k with k the place of
+    1 in g_i's shift."""
     distinct, step = steps
     want = [[g.perm.images.index(j + 1) for g in gens] for j in range(len(gens))]  # pi_i^-1(j)
     start = (0, tuple([step[g.shift.index(1)][0] for g in gens]), len(gens) - 1)

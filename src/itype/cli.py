@@ -175,8 +175,8 @@ def cmd_phi(args, rep: Reporter) -> int:
     t = load_table(args)
     pm = PhiMap(t)
     # every stage that can refuse runs before the first line is printed
-    cosets = coset_decomposition(pm, min(t.D, 6))
-    cc = cocycle_exhaustive(pm, min(5, t.D - 1))
+    cosets = coset_decomposition(pm)
+    cc = cocycle_exhaustive(pm)
     for name, g in zip(t.r.names, cosets.kernel.generators):
         rep.field(f"phi {name}", ",".join(str(k) for k in g.images))
     rep.field("kernel t", format_expvec(cosets.kernel.t))
@@ -201,7 +201,7 @@ def cmd_bieberbach(args, rep: Reporter) -> int:
     refuse_large_tiling(t.n, tiling_length)
     pm = PhiMap(t)
     gens = affine_generators(pm)
-    cons = check_action_consistency(pm, t.D - 1, gens)
+    cons = check_action_consistency(pm, gens)
     free = freeness_check(pm, args.length, gens)
     tile = fundamental_domain_check(pm, args.radius, tiling_length, gens)
     rep.field("convention", resolve_convention())

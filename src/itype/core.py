@@ -205,13 +205,19 @@ def all_words(n: int, m: int):
     return itertools.product(range(1, n + 1), repeat=m)
 
 
-def closure(start, moves) -> list:
+def closure(start, moves, depth: int | None = None) -> list:
     """Every element reachable from `start` by repeating `moves` (an
-    element's neighbours): `start` first, without repeats, then each
-    element in the order it is first met, breadth first."""
+    element's neighbours), within `depth` moves if given: `start` first,
+    without repeats, then each element in the order it is first met,
+    breadth first."""
     out = list(dict.fromkeys(start))
     seen = set(out)
-    for x in out:  # out grows while it is walked
+    edge, d = len(out), 0  # out[:edge] lies within d moves of start
+    for k, x in enumerate(out):  # out grows while it is walked
+        if k == edge:
+            edge, d = len(out), d + 1
+        if d == depth:
+            break
         for y in moves(x):
             if y not in seen:
                 seen.add(y)

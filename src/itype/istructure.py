@@ -79,14 +79,13 @@ v(e) = x[e - u_j, j] v(e - u_j): v_of walks up from the origin, u_n a_n
 times, then u_{n-1}, and so on down to u_1, reading distinct[p][j]
 before each step, and its letters reversed are the least-peel word.
 Decoding reads a word right to left, each letter in the row of the
-vector decoded so far: decode_from(t, d, w), the decoding of w u from
-the decoding d of u, starts at the state of d and, for each letter, at
-place j of distinct[p], counts j and moves p to step[j][p]; v_inverse
-is decode_from at the origin.  Every row being a permutation, this
-never fails.  Neither steps after its last letter, since the steps end
-at degree D-2.  Two words are equal in the semigroup iff they decode to
-the same exponent vector, which decides the word problem; the coset and
-action checks word a failure by asking it vector by vector.
+vector decoded so far: v_inverse starts at state 0 and, for each
+letter, at place j of distinct[p], counts j and moves p to step[j][p].
+Every row being a permutation, this never fails.  Neither steps after
+its last letter, since the steps end at degree D-2.  Two words are
+equal in the semigroup iff they decode to the same exponent vector,
+which decides the word problem; the coset and action checks word a
+failure by asking it vector by vector.
 
 A failing level and dump_itable read each level as a list of row ids in
 graded-lex order, each a from its least peel (_level_ids):
@@ -150,21 +149,15 @@ class ITable:
                 f"row {format_expvec(b)} of degree {degree(b)} exceeds bound D-1 = {self.D - 1}"
             )
         distinct, step = self.steps
-        return distinct[_state(step, b)]
+        p = 0  # the state of b: state 0 stepped b_j times by step[j], for each j
+        for s_j, k in zip(step, b):
+            for _ in range(k):
+                p = s_j[p]
+        return distinct[p]
 
     def _need(self, d: int):
         if d > self.D:
             raise DegreeBoundError(f"degree {d} exceeds table bound D = {self.D}")
-
-
-def _state(step, b: ExpVec) -> int:
-    """The state of vector b: state 0 stepped b_j times by step[j], for
-    each j; deg b <= D-1."""
-    p = 0
-    for s_j, k in zip(step, b):
-        for _ in range(k):
-            p = s_j[p]
-    return p
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
@@ -350,20 +343,14 @@ def v_of(t: ITable, a: ExpVec) -> Word:
 
 def v_inverse(t: ITable, w: Word) -> ExpVec:
     """The unique exponent vector whose canonical word equals w in the
-    semigroup: the decoding of w from the origin."""
+    semigroup: reads w right to left on the steps from state 0, each
+    letter in the row of the vector decoded so far."""
     w = check_word(w, t.n)
     t._need(len(w))
-    return decode_from(t, (0,) * t.n, w)
-
-
-def decode_from(t: ITable, d: ExpVec, w: Word) -> ExpVec:
-    """The decoding of w u, given the decoding d of u: reads w right to
-    left on the steps from the state of d, each letter in the row of the
-    vector decoded so far.  The caller keeps deg d + len(w) <= D."""
-    b = list(d)
+    b = [0] * t.n
     if w:
         distinct, step = t.steps
-        p = _state(step, d) if any(d) else 0  # v_inverse starts at the origin, state 0
+        p = 0
         for letter in w[:0:-1]:  # no step after the last letter: steps end at degree D-2
             j = distinct[p].index(letter)
             b[j] += 1

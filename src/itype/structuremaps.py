@@ -27,13 +27,13 @@ so both checks agree.  On the table's steps (istructure.ITable.steps),
 which give every vector of degree <= D-1 one state, a pair (p, q) holds
 the states of b and pi(b); adding u_j to b adds u_{pi(j)} to pi(b), so
 each i walks the product automaton breadth first from (0, 0) by (p, q)
--> (step[j][p], step[pi(j)][q]), to degree dmax-1, and tests each pair
-once: phi(b + u_i) is the row of step[i][p].  That is at most |H|^2
-pairs per level, H the image group.  Every row to degree dmax, the
-states dmax steps reach, is first made a permutation, as phi_of makes
-it.  Only a failure runs the sweep, which check_cocycle words at its
-first failing pair; it always finds one, as it sweeps (0, 0) and every
-(b, u_i).
+-> (step[j][p], step[pi(j)][q]), to degree D-2 (core.closure), and
+tests each pair once: phi(b + u_i) is the row of step[i][p].  That is
+at most |H|^2 pairs per level, H the image group.  Every row to degree
+D-1, the states D-1 steps reach, is first made a permutation, as phi_of
+makes it.  Only a failure runs the sweep, which check_cocycle words at
+its first failing pair; it always finds one, as it sweeps (0, 0) and
+every (b, u_i).
 
 kernel_exponents reads the row of u_i^k off the steps as state 0
 stepped k times by step[i], and coset_decomposition rests factorization
@@ -47,7 +47,7 @@ p = e, as the decoding of v(e) does.  On a build that state check always
 holds: its rows are interned, so the row sigma is state 0's alone, and
 t_i ends at it.  An automaton with other states of row sigma (one state
 per vector, say) takes the vector walk, which asks at each e of degree
-<= m in graded-lex order phi_of of the P0 part, then the word problem
+<= D in graded-lex order phi_of of the P0 part, then the word problem
 on v(e) against v(rep) v(p), up to the first failure.
 """
 
@@ -114,42 +114,35 @@ def check_cocycle(pm: PhiMap, b: ExpVec, c: ExpVec) -> CheckResult:
     return CheckResult.passed()
 
 
-def cocycle_exhaustive(pm: PhiMap, dmax: int) -> CheckResult:
-    """The cocycle identity over every pair with deg b + deg c <= dmax,
+def cocycle_exhaustive(pm: PhiMap) -> CheckResult:
+    """The cocycle identity over every pair with deg b + deg c <= D-1,
     decided on phi(0) and the pairs (b, u_i), on the table's states (see
     the module notes); only a failure sweeps all pairs in order, to
     format the first failing one."""
-    if dmax > pm.D - 1:
-        raise DegreeBoundError(f"cocycle sweep to degree {dmax} needs D >= {dmax + 1}")
-    if _instances_on_states(pm, dmax):
+    if _instances_on_states(pm):
         return CheckResult.passed()
-    vecs = [b for d in range(dmax + 1) for b in expvec_level(pm.n, d)]
+    vecs = [b for d in range(pm.D) for b in expvec_level(pm.n, d)]
     for b, c in itertools.product(vecs, vecs):
-        if sum(b) + sum(c) <= dmax and not (res := check_cocycle(pm, b, c)):
+        if sum(b) + sum(c) < pm.D and not (res := check_cocycle(pm, b, c)):
             return res
     raise AssertionError("the generator instances failed, yet every pair holds")
 
 
-def _instances_on_states(pm: PhiMap, dmax: int) -> bool:
-    """phi(0) = id and each (b, u_i), deg b < dmax, on the product
+def _instances_on_states(pm: PhiMap) -> bool:
+    """phi(0) = id and each (b, u_i), deg b <= D-2, on the product
     automaton of i, each pair of states once."""
     distinct, step = pm.table.steps
-    near = ring = {0}
-    for _ in range(dmax):  # the states of the vectors of degree <= dmax
-        ring = {s[p] for p in ring for s in step} - near
-        near = near | ring
+    near = closure([0], lambda p: [s[p] for s in step], pm.D - 1)  # the states to degree D-1
     images = {p: _phi(pm, distinct[p]).images for p in near}
     if images[0] != tuple(range(1, pm.n + 1)):
         return False
-    for s_i in step if dmax else ():
+    for s_i in step:
         pi = images[s_i[0]]  # phi(u_i)
-        moves = [(s_j, step[k - 1]) for s_j, k in zip(step, pi)]
-        level, seen = {(0, 0)}, set()
-        for _ in range(dmax):  # the pairs (state of b, state of pi(b)) first met at deg b
-            seen |= level
-            if any(images[s_i[p]] != tuple([images[q][k - 1] for k in pi]) for p, q in level):
-                return False
-            level = {(s[p], s_pi[q]) for p, q in level for s, s_pi in moves} - seen
+        moves = [(s_j, step[k - 1]) for s_j, k in zip(step, pi)]  # to b + u_j, pi(b) + u_pi(j)
+        # the pairs (state of b, state of pi(b)), deg b <= D-2
+        pairs = closure([(0, 0)], lambda x: [(s[x[0]], s_pi[x[1]]) for s, s_pi in moves], pm.D - 2)
+        if any(images[s_i[p]] != tuple([images[q][k - 1] for k in pi]) for p, q in pairs):
+            return False
     return True
 
 
@@ -210,11 +203,11 @@ class CosetReport:
         return bool(self.factorization and self.product_rule and self.commuting)
 
 
-def _coset_walk(pm: PhiMap, m: int, t: tuple[int, ...]) -> tuple[CheckResult, CheckResult]:
-    """Factorization and product rule at every e of degree <= m in
+def _coset_walk(pm: PhiMap, t: tuple[int, ...]) -> tuple[CheckResult, CheckResult]:
+    """Factorization and product rule at every e of degree <= D in
     graded-lex order, up to the first failure (see the module notes)."""
     table, passed = pm.table, CheckResult.passed()
-    for e in (e for d in range(m + 1) for e in expvec_level(pm.n, d)):
+    for e in (e for d in range(pm.D + 1) for e in expvec_level(pm.n, d)):
         rep = tuple(map(mod, e, t))
         p = tuple(map(sub, e, rep))
         if sum(p) < pm.D and not phi_of(pm, p).is_identity():
@@ -237,8 +230,8 @@ def _returns_to_origin(step_i, ti: int) -> bool:
     return p == 0
 
 
-def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
-    """Certify, for every exponent vector e of degree <= m, that its
+def coset_decomposition(pm: PhiMap) -> CosetReport:
+    """Certify, for every exponent vector e of degree <= D, that its
     split e = rep + p with rep = e mod t in the box and p in P0 has
     phi(p) = id, and that the split is compatible with v (concatenating
     the two canonical words lands in the right class): on the table's
@@ -247,8 +240,6 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     a table too short for the commuting check, which decodes words of
     degree t_i + t_j, and (InputError) a box of more than MAX_COSET_BOX
     vectors."""
-    if m > pm.D:
-        raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
     table, n = pm.table, pm.n
     kd = kernel_exponents(pm)
     t = kd.t
@@ -267,7 +258,7 @@ def coset_decomposition(pm: PhiMap, m: int) -> CosetReport:
     if all(map(_returns_to_origin, table.steps[1], t)):
         factorization = product_rule = CheckResult.passed()
     else:
-        factorization, product_rule = _coset_walk(pm, m, t)
+        factorization, product_rule = _coset_walk(pm, t)
     commuting = CheckResult.passed()
     gens = [v_of(table, g) for g in kd.p0_generators]
     for i in range(n):

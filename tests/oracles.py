@@ -7,8 +7,9 @@ ground truth the table-based decision procedure must reproduce.
 The I-structure build, the recursive exponent-vector enumeration, the
 cocycle sweep and the braid check below are the straightforward versions
 of `build_itable`, `expvec_level`, `cocycle_exhaustive` and
-`check_yb`: keys built through the exponent-vector helpers, one `Perm`
-composition per pair, words rewritten by slicing.  The flat code in
+`check_yb`: keys built through the exponent-vector helpers, phi read
+off the rows once and composed pair by pair, words rewritten by
+slicing.  The flat code in
 `itype` must produce the same rows, vectors and results.  `dump_itable_ref`
 formats the table line by line, where `dump_itable` formats each distinct
 row once; the two must produce the same bytes.
@@ -19,10 +20,12 @@ so a negative control corrupts the rows of its choice and every check
 reads them vector by vector; `rows_of` reads a table's rows back, one
 step per vector from the state of its least peel.
 
-`coset_decomposition_ref` is the coset certificate vector by vector:
-three canonical words and one `words_equal` per exponent vector, where
-`coset_decomposition` decides on a build's states, and otherwise walks
-the vectors so too.  The two must return the same report.  `peel_walk`
+`coset_decomposition_ref` is the coset certificate vector by vector, on
+the rows `rows_of` reads: phi of each P0 part off its row, and three
+`peel_walk` words per exponent vector decoded by `decode_ref`, right to
+left on the rows, where `coset_decomposition` decides on a build's
+states and otherwise asks `phi_of`, `v_of` and `words_equal`.  The two
+must return the same report, or raise the same exception.  `peel_walk`
 is the graded-lex walk on exponent-vector tuples, v(e) = x v(b), b the
 least peel of e, that v_of takes on the steps.  `graded_steps` rewrites
 a build's automaton with the degree joined to each state: it describes
@@ -41,8 +44,9 @@ a fixed point, it fails too.
 every permutation tried for every row and the law checked point by
 point, with classes deduplicated through `PairMap.relabel`, and
 `check_action_consistency_ref` carries one decoding per point and
-generator; `enumerate_solutions` and `check_action_consistency` must
-return the same census and verdicts, witness text included.
+generator on the rows (`right_products_ref`); `enumerate_solutions` and
+`check_action_consistency` must return the same census and verdicts,
+witness text included.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ from itype.core import (
     format_expvec,
     format_word,
 )
-from itype.istructure import decode_from, v_of, words_equal
-from itype.structuremaps import CosetReport, check_cocycle, kernel_exponents, phi_of
+from itype.structuremaps import CosetReport, kernel_exponents, phi_of
 from itype.ybr import SolutionCensus, _from_cycle_set, check_axioms, check_yb
 from itype.bieberbach import (
     FixedPointSet,
@@ -219,17 +222,31 @@ def dump_itable_ref(t: ITable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cocycle_exhaustive_ref(pm, dmax: int) -> CheckResult:
-    """The cocycle identity over every pair with deg b + deg c <= dmax,
-    one `check_cocycle` per pair."""
-    vecs = [e for d in range(dmax + 1) for e in expvecs_of_degree_ref(pm.n, d)]
+def cocycle_exhaustive_ref(pm) -> CheckResult:
+    """The cocycle identity phi(bc) = phi(phi(c)(b)) * phi(c) over every
+    pair with deg b + deg c <= D-1, phi read off `rows_of` once: each row
+    relabelled by sigma^-1, refused as a `Perm` if it is no permutation,
+    and composed pair by pair as image tuples."""
+    t, n = pm.table, pm.n
+    inv = t.sigma.inverse().images
+    rows = rows_of(t)
+    vecs = [e for d in range(t.D) for e in expvecs_of_degree_ref(n, d)]
+    phi = {b: Perm(tuple(inv[c - 1] for c in rows[b])).images for b in vecs}
     for b in vecs:
         for c in vecs:
-            if sum(b) + sum(c) > dmax:
+            if sum(b) + sum(c) > t.D - 1:
                 continue
-            res = check_cocycle(pm, b, c)
-            if not res:
-                return res
+            pc = phi[c]
+            moved = [0] * n  # phi(c)(b): the exponent of pc(i) is b_i
+            for i, k in enumerate(b):
+                moved[pc[i] - 1] = k
+            lhs = phi[tuple(x + y for x, y in zip(b, c))]
+            rhs = tuple(phi[tuple(moved)][k - 1] for k in pc)
+            if lhs != rhs:
+                return CheckResult.failed(
+                    f"b={format_expvec(b)} c={format_expvec(c)}: "
+                    f"phi(bc)={lhs} but phi(phi(c)(b))*phi(c)={rhs}"
+                )
     return CheckResult.passed()
 
 
@@ -309,51 +326,66 @@ def image_group_ref(pm) -> frozenset:
         group |= extra
 
 
-def coset_decomposition_ref(pm, m: int) -> CosetReport:
-    """Certify, for every exponent vector e of degree <= m, that its
+def coset_decomposition_ref(pm) -> CosetReport:
+    """Certify, for every exponent vector e of degree <= D, that its
     split e = rep + p with rep = e mod t in the box and p in P0 has
     phi(p) = id, and that the split is compatible with v (concatenating
     the two canonical words lands in the right class).  Refuses
     (DegreeBoundError) up front a table too short for the commuting
-    check, which decodes words of degree t_i + t_j."""
-    if m > pm.D:
-        raise DegreeBoundError(f"coset check to degree {m} exceeds table bound D = {pm.D}")
-    table = pm.table
-    n = pm.n
+    check, which decodes words of degree t_i + t_j.  The rows are read
+    once, by `rows_of`; the words are those of `peel_walk` and each word
+    is decoded right to left on the rows (`decode_ref`)."""
+    table, n, D = pm.table, pm.n, pm.D
     kd = kernel_exponents(pm)
     t = kd.t
     need = max((t[i] + t[j] for i in range(n) for j in range(i + 1, n)), default=0)
-    if need > pm.D:
+    if need > D:
         raise DegreeBoundError(
-            f"coset commuting check needs degree {need}, which exceeds table bound D = {pm.D}"
+            f"coset commuting check needs degree {need}, which exceeds table bound D = {D}"
         )
     reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
+    rows = rows_of(table)
+    word = {}
+    for e, b, x in peel_walk(rows, D):
+        word[e] = () if b is None else (x,) + word[b]
+    inv = table.sigma.inverse().images
+    identity = tuple(range(1, n + 1))
     factorization = CheckResult.passed()
     product_rule = CheckResult.passed()
-    for e in expvecs_up_to(n, m):
+    for e in word:
         rep = tuple(v % ti for v, ti in zip(e, t))
         p = tuple(v - r for v, r in zip(e, rep))
-        if degree(p) <= pm.D - 1 and not phi_of(pm, p).is_identity():
+        if degree(p) <= D - 1 and Perm(tuple(inv[c - 1] for c in rows[p])).images != identity:
             factorization = CheckResult.failed(
                 f"P0 part {format_expvec(p)} of {format_expvec(e)} has nontrivial phi"
             )
             break
-        if not words_equal(table, v_of(table, e), v_of(table, rep) + v_of(table, p)):
+        if decode_ref(rows, word[e]) != decode_ref(rows, word[rep] + word[p]):
             product_rule = CheckResult.failed(
                 f"v({format_expvec(e)}) differs from v({format_expvec(rep)})"
                 f"v({format_expvec(p)}) in the semigroup"
             )
             break
     commuting = CheckResult.passed()
-    gens = [v_of(table, g) for g in kd.p0_generators]
+    gens = [word[g] for g in kd.p0_generators]
     for i in range(n):
         for j in range(i + 1, n):
             wi, wj = gens[i], gens[j]
-            if not words_equal(table, wi + wj, wj + wi):
+            if decode_ref(rows, wi + wj) != decode_ref(rows, wj + wi):
                 commuting = CheckResult.failed(
                     f"v(u_{i + 1}^{t[i]}) and v(u_{j + 1}^{t[j]}) do not commute"
                 )
     return CosetReport(kd, tuple(reps), factorization, product_rule, commuting)
+
+
+def decode_ref(rows: dict, w) -> tuple:
+    """The exponent vector of a word, read right to left on `rows` (those
+    of `rows_of`): each letter, at place j of the row of the vector read
+    so far, adds u_j."""
+    a = next(iter(rows))  # the origin
+    for letter in reversed(w):
+        a = exp_add_gen(a, rows[a].index(letter) + 1)
+    return a
 
 
 def relations_of_pairmap(r) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -452,14 +484,14 @@ def freeness_check_bf(pm, L: int, generators: list[AffineIso] | None = None) -> 
     return FreenessReport(True, "", tuple(relations), len(seen_isos))
 
 
-def peel_walk(t: ITable, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
+def peel_walk(rows: dict, m: int) -> Iterator[tuple[tuple, tuple | None, int]]:
     """Every exponent vector e of degree <= m in graded-lex order, as
-    (e, b, x) with v(e) = x v(b): b = e - u_j for the least index j
-    present and x = x[b, j].  The origin comes first, as (origin, None, 0)."""
-    t._need(m)
-    rows = rows_of(t)
-    yield exp_unit(t.n), None, 0
-    for e in expvecs_up_to(t.n, m)[1:]:
+    (e, b, x) with v(e) = x v(b), on `rows` (those of `rows_of`, to degree
+    m - 1 at least): b = e - u_j for the least index j present and
+    x = x[b, j].  The origin comes first, as (origin, None, 0)."""
+    origin = next(iter(rows))
+    yield origin, None, 0
+    for e in expvecs_up_to(len(origin), m)[1:]:
         j = support(e)[0]
         b = exp_sub_gen(e, j)
         yield e, b, rows[b][j - 1]
@@ -485,28 +517,31 @@ def graded_steps(t, p_bad: int, d_bad: int, bad: tuple[int, ...]):
     return tuple(graded), tuple(map(tuple, raised))
 
 
-def check_action_consistency_ref(
-    pm, bound: int, generators: list[AffineIso] | None = None
-) -> CheckResult:
+def right_products_ref(t: ITable) -> dict:
+    """The decodings of v(a) x_i, i = 1..n, for every point a of degree
+    <= D-1, on `rows_of`: at the origin the one letter x_i, read at its
+    place in the origin's row; past it, with v(a) = x v(b) from
+    `peel_walk`, those of b each read one letter further: c + u_k, k the
+    place of x in the row of c."""
+    rows = rows_of(t)
+    right = {}  # a -> the decodings of v(a) x_i, i = 1..n
+    for a, b, x in peel_walk(rows, t.D - 1):
+        if b is None:
+            right[a] = [exp_add_gen(a, rows[a].index(i) + 1) for i in range(1, t.n + 1)]
+        else:
+            right[a] = [exp_add_gen(c, rows[c].index(x) + 1) for c in right[b]]
+    return right
+
+
+def check_action_consistency_ref(pm, generators: list[AffineIso] | None = None) -> CheckResult:
     """The lattice action against right multiplication at every point of
-    degree <= bound: the decodings of v(a) x_i are carried from those of
-    v(b) x_i, b the peeled point, by one `decode_from` each, and
-    compared with the affine images."""
-    if bound < 0:
-        raise InputError(f"consistency bound must be >= 0, got {bound}")
-    if bound + 1 > pm.D:
-        raise DegreeBoundError(f"consistency to bound {bound} needs D >= {bound + 1}")
+    degree <= D-1: the affine images against `right_products_ref`, in
+    graded-lex order."""
     gens = affine_generators(pm) if generators is None else generators
     if len(gens) != pm.n or any(g.n != pm.n for g in gens):
         raise InputError("dimension mismatch")
-    t = pm.table
-    right = {}  # a -> the decodings of v(a) x_i, i = 1..n
-    for a, b, x in peel_walk(t, bound):
-        if b is None:  # v(0) x_i is the one letter x_i
-            right[a] = [decode_from(t, a, (i,)) for i in range(1, t.n + 1)]
-        else:
-            right[a] = [decode_from(t, c, (x,)) for c in right[b]]
-        for i, (g, algebraic) in enumerate(zip(gens, right[a]), start=1):
+    for a, right in right_products_ref(pm.table).items():
+        for i, (g, algebraic) in enumerate(zip(gens, right), start=1):
             geometric = act(g, a)
             if geometric != algebraic:
                 return CheckResult.failed(

@@ -32,7 +32,6 @@ from itype import bieberbach
 from itype.bieberbach import refuse_large_tiling
 from itype.cli import load_pairmap
 from itype.core import Perm, all_perms, expvec_level
-from itype.istructure import decode_from
 from itype.structuremaps import kernel_exponents
 
 from oracles import (
@@ -43,7 +42,7 @@ from oracles import (
     graded_steps,
     image_group_ref,
     itable_of_rows,
-    peel_walk,
+    right_products_ref,
     rows_of,
 )
 
@@ -121,7 +120,7 @@ def test_generator_permutation_is_phi_row(x2y2_pm, flip_pms, census):
         for i in range(1, pm.n + 1):
             u = tuple(1 if j == i else 0 for j in range(1, pm.n + 1))
             assert affine_generators(pm)[i - 1].perm == Perm(t.row(u))
-        assert check_action_consistency(pm, pm.D - 1).ok
+        assert check_action_consistency(pm).ok
 
 
 def test_sigma_must_be_identity(x2y2_r):
@@ -135,7 +134,7 @@ def test_sigma_must_be_identity_with_a_generator_list(x2y2_r, x2y2_pm):
     pm = PhiMap(build_itable(x2y2_r, D=4, sigma=Perm((2, 1))))
     gens = affine_generators(x2y2_pm)
     for call in (
-        lambda: check_action_consistency(pm, 2, generators=gens),
+        lambda: check_action_consistency(pm, generators=gens),
         lambda: freeness_check(pm, 3, generators=gens),
         lambda: fundamental_domain_check(pm, 1, 3, generators=gens),
     ):
@@ -143,9 +142,9 @@ def test_sigma_must_be_identity_with_a_generator_list(x2y2_r, x2y2_pm):
             call()
 
 
-def test_action_consistency(x2y2_pm, flip_pms):
-    assert check_action_consistency(x2y2_pm, 4).ok
-    assert check_action_consistency(flip_pms[3], 4).ok
+def test_action_consistency(x2y2_r, x2y2_pm):
+    assert check_action_consistency(PhiMap(build_itable(x2y2_r, D=5))).ok
+    assert check_action_consistency(PhiMap(build_itable(PairMap.flip(3), D=5))).ok
     # a = 0: both sides give the degree-1 decoding of x_i
     t = x2y2_pm.table
     for i in (1, 2):
@@ -154,7 +153,7 @@ def test_action_consistency(x2y2_pm, flip_pms):
 
 
 def test_action_consistency_full_bound(x2y2_pm):
-    assert check_action_consistency(x2y2_pm, x2y2_pm.D - 1).ok
+    assert check_action_consistency(x2y2_pm).ok
 
 
 def record_consistency_paths(monkeypatch) -> list[str]:
@@ -189,8 +188,8 @@ def test_action_consistency_matches_reference(monkeypatch):
             rng.shuffle(shuffled)
             pm = PhiMap(itable_of_rows(t.r, t.D, t.sigma, {**rows_of(t), **dict(zip(level, shuffled))}))
             calls.clear()
-            got = check_action_consistency(pm, 6)
-            assert got == check_action_consistency_ref(pm, 6)
+            got = check_action_consistency(pm)
+            assert got == check_action_consistency_ref(pm)
             verdicts.add(got.ok)
             if not got.ok:
                 failed_by.add(tuple(calls))
@@ -205,8 +204,8 @@ def test_action_consistency_matches_reference(monkeypatch):
                 shift[rng.randrange(pm.n)] += rng.choice((-1, 1))
             gens[i] = AffineIso(perm, tuple(shift))
             calls.clear()
-            got = check_action_consistency(pm, 6, generators=gens)
-            assert got == check_action_consistency_ref(pm, 6, generators=gens)
+            got = check_action_consistency(pm, generators=gens)
+            assert got == check_action_consistency_ref(pm, generators=gens)
             verdicts.add(got.ok)
             if not got.ok:
                 failed_by.add(tuple(calls))
@@ -215,36 +214,36 @@ def test_action_consistency_matches_reference(monkeypatch):
 
 
 def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
-    # bound 0 checks the origin alone and the top level steps no further,
-    # so each bound from 0 to D - 1 is compared: the rows of the
-    # bound's own level or of level 1 shuffled, and corrupted generators:
-    # each swept, then walked
+    # the top level steps no further, so each bound D - 1 from 1 to 6 is
+    # compared, on the table at D: the rows of the bound's own level or of
+    # level 1 shuffled, and corrupted generators: each swept, then walked
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     rng = random.Random(14)
     top = set()  # the bounds at which a point of degree bound was the witness
     calls = record_consistency_paths(monkeypatch)
     failed_by = set()
 
-    def compare(pm, bound, gens=None):
+    def compare(pm, gens=None):
         calls.clear()
-        got = check_action_consistency(pm, bound, generators=gens)
-        assert got == check_action_consistency_ref(pm, bound, generators=gens)
+        got = check_action_consistency(pm, generators=gens)
+        assert got == check_action_consistency_ref(pm, generators=gens)
         if not got.ok:
             failed_by.add(tuple(calls))
             a = got.witness.split("a=(")[1].split(")")[0]
-            if sum(map(int, a.split(","))) == bound:
-                top.add(bound)
+            if sum(map(int, a.split(","))) == pm.D - 1:
+                top.add(pm.D - 1)
 
     for path in paths:
-        t = build_itable(load_pairmap(str(path)), D=7)
-        pm = PhiMap(t)
-        for bound in range(t.D):
+        r = load_pairmap(str(path))
+        for bound in range(1, 7):
+            t = build_itable(r, D=bound + 1)
+            pm = PhiMap(t)
             for d in sorted({bound, 1}):
                 level = expvec_level(t.n, d)
                 shuffled = [t.row(b) for b in level]
                 rng.shuffle(shuffled)
                 rows = {**rows_of(t), **dict(zip(level, shuffled))}
-                compare(PhiMap(itable_of_rows(t.r, t.D, t.sigma, rows)), bound)
+                compare(PhiMap(itable_of_rows(t.r, t.D, t.sigma, rows)))
             gens = affine_generators(pm)
             i = rng.randrange(pm.n)
             if rng.random() < 0.8:
@@ -253,8 +252,8 @@ def test_action_consistency_matches_reference_at_every_bound(monkeypatch):
                 shift = list(gens[i].shift)
                 shift[rng.randrange(pm.n)] += rng.choice((-1, 1))
                 gens[i] = AffineIso(gens[i].perm, tuple(shift))
-            compare(pm, bound, gens)
-    assert top == set(range(7))
+            compare(pm, gens)
+    assert top == set(range(1, 7))
     assert failed_by == {(), ("_sweep", "_walk")}
 
 
@@ -281,8 +280,8 @@ def test_consistency_sweep_matches_reference_on_graded_steps(monkeypatch):
             graded = ITable(t.r, t.D, t.sigma, *graded_steps(t, p, d, tuple(bad)))
             by_vector = PhiMap(itable_of_rows(t.r, t.D, t.sigma, rows_of(graded)))
             calls.clear()
-            got = check_action_consistency(PhiMap(graded), 6)
-            assert got == check_action_consistency_ref(by_vector, 6)
+            got = check_action_consistency(PhiMap(graded))
+            assert got == check_action_consistency_ref(by_vector)
             verdicts[got.ok, tuple(calls)] += 1
     assert set(verdicts) == {(True, ("_sweep",)), (False, ("_sweep", "_walk"))}
 
@@ -292,7 +291,7 @@ def test_unconfirmed_sweep_failure_raises(x2y2_pm, monkeypatch):
     # check refuses to pass silently
     monkeypatch.setattr(bieberbach, "_sweep", lambda steps, gens, bound: False)
     with pytest.raises(AssertionError, match="the point walk holds"):
-        check_action_consistency(x2y2_pm, x2y2_pm.D - 1)
+        check_action_consistency(x2y2_pm)
 
 
 def test_valid_tables_pass_consistency_without_the_walk(monkeypatch):
@@ -310,22 +309,22 @@ def test_valid_tables_pass_consistency_without_the_walk(monkeypatch):
     cases += [(s, 8) for n in (1, 2, 3, 4) for s in enumerate_solutions(n).solutions]
     assert len(cases) == 34 + 2 + 183
     for r, D in cases:
-        assert check_action_consistency(PhiMap(build_itable(r, D)), D - 1).ok
+        assert check_action_consistency(PhiMap(build_itable(r, D))).ok
 
 
 def test_wrong_convention_fails_at_n3(census):
     # on some n=3 solution phi(u_i) has order 3; its inverse must fail
     found = False
     for s in census[3].solutions:
-        pm = PhiMap(build_itable(s, D=6))
+        pm = PhiMap(build_itable(s, D=3))
         inverted = [AffineIso(g.perm.inverse(), g.shift) for g in affine_generators(pm)]
         if any(g.perm * g.perm != Perm.identity(3) for g in inverted):
-            res = check_action_consistency(pm, 2, generators=inverted)
+            res = check_action_consistency(pm, generators=inverted)
             assert not res.ok
             assert "affine image" in res.witness and "right multiplication" in res.witness
             found = True
             with pytest.raises(InputError, match="dimension"):
-                check_action_consistency(pm, 2, generators=inverted[:-1])
+                check_action_consistency(pm, generators=inverted[:-1])
     assert found
 
 
@@ -842,15 +841,11 @@ def test_searches_refuse_a_generator_list_of_the_wrong_length(x2y2_pm, call):
 
 
 def test_consistency_decode_matches_v_inverse(x2y2_table, flip_tables):
-    # the recurrence check_action_consistency decodes v(a) x_i by: the
-    # products for a continue those for b = a - u_j by the letter x[b, j]
+    # the reference consistency check decodes v(a) x_i on the rows, the
+    # products for a continuing those for b = a - u_j by the letter
+    # x[b, j]: each equals v_inverse of the word
     for t in (x2y2_table, flip_tables[3]):
-        right = {}
-        for a, b, x in peel_walk(t, t.D - 1):
-            if b is None:
-                right[a] = [decode_from(t, a, (i,)) for i in range(1, t.n + 1)]
-            else:
-                right[a] = [decode_from(t, c, (x,)) for c in right[b]]
+        right = right_products_ref(t)
         assert list(right) == expvecs_up_to(t.n, t.D - 1)
         for a, products in right.items():
             w = v_of(t, a)
@@ -910,9 +905,8 @@ def test_tiling_guard_counts_the_longest_shift(x2y2_pm, monkeypatch):
         (lambda pm: fundamental_domain_check(pm, -1, 3), "tiling box radius must be >= 0, got -1"),
         (lambda pm: fundamental_domain_check(pm, 1, 0), "tiling word length must be >= 1, got 0"),
         (lambda pm: freeness_check(pm, 0), "freeness word length must be >= 1, got 0"),
-        (lambda pm: check_action_consistency(pm, -1), "consistency bound must be >= 0, got -1"),
     ],
-    ids=["tiling-box", "tiling-length", "freeness-length", "consistency-bound"],
+    ids=["tiling-box", "tiling-length", "freeness-length"],
 )
 def test_certificates_refuse_empty_ranges(x2y2_pm, call, message):
     # each of these would pass having checked nothing

@@ -241,6 +241,25 @@ def test_phi_output_sweep(capsys):
     assert digest.hexdigest() == "d67251f674cdf406f3152bf9ca181d62de1930b75dd7e27906036d4af1167f61"
 
 
+def test_phi_and_bieberbach_degree_sweep(capsys):
+    # phi and bieberbach at the lattice benchmark's flags on every corpus
+    # input at --degree 2, 3, 5, 7, 9 and 10, where the cocycle, coset and
+    # consistency checks cover the whole table: one digest of each run's
+    # argv, exit code, stdout and stderr
+    inputs = json.loads((CORPUS / "manifest.json").read_text())["inputs"]
+    names = sorted(e["file"] for e in inputs)
+    assert len(names) == 34
+    digest = hashlib.sha256()
+    for name in names:
+        for degree in ("2", "3", "5", "7", "9", "10"):
+            for cmd in (("phi",), ("bieberbach", "--length", "3", "--radius", "1")):
+                code = main([cmd[0], str(CORPUS / name), *cmd[1:], "--degree", degree])
+                captured = capsys.readouterr()
+                shown = (cmd[0], name, *cmd[1:], "--degree", degree)
+                digest.update(f"{shown}: exit {code}\n{captured.out}--\n{captured.err}".encode())
+    assert digest.hexdigest() == "c09ff2ec7ae0d3d2ca2486dd2e5b123b793ae7758d0cbd0e3f624d64c55054de"
+
+
 def word_sweep_runs():
     """argv of normalize and equal on every corpus input at the default
     --degree, at 2 and at 1 (refused): seeded words of 0 to D letters and

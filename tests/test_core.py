@@ -111,6 +111,24 @@ def test_closure_is_breadth_first_from_the_start():
     assert closure([], moves) == []
 
 
+def test_closure_to_a_depth_is_the_prefix_within_that_many_moves():
+    # on the same 6-cycle: 5 lies three moves from 0, and each depth keeps
+    # the unbounded closure's order
+    def moves(k):
+        return (k + 1) % 6, (k + 3) % 6
+
+    full = closure([0], moves)
+    assert [closure([0], moves, depth) for depth in range(5)] == [
+        [0],
+        [0, 1, 3],
+        [0, 1, 3, 2, 4],
+        full,
+        full,
+    ]
+    assert closure([4, 2, 4], moves, 0) == [4, 2]
+    assert closure([], moves, 2) == []
+
+
 def test_closure_of_generators_is_the_group_they_generate():
     swap, cyc = Perm((2, 1, 3)), Perm((2, 3, 1))
     group = closure([swap, cyc], lambda p: [p * swap, p * cyc])

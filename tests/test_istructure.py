@@ -694,26 +694,18 @@ def test_build_refuses_oversized_table(monkeypatch):
         build_itable(PairMap.flip(4), D=9)
 
 
-def test_peel_walk_and_decode_from_match_v_of_and_v_inverse():
-    # every corpus input at D = 8: the walk's letters rebuild v(e), and
-    # decoding w = v(e) x_i from the decoding of any tail u of w agrees
-    # with decoding w whole
+def test_peel_walk_matches_v_of():
+    # every corpus input at D = 8: the walk's letters rebuild v(e)
     corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
     paths = sorted(p for p in corpus.iterdir() if p.suffix in (".pres", ".rtable"))
     assert len(paths) == 34
     for path in paths:
         t = build_itable(load_pairmap(str(path)), D=8)
         word = {}
-        for e, b, x in oracles.peel_walk(t, t.D):
+        for e, b, x in oracles.peel_walk(rows_of(t), t.D):
             word[e] = () if b is None else (x,) + word[b]
             assert word[e] == v_of(t, e)
         assert list(word) == expvecs_up_to(t.n, t.D)
-        for e in expvecs_up_to(t.n, t.D - 1):
-            for i in range(1, t.n + 1):
-                w = word[e] + (i,)
-                whole = v_inverse(t, w)
-                for k in range(len(w) + 1):
-                    assert ist.decode_from(t, v_inverse(t, w[k:]), w[:k]) == whole
 
 
 def test_automaton_reads_match_the_row_walks():
@@ -745,7 +737,7 @@ def test_automaton_reads_match_the_row_walks():
         by_vector = itable_of_rows(r, D, t.sigma, rows_of(t))
         assert decoded == [v_inverse(by_vector, w) for w in words]
         walked = {}
-        for e, b, x in oracles.peel_walk(t, D):
+        for e, b, x in oracles.peel_walk(rows_of(t), D):
             walked[e] = () if b is None else (x,) + walked[b]
         assert canonical == walked
 

@@ -90,11 +90,11 @@ def test_cocycle_x2y2_generator_pair(x2y2_pm):
     assert (Perm((2, 1)) * Perm((2, 1))).images == (1, 2)
 
 
-def test_cocycle_exhaustive(x2y2_pm, flip_pms, census):
-    assert cocycle_exhaustive(x2y2_pm, 5).ok
-    assert cocycle_exhaustive(flip_pms[3], 5).ok
+def test_cocycle_exhaustive(x2y2_r, census):
+    assert cocycle_exhaustive(PhiMap(build_itable(x2y2_r, D=6))).ok
+    assert cocycle_exhaustive(PhiMap(build_itable(PairMap.flip(3), D=6))).ok
     for s in census[3].solutions:
-        assert cocycle_exhaustive(PhiMap(build_itable(s, D=6)), 5).ok
+        assert cocycle_exhaustive(PhiMap(build_itable(s, D=6))).ok
 
 
 def test_kernel_x2y2(x2y2_pm):
@@ -203,7 +203,7 @@ def test_kernel_saturated(x2y2_pm):
 
 
 def test_cosets_x2y2(x2y2_pm):
-    rep = coset_decomposition(x2y2_pm, 6)
+    rep = coset_decomposition(x2y2_pm)
     assert rep.reps == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert rep.ok
     # v(u1^2) and v(u2^2) commute in the semigroup
@@ -213,27 +213,23 @@ def test_cosets_x2y2(x2y2_pm):
 
 
 def test_cosets_flip_single(flip_pms):
-    rep = coset_decomposition(flip_pms[2], 6)
+    rep = coset_decomposition(flip_pms[2])
     assert rep.reps == ((0, 0),)
     assert rep.ok
 
 
-def test_coset_degree_bound(x2y2_pm):
-    with pytest.raises(DegreeBoundError):
-        coset_decomposition(x2y2_pm, x2y2_pm.D + 1)
-
-
-def _cocycle_tables(x2y2_r, census):
-    tables = [build_itable(x2y2_r, D=6), build_itable(x2y2_r, D=6, sigma=Perm((2, 1)))]
-    tables += [build_itable(s, D=6) for cen in census.values() for s in cen.solutions]
-    tables += [build_itable(s, D=6) for s in enumerate_solutions(4).class_reps]
-    return tables + [build_itable(PairMap.flip(3), D=6, sigma=Perm((2, 3, 1)))]
+def _cocycle_tables(x2y2_r, census, D=6):
+    tables = [build_itable(x2y2_r, D=D), build_itable(x2y2_r, D=D, sigma=Perm((2, 1)))]
+    tables += [build_itable(s, D=D) for cen in census.values() for s in cen.solutions]
+    tables += [build_itable(s, D=D) for s in enumerate_solutions(4).class_reps]
+    return tables + [build_itable(PairMap.flip(3), D=D, sigma=Perm((2, 3, 1)))]
 
 
 def test_cocycle_matches_reference(x2y2_r, census):
-    for t in _cocycle_tables(x2y2_r, census):
-        for dmax in (0, 1, 3, 5):
-            assert cocycle_exhaustive(PhiMap(t), dmax) == cocycle_exhaustive_ref(PhiMap(t), dmax)
+    # each table at D = 2, 4 and 6: every pair to degree 1, 3 and 5
+    for tables in zip(*(_cocycle_tables(x2y2_r, census, D) for D in (2, 4, 6))):
+        for t in tables:
+            assert cocycle_exhaustive(PhiMap(t)) == cocycle_exhaustive_ref(PhiMap(t))
 
 
 def test_cocycle_negative_control_matches_reference(x2y2_r, census):
@@ -254,13 +250,13 @@ def test_cocycle_negative_control_matches_reference(x2y2_r, census):
             others = [p for p in all_perms(t.n) if p.images != t.row(b)]
             for other in others[:3]:
                 bad = _with_row(t, b, other.images)
-                got = cocycle_exhaustive(PhiMap(bad), 5)
+                got = cocycle_exhaustive(PhiMap(bad))
                 assert not got.ok
-                assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
+                assert got == cocycle_exhaustive_ref(PhiMap(bad))
 
 
 def test_cocycle_matches_reference_on_shuffled_tables():
-    # 306 corrupted tables: each corpus table at D = 7 with the rows of
+    # 306 corrupted tables: each corpus table at D = 6 with the rows of
     # one degree from 1 to 5 shuffled.  A failing generator instance
     # falls back to the full sweep, which must name the reference's
     # first failing pair; a passing one must mean the sweep passes.
@@ -268,22 +264,22 @@ def test_cocycle_matches_reference_on_shuffled_tables():
     rng = random.Random(7)
     verdicts = set()
     for path in paths:
-        t = build_itable(load_pairmap(str(path)), D=7)
+        t = build_itable(load_pairmap(str(path)), D=6)
         for _ in range(9):
             level = expvec_level(t.n, rng.randint(1, 5))
             shuffled = [t.row(b) for b in level]
             rng.shuffle(shuffled)
             bad = itable_of_rows(t.r, t.D, t.sigma, {**rows_of(t), **dict(zip(level, shuffled))})
-            got = cocycle_exhaustive(PhiMap(bad), 5)
-            assert got == cocycle_exhaustive_ref(PhiMap(bad), 5)
+            got = cocycle_exhaustive(PhiMap(bad))
+            assert got == cocycle_exhaustive_ref(PhiMap(bad))
             verdicts.add(got.ok)
     assert verdicts == {True, False}
 
 
 def test_cocycle_reads_the_origin_and_every_top_row(x2y2_r, census):
-    # the rows the middle degrees leave out: a wrong phi(0), seen at
-    # dmax = 0 only through the pair (0, 0), and each row of degree dmax,
-    # which only the generator instance (b, u_j) with b + u_j there reads
+    # the rows the middle degrees leave out: a wrong phi(0), and each row
+    # of degree D - 1 = 5, which only the generator instance (b, u_j) with
+    # b + u_j there reads
     reps4 = enumerate_solutions(4).class_reps
     tables = [build_itable(x2y2_r, D=6), *(build_itable(s, D=6) for s in census[3].solutions[:6])]
     tables += [build_itable(reps4[12], D=6), build_itable(reps4[19], D=6)]
@@ -291,10 +287,9 @@ def test_cocycle_reads_the_origin_and_every_top_row(x2y2_r, census):
         for b in [(0,) * t.n, *expvec_level(t.n, 5)]:
             other = next(p for p in all_perms(t.n) if p.images != t.row(b))
             bad = _with_row(t, b, other.images)
-            for dmax in (0, 5) if degree(b) == 0 else (5,):
-                got = cocycle_exhaustive(PhiMap(bad), dmax)
-                assert not got.ok
-                assert got == cocycle_exhaustive_ref(PhiMap(bad), dmax)
+            got = cocycle_exhaustive(PhiMap(bad))
+            assert not got.ok
+            assert got == cocycle_exhaustive_ref(PhiMap(bad))
 
 
 def test_cosets_refuse_short_table_up_front(x2y2_r):
@@ -302,14 +297,14 @@ def test_cosets_refuse_short_table_up_front(x2y2_r):
     pm = PhiMap(build_itable(x2y2_r, D=3))
     assert kernel_exponents(pm).t == (2, 2)
     with pytest.raises(DegreeBoundError, match="needs degree 4"):
-        coset_decomposition(pm, 3)
-    assert coset_decomposition(PhiMap(build_itable(x2y2_r, D=4)), 4).ok
+        coset_decomposition(pm)
+    assert coset_decomposition(PhiMap(build_itable(x2y2_r, D=4))).ok
 
 
-def _coset_outcome(coset, t, m):
+def _coset_outcome(coset, t):
     """The coset report of a table, or the exception's type and text."""
     try:
-        return coset(PhiMap(t), m)
+        return coset(PhiMap(t))
     except Exception as exc:  # the outcome under comparison
         return type(exc), str(exc)
 
@@ -320,14 +315,14 @@ def _with_row(t, b, images):
 
 
 def test_cosets_match_reference_corpus():
-    # the arguments `phi` passes at the default --degree
+    # the tables `phi` checks at the default --degree
     paths = sorted(CORPUS.glob("*.rtable")) + sorted(CORPUS.glob("*.pres"))
     assert len(paths) == 34
     for path in paths:
         t = build_itable(load_pairmap(str(path)), D=8)
-        got = coset_decomposition(PhiMap(t), 6)
+        got = coset_decomposition(PhiMap(t))
         assert got.ok
-        assert got == coset_decomposition_ref(PhiMap(t), 6)
+        assert got == coset_decomposition_ref(PhiMap(t))
 
 
 def test_coset_negative_controls(x2y2_table):
@@ -336,9 +331,9 @@ def test_coset_negative_controls(x2y2_table):
     # v(u_1^2) v(u_2^2), so the product rule holds and the commuting fails
     t = x2y2_table
     bad = {b: _with_row(t, b, t.row(b)[::-1]) for b in ((2, 1), (2, 2), (1, 2))}
-    reports = {b: coset_decomposition(PhiMap(tb), 6) for b, tb in bad.items()}
+    reports = {b: coset_decomposition(PhiMap(tb)) for b, tb in bad.items()}
     for b, rep in reports.items():
-        assert rep == coset_decomposition_ref(PhiMap(bad[b]), 6)
+        assert rep == coset_decomposition_ref(PhiMap(bad[b]))
         assert rep.kernel.t == (2, 2) and not rep.ok
     assert reports[(2, 1)].product_rule.witness == (
         "v((3,1)) differs from v((1,1))v((2,0)) in the semigroup"
@@ -364,8 +359,8 @@ def test_coset_corruptions_match_reference(x2y2_table):
             others = [p.images for p in all_perms(t.n) if p.images != t.row(b)]
             for images in [*others[:2], (1,) * t.n]:
                 bad = _with_row(t, b, images)
-                got = _coset_outcome(coset_decomposition, bad, 6)
-                assert got == _coset_outcome(coset_decomposition_ref, bad, 6)
+                got = _coset_outcome(coset_decomposition, bad)
+                assert got == _coset_outcome(coset_decomposition_ref, bad)
                 if isinstance(got, CosetReport):
                     checks = ("factorization", "product_rule", "commuting")
                     failed |= {k for k in checks if not getattr(got, k)}
@@ -373,57 +368,58 @@ def test_coset_corruptions_match_reference(x2y2_table):
 
 
 def test_cosets_match_reference_for_every_sigma():
-    # the inputs with n <= 3 under every sigma, at m = 6 < D = 8 and at
-    # m = D = 8 and 6: 129 passing reports, 99 of them with sigma != id,
-    # each equal to the reference's
+    # the inputs with n <= 3 under every sigma, at D = 8 and 6: 86 passing
+    # reports, 66 of them with sigma != id, each equal to the reference's
     paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
     cases = []
     for path in paths:
         r = load_pairmap(str(path))
         for sigma in all_perms(r.n) if r.n <= 3 else ():
-            for D, m in ((8, 6), (8, 8), (6, 6)):
+            for D in (8, 6):
                 t = build_itable(r, D=D, sigma=sigma)
-                got = coset_decomposition(PhiMap(t), m)
-                assert got == coset_decomposition_ref(PhiMap(t), m)
+                got = coset_decomposition(PhiMap(t))
+                assert got == coset_decomposition_ref(PhiMap(t))
                 cases.append((got.ok, sigma.is_identity()))
-    assert cases.count((True, False)) == 99 and cases.count((True, True)) == 30
+    assert cases.count((True, False)) == 66 and cases.count((True, True)) == 20
 
 
 CHECKS = ("factorization", "product_rule", "commuting")
 
 
 def test_coset_corruptions_of_the_deepest_rows_match_reference(x2y2_r):
-    # each row of degree m - 1, the deepest the walk reads, replaced by two
-    # other permutations and by (1, ..., 1), on x2y2 and on t = (3, 3, 3),
-    # at m = 6 < D = 8 and at m = D = 7, where P0 points of degree D - 1
-    # hold rows: the reports, or the exceptions, agree
+    # each row of degree D - 1, the deepest the walk reads, replaced by two
+    # other permutations and by (1, ..., 1), on x2y2 and on t = (3, 3, 3)
+    # at D = 6, where the commuting check reads them, and at D = 7, where
+    # P0 points of degree D - 1 hold rows: the reports, or the exceptions,
+    # agree
     c3_05 = load_pairmap(str(CORPUS / "c3_05.rtable"))
     outcomes = set()
-    for D, m in ((8, 6), (7, 7)):
-        for t in (build_itable(x2y2_r, D=D), build_itable(c3_05, D=D)):
-            for b in expvec_level(t.n, m - 1):
-                others = [p.images for p in all_perms(t.n) if p.images != t.row(b)]
-                for images in [*others[:2], (1,) * t.n]:
-                    bad = _with_row(t, b, images)
-                    got = _coset_outcome(coset_decomposition, bad, m)
-                    assert got == _coset_outcome(coset_decomposition_ref, bad, m)
-                    if isinstance(got, CosetReport):
-                        outcomes |= {k for k in CHECKS if not getattr(got, k)}
-                    else:
-                        outcomes.add(got[0])
+    for t in (build_itable(r, D=D) for D in (6, 7) for r in (x2y2_r, c3_05)):
+        for b in expvec_level(t.n, t.D - 1):
+            others = [p.images for p in all_perms(t.n) if p.images != t.row(b)]
+            for images in [*others[:2], (1,) * t.n]:
+                bad = _with_row(t, b, images)
+                got = _coset_outcome(coset_decomposition, bad)
+                assert got == _coset_outcome(coset_decomposition_ref, bad)
+                if isinstance(got, CosetReport):
+                    outcomes |= {k for k in CHECKS if not getattr(got, k)}
+                else:
+                    outcomes.add(got[0])
     assert outcomes == {ValueError, InputError, *CHECKS}
 
 
-def test_phi_checks_refuse_a_row_that_is_no_permutation(x2y2_table):
+def test_phi_checks_refuse_a_row_that_is_no_permutation(x2y2_r, x2y2_table):
     # (1, 1) in place of phi(u_1^2) = id: the kernel walk reads it before
     # any power of u_1 with trivial phi.  The cocycle check validates every
-    # row to dmax before it checks a pair.
+    # row to degree D - 1 before it checks a pair, as its reference does.
     bad = _with_row(x2y2_table, (2, 0), (1, 1))
     with pytest.raises(InputError, match=r"not a permutation of 1..2: \(1, 1\)"):
         kernel_exponents(PhiMap(bad))
+    t = build_itable(x2y2_r, D=6)
     for b in expvecs_up_to(2, 5):
-        with pytest.raises(InputError, match=r"not a permutation of 1..2: \(1, 1\)"):
-            cocycle_exhaustive(PhiMap(_with_row(x2y2_table, b, (1, 1))), 5)
+        for cocycle in (cocycle_exhaustive, cocycle_exhaustive_ref):
+            with pytest.raises(InputError, match=r"not a permutation of 1..2: \(1, 1\)"):
+                cocycle(PhiMap(_with_row(t, b, (1, 1))))
 
 
 def test_states_give_the_image_group_and_the_kernel():
@@ -444,18 +440,19 @@ def test_states_give_the_image_group_and_the_kernel():
             assert next(k for k in range(1, len(distinct) + 1) if (p := s_i[p]) == 0) == ti
 
 
-def _on_steps(t, distinct):
-    """The table on t's steps with the rows `distinct`, and the table of
-    one state per vector of every row those steps give."""
-    on_steps = ITable(t.r, t.D, t.sigma, tuple(distinct), t.steps[1])
-    return on_steps, itable_of_rows(t.r, t.D, t.sigma, rows_of(on_steps))
+def _on_steps(t, distinct, D):
+    """The table to D <= t.D on t's steps with the rows `distinct`, and
+    the table of one state per vector of every row those steps give."""
+    on_steps = ITable(t.r, D, t.sigma, tuple(distinct), t.steps[1])
+    return on_steps, itable_of_rows(t.r, D, t.sigma, rows_of(on_steps))
 
 
 def test_phi_on_states_rejects_what_the_references_reject():
     # each corpus table at D = 8, under every sigma for n <= 3, with two
     # entries of one non-origin row of its steps swapped, each pair of each
-    # row: phi's checks on the states (the cocycle also to degrees 2 and 3)
-    # against the references on one state per vector of the same rows.
+    # row: phi's checks on the states (the cocycle also on the same rows
+    # to D = 3 and 4) against the references on one state per vector of
+    # the same rows.
     # What the references reject fails on the states with their
     # witnesses, and what they pass passes; where a swapped row equals
     # sigma, a P0 point's state is not the origin's and the vector walk
@@ -469,11 +466,15 @@ def test_phi_on_states_rejects_what_the_references_reject():
             for p, (i, j) in itertools.product(range(1, len(distinct)), list(pairs)):
                 bad = list(distinct[p])
                 bad[i], bad[j] = bad[j], bad[i]
-                on_steps, by_vector = _on_steps(t, [*distinct[:p], tuple(bad), *distinct[p + 1 :]])
-                cocycle = {d: cocycle_exhaustive(PhiMap(on_steps), d) for d in (2, 3, 5)}
-                assert cocycle == {d: cocycle_exhaustive_ref(PhiMap(by_vector), d) for d in cocycle}
-                cosets = _coset_outcome(coset_decomposition, on_steps, 6)
-                ref = _coset_outcome(coset_decomposition_ref, by_vector, 6)
+                rows = [*distinct[:p], tuple(bad), *distinct[p + 1 :]]
+                cocycle = {}
+                for D in (3, 4, 6):
+                    on_steps, by_vector = _on_steps(t, rows, D)
+                    cocycle[D - 1] = cocycle_exhaustive(PhiMap(on_steps))
+                    assert cocycle[D - 1] == cocycle_exhaustive_ref(PhiMap(by_vector))
+                on_steps, by_vector = _on_steps(t, rows, t.D)
+                cosets = _coset_outcome(coset_decomposition, on_steps)
+                ref = _coset_outcome(coset_decomposition_ref, by_vector)
                 assert cosets == ref
                 ok = isinstance(cosets, CosetReport) and cosets.ok
                 ref_ok = isinstance(ref, CosetReport) and ref.ok
@@ -481,27 +482,27 @@ def test_phi_on_states_rejects_what_the_references_reject():
     assert verdicts == {(False, False): 396, (True, True): 34}
 
 
-def test_state_checks_on_graded_steps(x2y2_table, monkeypatch):
+def test_state_checks_on_graded_steps(x2y2_r, x2y2_table, monkeypatch):
     # graded steps describe the rows with every state apart by degree.  A
     # wrong origin fails the cocycle on the states with the reference's
     # witness.  Unchanged, no P0 point's state is the origin's, and the
     # coset walk finds every vector holding, as the reference does.  A
     # cocycle failure that the sweep of every pair does not confirm raises
-    t = x2y2_table
-    graded = ITable(t.r, t.D, t.sigma, *graded_steps(t, 0, 0, t.row((0, 0))[::-1]))
-    by_vector = itable_of_rows(t.r, t.D, t.sigma, rows_of(graded))
-    for dmax in (0, 5):
-        got = cocycle_exhaustive(PhiMap(graded), dmax)
-        assert not got.ok
-        assert got == cocycle_exhaustive_ref(PhiMap(by_vector), dmax)
+    t, t6 = x2y2_table, build_itable(x2y2_r, D=6)
+    graded = ITable(t6.r, t6.D, t6.sigma, *graded_steps(t6, 0, 0, t6.row((0, 0))[::-1]))
+    by_vector = itable_of_rows(t6.r, t6.D, t6.sigma, rows_of(graded))
+    got = cocycle_exhaustive(PhiMap(graded))
+    assert not got.ok
+    assert got == cocycle_exhaustive_ref(PhiMap(by_vector))
     graded = ITable(t.r, t.D, t.sigma, *graded_steps(t, 0, 0, t.row((0, 0))))
     assert rows_of(graded) == rows_of(t)
-    got = coset_decomposition(PhiMap(graded), 6)
-    assert got.ok and got == coset_decomposition_ref(PhiMap(graded), 6)
-    assert cocycle_exhaustive(PhiMap(graded), 5).ok
-    monkeypatch.setattr(structuremaps, "_instances_on_states", lambda pm, dmax: False)
+    got = coset_decomposition(PhiMap(graded))
+    assert got.ok and got == coset_decomposition_ref(PhiMap(graded))
+    graded = ITable(t6.r, t6.D, t6.sigma, *graded_steps(t6, 0, 0, t6.row((0, 0))))
+    assert cocycle_exhaustive(PhiMap(graded)).ok
+    monkeypatch.setattr(structuremaps, "_instances_on_states", lambda pm: False)
     with pytest.raises(AssertionError, match="the generator instances failed, yet every pair holds"):
-        cocycle_exhaustive(PhiMap(graded), 5)
+        cocycle_exhaustive(PhiMap(graded))
 
 
 def test_phi_answers_the_corpus_without_the_coset_walk(capsys, monkeypatch):

@@ -158,8 +158,8 @@ def test_certified_rows_past_degree_one_are_gathered_when_read(capsys, monkeypat
             lambda t, a=rng.choice(core.expvec_level(n, D)): ist.v_of(t, a),
             lambda t: ist.v_inverse(t, word),
             ist.dump_itable,
-            lambda t: sm.cocycle_exhaustive(sm.PhiMap(t), D - 1),
-            lambda t: sm.coset_decomposition(sm.PhiMap(t), D),
+            lambda t: sm.cocycle_exhaustive(sm.PhiMap(t)),
+            lambda t: sm.coset_decomposition(sm.PhiMap(t)),
         ]
         for read in reads:
             assert read(ist.build_itable(r, D)) == read(ref)
