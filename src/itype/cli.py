@@ -64,9 +64,9 @@ from .ybr import (
 )
 
 
-# Every file command sweeps the n^3 words of degree 3 (the Yang-Baxter
-# check, star3, the orbit census); at 100 letters `orbits` takes 10.4 s and
-# 271 MiB on a 2-vCPU Xeon with Python 3.11.  Past this many, files are refused.
+# Every file command sweeps the n^3 words of degree 3 (Yang-Baxter, star3,
+# orbits); `orbits` on the 100-letter flip map takes 1.5-2.7 s, peak 132 MiB
+# (2 vCPUs, Python 3.11.7).  Past this many words, files are refused.
 MAX_DEGREE3_WORDS = 1_000_000
 
 
@@ -226,13 +226,11 @@ def cmd_orbits(args, rep: Reporter) -> int:
     x = load_input(args.file)
     r = as_pairmap(x)
     report = classify_orbits3(r)
+    name = ("", *r.names)  # 1-based
     for o in report.orbits:
-        members = ", ".join(format_word(w, r.names) for w in o.elements)
+        members = ", ".join([f"{name[a]} {name[b]} {name[c]}" for a, b, c in o.elements])
         rep.field(f"orbit {o.kind} size {o.size}", members)
-    rep.field(
-        "counts",
-        f"A={report.count('A')} B={report.count('B')} C={report.count('C')}",
-    )
+    rep.field("counts", f"A={report.count('A')} B={report.count('B')} C={report.count('C')}")
     rep.field("identity", report.identity)
     rep.check("star-census", report.star_census)
     if isinstance(x, Presentation):

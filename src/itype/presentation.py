@@ -9,9 +9,9 @@ Presentation file format (UTF-8, line oriented, ``#`` starts a comment):
     rel z y = y z
 
 The r-table parser ``ybr.parse_rtable`` also reads its lines through
-``lex_lines``, its alphabet through ``parse_gens`` and its table lines
-through ``to_word``.  The name ``1`` is reserved for the empty word and
-cannot name a generator.
+``lex_lines``, its alphabet through ``parse_gens`` (one dict of names)
+and its table lines through ``to_word``.  The name ``1`` is reserved
+for the empty word and cannot name a generator.
 
 The four checks below classify a presentation: ``star1``/``star2`` are
 per-relation index-pattern conditions, ``star3`` asks that degree-3
@@ -78,57 +78,55 @@ def lex_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
-def parse_gens(lineno: int, tokens: list[str], names: tuple[str, ...] | None) -> tuple[str, ...]:
-    """The alphabet declared by a ``gens`` line; ``names`` is the one
-    declared so far, if any."""
-    if names is not None:
+def parse_gens(lineno: int, tokens: list[str], letter: dict[str, int] | None) -> dict[str, int]:
+    """The alphabet of a ``gens`` line, each name to its index 1..n;
+    ``letter`` is the one declared so far, if any."""
+    if letter is not None:
         raise InputError(f"line {lineno}: repeated gens directive")
     if len(tokens) < 2:
         raise InputError(f"line {lineno}: gens needs at least one name")
-    if len(set(tokens[1:])) != len(tokens[1:]):
+    letter = {name: i for i, name in enumerate(tokens[1:], start=1)}
+    if len(letter) != len(tokens) - 1:
         raise InputError(f"line {lineno}: duplicate generator name")
-    if "1" in tokens[1:]:
+    if "1" in letter:
         raise InputError(f"line {lineno}: generator name '1' is reserved for the empty word")
-    return tuple(tokens[1:])
+    return letter
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format; raises InputError with a line
     number on any syntax problem."""
-    names: tuple[str, ...] | None = None
+    letter: dict[str, int] | None = None
     relations: list[tuple[Word, Word]] = []
     for lineno, tokens in lex_lines(text):
         if tokens[0] == "gens":
-            names = parse_gens(lineno, tokens, names)
+            letter = parse_gens(lineno, tokens, letter)
         elif tokens[0] == "rel":
-            if names is None:
+            if letter is None:
                 raise InputError(f"line {lineno}: rel before gens")
             try:
                 eq = tokens.index("=")
             except ValueError:
                 raise InputError(f"line {lineno}: relation needs '='") from None
-            lhs = to_word(tokens[1:eq], names, f"line {lineno}")
-            rhs = to_word(tokens[eq + 1 :], names, f"line {lineno}")
+            lhs = to_word(tokens[1:eq], letter, f"line {lineno}")
+            rhs = to_word(tokens[eq + 1 :], letter, f"line {lineno}")
             if len(lhs) != 2 or len(rhs) != 2:
                 raise InputError(f"line {lineno}: relation sides must have degree 2")
             relations.append((lhs, rhs))
         else:
             raise InputError(f"line {lineno}: unknown directive {tokens[0]!r}")
-    if names is None:
+    if letter is None:
         raise InputError("missing gens directive")
-    return Presentation(names, tuple(relations))
+    return Presentation(tuple(letter), tuple(relations))
 
 
-def to_word(tokens: list[str], names: tuple[str, ...], where: str) -> Word:
-    """The word spelled by generator names; ``where`` opens the error
-    message for an unknown name."""
-    word = []
-    for tok in tokens:
-        try:
-            word.append(names.index(tok) + 1)
-        except ValueError:
-            raise InputError(f"{where}: unknown generator {tok!r}") from None
-    return tuple(word)
+def to_word(tokens: list[str], letter: dict[str, int], where: str) -> Word:
+    """The word spelled by generator names, ``letter`` taking each to its
+    index; ``where`` opens the error message for an unknown name."""
+    try:
+        return tuple([letter[tok] for tok in tokens])
+    except KeyError as exc:
+        raise InputError(f"{where}: unknown generator {exc.args[0]!r}") from None
 
 
 def parse_word(text: str, names: tuple[str, ...]) -> Word:
@@ -137,7 +135,7 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
     tokens = text.split()
     if tokens == ["1"]:
         return ()
-    return to_word(tokens, names, f"word {text!r}")
+    return to_word(tokens, {name: i for i, name in enumerate(names, 1)}, f"word {text!r}")
 
 
 def format_presentation(p: Presentation) -> str:
@@ -241,18 +239,16 @@ def check_star3(p: Presentation) -> CheckResult:
 def check_cyclic(r) -> CheckResult:
     """Applying r at position 2 then position 1 maps every word x_a x_a x_b
     to a word x_c x_d x_d, bijectively onto those."""
-    n = r.n
+    n, R = r.n, r.index_map
     images = set()
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            w = (a, a, b)
-            u = r.apply_at(r.apply_at(w, 2), 1)
-            if u[1] != u[2]:
-                return CheckResult.failed(
-                    f"{r._fmt(w)} maps to {r._fmt(u)}, "
-                    "not of the form x_c x_d x_d"
-                )
-            images.add(u)
+    for a in range(n):  # letters 0-based, pairs as in ybr.PairMap.index_map
+        for b in range(n):
+            y, z = divmod(R[a * n + b], n)  # r at position 2: (a, y, z)
+            x, y = divmod(R[a * n + y], n)  # then at position 1: (x, y, z)
+            if y != z:
+                w, u = r._fmt((a + 1, a + 1, b + 1)), r._fmt((x + 1, y + 1, z + 1))
+                return CheckResult.failed(f"{w} maps to {u}, not of the form x_c x_d x_d")
+            images.add(x * n + y)
     if len(images) != n * n:
         return CheckResult.failed(
             f"image of the doubled-first-letter words has size {len(images)} < {n * n}"

@@ -162,11 +162,11 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
     """Walk the powers of each generator until phi returns to the
     identity, on the table's states (module notes).  The minimal
     exponent always divides n!, so a table with D > n! never fails;
-    smaller tables may need a raised bound.  The
-    image group H is the closure of the n generator images under right
-    multiplication by them (core.closure): by the cocycle identity every
-    phi(b) is a product of the phi(u_i).  bieberbach._label_frame closes
-    the same images, with their inverses, into the same H."""
+    smaller tables may need a raised bound.  The image group H is the
+    closure of the n generator images under right multiplication by them
+    (core.closure on image tuples): by the cocycle identity every phi(b)
+    is a product of the phi(u_i).  bieberbach._label_frame closes the
+    same images, with their inverses, into the same H."""
     n, (distinct, step) = pm.n, pm.table.steps
     t = []
     for i, s_i in enumerate(step, start=1):
@@ -185,9 +185,10 @@ def kernel_exponents(pm: PhiMap) -> KernelData:
         if math.factorial(n) % ti != 0:
             raise ConsistencyError(f"t_{i} = {ti} does not divide n! = {math.factorial(n)}")
     gens = tuple(phi_of(pm, tuple(int(j == i) for j in range(n))) for i in range(n))
-    group = closure(gens, lambda p: [compose_perm(p, g) for g in gens])
+    right = [[k - 1 for k in g.images] for g in gens]  # p -> p * g on image tuples
+    group = closure([g.images for g in gens], lambda p: [tuple([p[k] for k in g]) for g in right])
     p0 = tuple(tuple(t[i - 1] if j == i else 0 for j in range(1, n + 1)) for i in range(1, n + 1))
-    return KernelData(tuple(t), gens, frozenset(group), p0)
+    return KernelData(tuple(t), gens, frozenset(map(Perm, group)), p0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ every relation, fix everything else), verifies the three axioms
 derives the four companion bijections of X^2, classifies the orbits of
 the rewriting action on X^3, and enumerates every solution for small n.
 
+The axioms, the cyclic check and the orbit census read pair indices:
+(a, b) is (a-1)n + b-1, R = ``PairMap.index_map`` (made on first use)
+takes it to that of r(a, b), and word (a, b, c) is (a-1)n^2 + (b-1)n +
+c-1, in lex order.  Only failures and the orbit report decode letters.
+
 r-table file format (``#`` comments, blank lines and the ``gens`` line
 as in the presentation format):
 
@@ -26,9 +31,10 @@ as in the presentation format):
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .core import (
@@ -39,7 +45,6 @@ from .core import (
     Word,
     all_perms,
     all_words,
-    closure,
     format_word,
 )
 from .presentation import Presentation, lex_lines, parse_gens, to_word
@@ -64,6 +69,11 @@ class PairMap:
 
     def __call__(self, a: int, b: int) -> Pair:
         return self.table[(a - 1) * self.n + (b - 1)]
+
+    @cached_property
+    def index_map(self) -> tuple[int, ...]:
+        """R, the table on pair indices (see the module notes)."""
+        return tuple([c * self.n + d - self.n - 1 for c, d in self.table])
 
     def apply_at(self, w: Word, pos: int) -> Word:
         """Apply r to letters pos, pos+1 of w (1-based)."""
@@ -125,12 +135,12 @@ def build_r(p: Presentation) -> PairMap:
 
 
 def check_involutive(r: PairMap) -> CheckResult:
-    """r applied twice is the identity on every pair."""
-    for (a, b), (c, d) in r.pairs():
-        if r(c, d) != (a, b):
-            return CheckResult.failed(
-                f"r(r({r._fmt((a, b))})) = {r._fmt(r(c, d))} != {r._fmt((a, b))}"
-            )
+    """r applied twice is the identity on every pair: R[R[k]] = k."""
+    R = r.index_map
+    for k, j in enumerate(R):
+        if R[j] != k:
+            ab = (k // r.n + 1, k % r.n + 1)
+            return CheckResult.failed(f"r(r({r._fmt(ab)})) = {r._fmt(r.table[j])} != {r._fmt(ab)}")
     return CheckResult.passed()
 
 
@@ -155,21 +165,20 @@ def check_yb(r: PairMap) -> CheckResult:
 
 def check_nondegenerate(r: PairMap) -> CheckResult:
     """For every (a,b) exactly one (c,d) solves r(x_c x_a) = x_d x_b, with
-    c = d on the diagonal a = b."""
-    for a in range(1, r.n + 1):
-        for b in range(1, r.n + 1):
-            hits = []
-            for c in range(1, r.n + 1):
-                d, bb = r(c, a)
-                if bb == b:
-                    hits.append((c, d))
-            if len(hits) != 1:
+    c = d on the diagonal a = b; read column by column, r(c, a) for c = 1..n."""
+    n, letters = r.n, list(range(1, r.n + 1))
+    for a in letters:
+        col = r.table[a - 1 :: n]  # r(c, a), c = 1..n
+        seconds = [b for _, b in col]
+        if sorted(seconds) == letters and col[seconds.index(a)][0] == seconds.index(a) + 1:
+            continue
+        for b in letters:  # word the column's first failure
+            if (hits := seconds.count(b)) != 1:
                 return CheckResult.failed(
-                    f"(a,b)=({r._fmt((a, b))}): {len(hits)} solutions (c,d) "
-                    f"to r(x_c x_a) = x_d x_b"
+                    f"(a,b)=({r._fmt((a, b))}): {hits} solutions (c,d) to r(x_c x_a) = x_d x_b"
                 )
-            c, d = hits[0]
-            if a == b and c != d:
+            c = seconds.index(b) + 1
+            if a == b and c != (d := col[c - 1][0]):
                 return CheckResult.failed(
                     f"a = b = {r._fmt((a,))} but the unique solution has c = "
                     f"{r._fmt((c,))} != d = {r._fmt((d,))}"
@@ -258,28 +267,34 @@ def classify_orbits3(r: PairMap) -> OrbitReport:
     presentation passing the star conditions: n orbits of type A of size
     1, n(n-1) of type B of size 3, n(n-1)(n-2)/6 of type C of size 6;
     then n^3 = n + 3n(n-1) + 6#C holds identically.  For other inputs
-    the census verdict is informational only."""
-    n = r.n
-    seen: set[Word] = set()
-    orbits: list[Orbit] = []
-    for w in all_words(n, 3):
-        if w in seen:
+    the census verdict is informational only.  An orbit is the closure,
+    by r at position 1 (R1) and 2 (R2) on word indices, of the least word
+    not yet met: where r is no involution it may repeat earlier words."""
+    n, nn, R = r.n, r.n * r.n, r.index_map
+    R1 = array("q", [k * n + c for k in R for c in range(n)])
+    R2 = array("q", [w + k for w in range(0, n * nn, nn) for k in R])
+    diagonal = set(range(0, n * nn, nn + n + 1))
+    xx = range(0, nn, n + 1)  # the pairs x x
+    doubled = {k * n + c for k in xx for c in range(n)}  # x x y
+    doubled |= {w + k for w in range(0, n * nn, nn) for k in xx}  # y x x
+    seen = bytearray(n * nn)
+    orbits = []
+    for w in range(n * nn):
+        if seen[w]:
             continue
-        orbit = closure([w], lambda cur: (r.apply_at(cur, 1), r.apply_at(cur, 2)))
-        seen.update(orbit)
-        if any(u[0] == u[1] == u[2] for u in orbit):
-            kind = "A"
-        elif any(u[0] == u[1] or u[1] == u[2] for u in orbit):
-            kind = "B"
-        else:
-            kind = "C"
-        orbits.append(Orbit(tuple(sorted(orbit)), kind))  # met at its least word w: in order
-    return OrbitReport(
-        n=n,
-        orbits=tuple(orbits),
-        star_census=_star_census(n, tuple(orbits)),
-        identity="n^3 = n + 3*n*(n-1) + 6*#C",
-    )
+        orbit, members = [w], {w}  # the closure of w, breadth first
+        for u in orbit:
+            for v in (R1[u], R2[u]):
+                if v not in members:
+                    members.add(v)
+                    orbit.append(v)
+        orbit.sort()
+        for u in orbit:
+            seen[u] = 1
+        kind = "C" if doubled.isdisjoint(orbit) else "B" if diagonal.isdisjoint(orbit) else "A"
+        orbits.append(Orbit(tuple([(u // nn + 1, u // n % n + 1, u % n + 1) for u in orbit]), kind))
+    orbits = tuple(orbits)
+    return OrbitReport(n, orbits, _star_census(n, orbits), "n^3 = n + 3*n*(n-1) + 6*#C")
 
 
 def _star_census(n: int, orbits: tuple[Orbit, ...]) -> CheckResult:
@@ -416,30 +431,34 @@ def parse_rtable(text: str) -> PairMap:
     """Parse the r-table file format (gens line, rtable directive, one
     ``a b -> c d`` line per pair).  Every line after the ``rtable`` line
     is a table line, so ``gens`` and ``rtable`` can name generators."""
-    names: tuple[str, ...] | None = None
+    letter: dict[str, int] | None = None
     in_table = False
     entries: dict[Pair, Pair] = {}
     for lineno, tokens in lex_lines(text):
         if in_table:
             if len(tokens) != 5 or tokens[2] != "->":
                 raise InputError(f"line {lineno}: expected 'a b -> c d'")
-            a, b, c, d = to_word(tokens[:2] + tokens[3:], names, f"line {lineno}")
+            x, y, _, z, t = tokens
+            try:
+                a, b, c, d = letter[x], letter[y], letter[z], letter[t]
+            except KeyError:
+                to_word([x, y, z, t], letter, f"line {lineno}")  # words the unknown name
             if (a, b) in entries:
-                raise InputError(f"line {lineno}: pair {tokens[0]} {tokens[1]} listed twice")
+                raise InputError(f"line {lineno}: pair {x} {y} listed twice")
             entries[(a, b)] = (c, d)
         elif tokens[0] == "gens":
-            names = parse_gens(lineno, tokens, names)
+            letter = parse_gens(lineno, tokens, letter)
         elif tokens[0] == "rtable":
-            if names is None:
+            if letter is None:
                 raise InputError(f"line {lineno}: rtable before gens")
             in_table = True
         else:
             raise InputError(f"line {lineno}: unknown directive {tokens[0]!r}")
-    if names is None:
+    if letter is None:
         raise InputError("missing gens directive")
-    if len(entries) != len(names) ** 2:
-        raise InputError(f"r-table has {len(entries)} lines, need {len(names) ** 2}")
-    return PairMap.from_entries(len(names), entries, names)
+    if len(entries) != len(letter) ** 2:
+        raise InputError(f"r-table has {len(entries)} lines, need {len(letter) ** 2}")
+    return PairMap.from_entries(len(letter), entries, tuple(letter))
 
 
 def format_rtable(r: PairMap) -> str:

@@ -5,11 +5,13 @@ decided by closing under the degree-2 relations directly, which is the
 ground truth the table-based decision procedure must reproduce.
 
 The I-structure build, the recursive exponent-vector enumeration, the
-cocycle sweep and the braid check below are the straightforward versions
-of `build_itable`, `expvec_level`, `cocycle_exhaustive` and
-`check_yb`: keys built through the exponent-vector helpers, phi read
-off the rows once and composed pair by pair, words rewritten by
-slicing.  The flat code in
+cocycle sweep, the pair-map axioms, the cyclic check and the orbit
+census below are the straightforward versions of `build_itable`,
+`expvec_level`, `cocycle_exhaustive`, `check_involutive`, `check_yb`,
+`check_nondegenerate`, `check_cyclic` and `classify_orbits3`: keys
+built through the exponent-vector helpers, phi read off the rows once
+and composed pair by pair, pairs read through `PairMap.__call__` and
+words rewritten by slicing.  The flat code in
 `itype` must produce the same rows, vectors and results.  `dump_itable_ref`
 formats the table line by line, where `dump_itable` formats each distinct
 row once; the two must produce the same bytes.
@@ -21,7 +23,9 @@ reads them vector by vector; `rows_of` reads a table's rows back, one
 step per vector from the state of its least peel.
 
 `coset_decomposition_ref` is the coset certificate vector by vector, on
-the rows `rows_of` reads: phi of each P0 part off its row, and three
+the rows `rows_of` reads: the kernel exponents and the generator images
+off those rows, H closed from the images by `image_group_ref`, phi of
+each P0 part off its row, and three
 `peel_walk` words per exponent vector decoded by `decode_ref`, right to
 left on the rows, where `coset_decomposition` decides on a build's
 states and otherwise asks `phi_of`, `v_of` and `words_equal`.  The two
@@ -52,6 +56,7 @@ witness text included.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -72,8 +77,16 @@ from itype.core import (
     format_expvec,
     format_word,
 )
-from itype.structuremaps import CosetReport, kernel_exponents, phi_of
-from itype.ybr import SolutionCensus, _from_cycle_set, check_axioms, check_yb
+from itype.structuremaps import CosetReport, KernelData, phi_of
+from itype.ybr import (
+    Orbit,
+    OrbitReport,
+    SolutionCensus,
+    _from_cycle_set,
+    _star_census,
+    check_axioms,
+    check_yb,
+)
 from itype.bieberbach import (
     FixedPointSet,
     FreenessReport,
@@ -262,6 +275,92 @@ def check_yb_ref(r) -> CheckResult:
     return CheckResult.passed()
 
 
+def check_involutive_ref(r) -> CheckResult:
+    """r applied twice is the identity on every pair."""
+    for (a, b), (c, d) in r.pairs():
+        if r(c, d) != (a, b):
+            return CheckResult.failed(
+                f"r(r({r._fmt((a, b))})) = {r._fmt(r(c, d))} != {r._fmt((a, b))}"
+            )
+    return CheckResult.passed()
+
+
+def check_nondegenerate_ref(r) -> CheckResult:
+    """For every (a,b) exactly one (c,d) solves r(x_c x_a) = x_d x_b, with
+    c = d on the diagonal a = b; every c tried for every (a, b)."""
+    for a in range(1, r.n + 1):
+        for b in range(1, r.n + 1):
+            hits = []
+            for c in range(1, r.n + 1):
+                d, bb = r(c, a)
+                if bb == b:
+                    hits.append((c, d))
+            if len(hits) != 1:
+                return CheckResult.failed(
+                    f"(a,b)=({r._fmt((a, b))}): {len(hits)} solutions (c,d) "
+                    f"to r(x_c x_a) = x_d x_b"
+                )
+            c, d = hits[0]
+            if a == b and c != d:
+                return CheckResult.failed(
+                    f"a = b = {r._fmt((a,))} but the unique solution has c = "
+                    f"{r._fmt((c,))} != d = {r._fmt((d,))}"
+                )
+    return CheckResult.passed()
+
+
+def check_cyclic_ref(r) -> CheckResult:
+    """Applying r at position 2 then position 1 maps every word x_a x_a x_b
+    to a word x_c x_d x_d, bijectively onto those; words rewritten by
+    slicing."""
+    n = r.n
+    images = set()
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            w = (a, a, b)
+            u = r.apply_at(r.apply_at(w, 2), 1)
+            if u[1] != u[2]:
+                return CheckResult.failed(
+                    f"{r._fmt(w)} maps to {r._fmt(u)}, not of the form x_c x_d x_d"
+                )
+            images.add(u)
+    if len(images) != n * n:
+        return CheckResult.failed(
+            f"image of the doubled-first-letter words has size {len(images)} < {n * n}"
+        )
+    return CheckResult.passed()
+
+
+def classify_orbits3_ref(r) -> OrbitReport:
+    """The orbit census on word tuples: from each word of X^3 not yet
+    met, in lex order, its closure under r at positions 1 and 2 (words
+    of earlier orbits included where r is no involution), typed by
+    whether it meets xxx, else xxy or xyy."""
+    seen: set = set()
+    orbits = []
+    for w in all_words(r.n, 3):
+        if w in seen:
+            continue
+        orbit = {w}
+        todo = [w]
+        while todo:
+            cur = todo.pop()
+            for u in (r.apply_at(cur, 1), r.apply_at(cur, 2)):
+                if u not in orbit:
+                    orbit.add(u)
+                    todo.append(u)
+        seen |= orbit
+        if any(u[0] == u[1] == u[2] for u in orbit):
+            kind = "A"
+        elif any(u[0] == u[1] or u[1] == u[2] for u in orbit):
+            kind = "B"
+        else:
+            kind = "C"
+        orbits.append(Orbit(tuple(sorted(orbit)), kind))
+    orbits = tuple(orbits)
+    return OrbitReport(r.n, orbits, _star_census(r.n, orbits), "n^3 = n + 3*n*(n-1) + 6*#C")
+
+
 def cycle_set_law(rows, x: int, y: int) -> bool:
     """(x.y).(x.z) = (y.x).(y.z) for every z, on 0-based rows pi_x."""
     px, py = rows[x], rows[y]
@@ -314,10 +413,11 @@ def enumerate_solutions_ref(n: int) -> SolutionCensus:
     return SolutionCensus(n, tuple(solutions), tuple(reps))
 
 
-def image_group_ref(pm) -> frozenset:
-    """The image of phi as the closure of every row up to degree D-1
-    under composition."""
-    vecs = [e for d in range(pm.D) for e in expvecs_of_degree_ref(pm.n, d)]
+def image_group_ref(pm, vecs=None) -> frozenset:
+    """The image of phi as the closure of the rows of `vecs`, by default
+    every row up to degree D-1, under composition."""
+    if vecs is None:
+        vecs = [e for d in range(pm.D) for e in expvecs_of_degree_ref(pm.n, d)]
     group = {phi_of(pm, b) for b in vecs}
     while True:
         extra = {p * q for p in group for q in group} - group
@@ -333,10 +433,12 @@ def coset_decomposition_ref(pm) -> CosetReport:
     the two canonical words lands in the right class).  Refuses
     (DegreeBoundError) up front a table too short for the commuting
     check, which decodes words of degree t_i + t_j.  The rows are read
-    once, by `rows_of`; the words are those of `peel_walk` and each word
-    is decoded right to left on the rows (`decode_ref`)."""
+    once, by `rows_of`, and the kernel data off them (`kernel_data_ref`);
+    the words are those of `peel_walk` and each word is decoded right to
+    left on the rows (`decode_ref`)."""
     table, n, D = pm.table, pm.n, pm.D
-    kd = kernel_exponents(pm)
+    rows = rows_of(table)
+    kd = kernel_data_ref(pm, rows)
     t = kd.t
     need = max((t[i] + t[j] for i in range(n) for j in range(i + 1, n)), default=0)
     if need > D:
@@ -344,7 +446,6 @@ def coset_decomposition_ref(pm) -> CosetReport:
             f"coset commuting check needs degree {need}, which exceeds table bound D = {D}"
         )
     reps = sorted(itertools.product(*(range(ti) for ti in t)), key=lambda v: (sum(v), v))
-    rows = rows_of(table)
     word = {}
     for e, b, x in peel_walk(rows, D):
         word[e] = () if b is None else (x,) + word[b]
@@ -376,6 +477,34 @@ def coset_decomposition_ref(pm) -> CosetReport:
                     f"v(u_{i + 1}^{t[i]}) and v(u_{j + 1}^{t[j]}) do not commute"
                 )
     return CosetReport(kd, tuple(reps), factorization, product_rule, commuting)
+
+
+def kernel_data_ref(pm, rows: dict) -> KernelData:
+    """The kernel data read off `rows` (those of `rows_of`): t_i the
+    least k <= D-1 with phi(u_i^k) = id, each row relabelled by sigma^-1
+    and refused as a `Perm` if it is no permutation; H the closure of the
+    generator images by `image_group_ref`.  Raises as `kernel_exponents`
+    does."""
+    t, n = pm.table, pm.n
+    inv = t.sigma.inverse().images
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    exps = []
+    for i, u in enumerate(units):
+        for k in range(1, t.D):
+            if Perm(tuple(inv[c - 1] for c in rows[tuple(k * x for x in u)])).is_identity():
+                exps.append(k)
+                break
+        else:
+            raise DegreeBoundError(
+                f"no power of generator {i + 1} up to degree D-1 = {t.D - 1} has trivial "
+                f"phi; raise the degree bound (D = n! + 1 = {math.factorial(n) + 1} suffices)"
+            )
+    for i, ti in enumerate(exps, start=1):
+        if math.factorial(n) % ti != 0:
+            raise ConsistencyError(f"t_{i} = {ti} does not divide n! = {math.factorial(n)}")
+    gens = tuple(Perm(tuple(inv[c - 1] for c in rows[u])) for u in units)
+    p0 = tuple(tuple(ti * k for k in u) for ti, u in zip(exps, units))
+    return KernelData(tuple(exps), gens, image_group_ref(pm, units), p0)
 
 
 def decode_ref(rows: dict, w) -> tuple:

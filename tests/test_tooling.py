@@ -182,6 +182,29 @@ def test_word_problem_gathers_no_row():
             assert ist.words_equal(t, w1, w2) == (a == ist.v_inverse(t, w2))
 
 
+def test_axioms_and_orbits_read_no_pair(capsys, monkeypatch):
+    # check and orbits decide on the pair maps' flat indices: with
+    # PairMap.__call__ and PairMap.apply_at refused they print every
+    # corpus input's bytes as before
+    cli, ybr = program("cli"), program("ybr")
+    paths = sorted(str(p) for p in (BENCH / "corpus").iterdir() if p.suffix in (".pres", ".rtable"))
+    assert len(paths) == 34
+    runs = [[command, path] for path in paths for command in ("check", "orbits")]
+
+    def outcomes():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in runs]
+
+    before = outcomes()
+    assert {code for code, _, _ in before} == {0}
+
+    def refused(*args):
+        raise AssertionError("pair read one at a time")
+
+    monkeypatch.setattr(ybr.PairMap, "__call__", refused)
+    monkeypatch.setattr(ybr.PairMap, "apply_at", refused)
+    assert outcomes() == before
+
+
 def test_phi_gathers_no_row(capsys, monkeypatch):
     # the kernel, cocycle and coset checks read the build's states: itype
     # phi prints what it prints on one state per vector of the same rows,

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from itype import (
     build_r,
     canonical_form,
     check_axioms,
+    check_cyclic,
     check_involutive,
     check_nondegenerate,
     check_yb,
@@ -22,10 +25,22 @@ from itype import (
     parse_rtable,
 )
 from itype import ybr
+from itype.cli import load_pairmap
 from itype.core import Perm, all_perms, all_words
 
 from conftest import COMM2_TEXT
-from oracles import check_yb_ref, cycle_set_law, cycle_set_nodes, enumerate_solutions_ref
+from oracles import (
+    check_cyclic_ref,
+    check_involutive_ref,
+    check_nondegenerate_ref,
+    check_yb_ref,
+    classify_orbits3_ref,
+    cycle_set_law,
+    cycle_set_nodes,
+    enumerate_solutions_ref,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 X2Y2_TABLE = ((2, 2), (1, 2), (2, 1), (1, 1))  # row-major over (a,b)
 
@@ -230,24 +245,50 @@ def test_single_entry_mutants_fail_axioms(census, census4):
 
 
 def test_check_yb_matches_reference(census, census4):
-    # the flat braid check against the word-slicing one, witness text
-    # included: every solution for n <= 4, then seeded mutants with two
-    # table entries swapped, named maps among them
+    # the checks on flat indices against the pair-by-pair and
+    # word-slicing ones, verdict and witness text included, and the whole
+    # orbit report: every solution for n <= 4, the corpus, every
+    # single-entry mutant of the n <= 3 solutions and 1000 seeded ones of
+    # the n = 4 solutions, then seeded mutants with two table entries
+    # swapped, named maps among them
     sols = [s for cen in census.values() for s in cen.solutions] + list(census4.solutions)
-    for s in sols:
-        assert check_yb(s) == check_yb_ref(s) and check_yb(s).ok
+    paths = sorted(p for p in CORPUS.iterdir() if p.suffix in (".pres", ".rtable"))
+    corpus = [load_pairmap(str(path)) for path in paths]
     rng = random.Random(11)
+    mutants = [m for r in sols if r.n < 4 for m in _single_entry_mutants(r)]
+    mutants += rng.sample([m for r in census4.solutions for m in _single_entry_mutants(r)], 1000)
     named = [PairMap(s.n, s.table, tuple(f"g{i}" for i in range(s.n))) for s in sols]
-    verdicts = []
+    swaps = []
     for r in rng.choices([r for r in named if r.n > 1], k=600):
         i, j = rng.sample(range(r.n * r.n), 2)
         table = list(r.table)
         table[i], table[j] = table[j], table[i]
-        m = PairMap(r.n, tuple(table), r.names)
-        got = check_yb(m)
-        assert got == check_yb_ref(m)
-        verdicts.append(got.ok)
-    assert 0 < sum(verdicts) < 100
+        swaps.append(PairMap(r.n, tuple(table), r.names))
+    maps = sols + corpus + mutants + swaps
+    assert len(maps) == 183 + 34 + 888 + 1000 + 600
+    checks = [
+        (check_involutive, check_involutive_ref),
+        (check_yb, check_yb_ref),
+        (check_nondegenerate, check_nondegenerate_ref),
+        (check_cyclic, check_cyclic_ref),
+    ]
+    failed = collections.Counter()
+    for m in maps:
+        for check, ref in checks:
+            got = check(m)
+            assert got == ref(m), (check.__name__, m.table)
+            failed[check.__name__] += not got
+        rep = classify_orbits3(m)
+        assert rep == classify_orbits3_ref(m), m.table
+        failed["repeats"] += sum(o.size for o in rep.orbits) > m.n**3
+    assert all(check_axioms(s).ok for s in sols + corpus)
+    assert failed == {
+        "check_involutive": 2433,
+        "check_yb": 2425,
+        "check_nondegenerate": 2071,
+        "check_cyclic": 2425,
+        "repeats": 1742,  # maps with an orbit repeating words of an earlier one
+    }
 
 
 def test_enumerate_all_pass_axioms(census):
